@@ -13,6 +13,7 @@ config_error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 import time
@@ -291,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multilabel imbalance profiling, oversampling, and hybrid "
         "graph/fingerprint model training.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (execution is currently sequential)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_data(p: argparse.ArgumentParser) -> None:
@@ -375,6 +374,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _single_thread_blas() -> None:
+    """Run OpenBLAS on one thread for the calling thread, which does all of
+    a command's numeric work (for the whole process where the library has no
+    per-thread setting).
+
+    Threaded OpenBLAS splits a matrix product by thread count, and the split
+    changes the last bits of some entries, so checkpoints and reports would
+    depend on the machine's core count. Finds a loaded OpenBLAS (numpy's
+    bundled build or a system one) through the process's memory map; other
+    BLAS libraries and platforms without ``/proc`` are left as they are.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("openblas_set_num_threads_local", "scipy_openblas_set_num_threads64_",
+                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+
+
 def _fail(error_class: str, exc: BaseException) -> int:
     message = " ".join(str(exc).split())
     print(f"{error_class}: {message}", file=sys.stderr)
@@ -384,6 +413,7 @@ def _fail(error_class: str, exc: BaseException) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _single_thread_blas()
     try:
         return args.func(args)
     except FormatError as exc:

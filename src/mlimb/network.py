@@ -10,16 +10,19 @@ Forward structure, all shapes row-major (instances/nodes in rows):
     y     = head(Z W_r + e)         sigmoid / identity / softmax head
 
 The adjacency operator A_hat is configurable: the literal adjacency, with
-self-loops, or symmetric degree-normalized with self-loops (default). Input
-modes zero the unused path: graph-only forces F* = 0, fingerprint-only
-forces h_G = 0, so the hybrid model with a zeroed fingerprint path equals
-the graph-only model exactly.
+self-loops, or symmetric degree-normalized with self-loops (default, the
+operator of Kipf & Welling, ICLR 2017). Input modes zero the unused path:
+graph-only forces F* = 0, fingerprint-only forces h_G = 0, so the hybrid
+model with a zeroed fingerprint path equals the graph-only model exactly.
 
 Training is plain (optionally momentum) gradient descent, full-batch by
-default; all instances of a batch are packed into one block-diagonal sparse
-adjacency so an epoch is a handful of matrix products. Gradients are exact
-derivatives of the clamped losses, which is what the finite-difference
-checks in the test suite verify.
+default. A batch pads every graph to the batch's largest node count: node
+features are one (B, Nmax, F) tensor and the operators one (B, Nmax, Nmax)
+tensor whose padding rows and columns are zero, so padding never mixes
+into real nodes, and readouts mask it out. An epoch is then a handful of
+batched and 2-D matrix products. Gradients are exact derivatives of the
+clamped losses, which is what the finite-difference checks in the test
+suite verify.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .data import Instance, MolecularGraph, MultiLabelDataset
 
@@ -82,7 +84,8 @@ def _tanh(p: np.ndarray) -> np.ndarray:
 
 
 def _dtanh(p: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return 1.0 - h * h
+    d = h * h
+    return np.subtract(1.0, d, out=d)
 
 
 def _relu(p: np.ndarray) -> np.ndarray:
@@ -102,11 +105,19 @@ def _didentity(p: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(p: np.ndarray) -> np.ndarray:
-    return expit(p)
+    """Logistic 1 / (1 + exp(-p)); exp overflowing to inf correctly gives 0."""
+    out = np.negative(p)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    return out
 
 
 def _dsigmoid(p: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return h * (1.0 - h)
+    d = 1.0 - h
+    d *= h
+    return d
 
 
 ACTIVATIONS = {
@@ -313,7 +324,7 @@ def fingerprint_dense(f: np.ndarray, w_p: np.ndarray, c: np.ndarray) -> np.ndarr
 
 def _head(logits: np.ndarray, mode: str) -> np.ndarray:
     if mode == "sigmoid_multilabel":
-        return expit(logits)
+        return _sigmoid(logits)
     if mode == "linear_regression":
         return logits
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -365,17 +376,18 @@ def predict_instance(params: ModelParameters, instance: Instance) -> np.ndarray:
 class GraphBatch:
     """All instances of one batch packed for vectorized passes.
 
-    Graphs are concatenated in instance order; ``adjacency`` is the
-    block-diagonal operator over all nodes (symmetric by construction), and
-    ``starts``/``sizes`` delimit each graph's node rows. Graph fields are
+    Each graph is padded to the batch's largest node count ``Nmax``:
+    ``nodes`` is (B, Nmax, F), ``operator`` is (B, Nmax, Nmax) and symmetric
+    with zero rows and columns at padding, ``mask`` (B, Nmax) marks real
+    nodes, and ``sizes`` holds each graph's node count. Graph fields are
     None in fingerprint-only mode.
     """
 
     instance_count: int
     fingerprints: np.ndarray
-    node_matrix: np.ndarray | None = None
-    adjacency: sp.csr_matrix | None = None
-    starts: np.ndarray | None = None
+    nodes: np.ndarray | None = None
+    operator: np.ndarray | None = None
+    mask: np.ndarray | None = None
     sizes: np.ndarray | None = None
 
 
@@ -393,7 +405,6 @@ def build_batch(instances: list[Instance], config: NetworkConfig) -> GraphBatch:
     if config.input_mode == "fingerprint":
         return batch
 
-    sizes = []
     for inst in instances:
         if inst.graph is None:
             raise ValueError(
@@ -404,38 +415,39 @@ def build_batch(instances: list[Instance], config: NetworkConfig) -> GraphBatch:
                 f"instance {inst.id!r}: node feature dim {inst.graph.feature_dim} "
                 f"does not match config dim {config.node_feature_dim}"
             )
-        sizes.append(inst.graph.node_count)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    total = int(sizes.sum())
+    count = len(instances)
+    sizes = np.fromiter((inst.graph.node_count for inst in instances), np.int64, count)
+    width = int(sizes.max())
+    mask = np.arange(width) < sizes[:, None]
 
-    node_matrix = np.concatenate([inst.graph.node_features for inst in instances], axis=0)
+    nodes = np.zeros((count, width, config.node_feature_dim))
+    nodes[mask] = np.concatenate([inst.graph.node_features for inst in instances], axis=0)
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for inst, off in zip(instances, starts):
-        if inst.graph.edges:
-            e = np.asarray(inst.graph.edges, dtype=np.int64) + off
-            rows.append(e[:, 0])
-            cols.append(e[:, 1])
-            rows.append(e[:, 1])
-            cols.append(e[:, 0])
+    # Edge endpoints as rows of the flattened (B*Nmax) node axis; each
+    # undirected edge counts once in each direction and duplicates sum.
+    edge_counts = np.fromiter((len(inst.graph.edges) for inst in instances), np.int64, count)
+    ends = np.fromiter(
+        chain.from_iterable(chain.from_iterable(inst.graph.edges for inst in instances)),
+        np.int64,
+        2 * int(edge_counts.sum()),
+    ).reshape(-1, 2)
+    rows = ends + np.repeat(np.arange(count, dtype=np.int64) * width, edge_counts)[:, None]
+    operator = np.zeros((count, width, width))
+    flat = operator.reshape(count * width, width)
+    np.add.at(flat, (rows[:, 0], ends[:, 1]), 1.0)
+    np.add.at(flat, (rows[:, 1], ends[:, 0]), 1.0)
     if config.adjacency_mode in ("self_loops", "normalized"):
-        diag = np.arange(total, dtype=np.int64)
-        rows.append(diag)
-        cols.append(diag)
-    r = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    c = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    data = np.ones(r.size, dtype=np.float64)
+        diag = np.arange(width)
+        operator[:, diag, diag] += mask
     if config.adjacency_mode == "normalized":
-        deg = np.bincount(r, minlength=total).astype(np.float64)
-        inv_sqrt = 1.0 / np.sqrt(deg)  # self-loops guarantee deg >= 1
-        data = data * inv_sqrt[r] * inv_sqrt[c]
-    adjacency = sp.csr_matrix((data, (r, c)), shape=(total, total))
+        # Self-loops guarantee degree >= 1 on real nodes; padding keeps 0.
+        inv_sqrt = 1.0 / np.sqrt(np.where(mask, operator.sum(axis=2), 1.0))
+        operator *= inv_sqrt[:, :, None]
+        operator *= inv_sqrt[:, None, :]
 
-    batch.node_matrix = node_matrix
-    batch.adjacency = adjacency
-    batch.starts = starts
+    batch.nodes = nodes
+    batch.operator = operator
+    batch.mask = mask
     batch.sizes = sizes
     return batch
 
@@ -445,28 +457,17 @@ class ForwardTrace:
     """Everything the backward pass needs, kept from one forward pass."""
 
     batch: GraphBatch
-    hidden: list[np.ndarray] = field(default_factory=list)  # [H^(0)=X, ..., H^(K)]
-    pre: list[np.ndarray] = field(default_factory=list)
-    propagated: list[np.ndarray] = field(default_factory=list)  # A_hat @ H^(k-1)
+    hidden: list[np.ndarray] = field(default_factory=list)  # [H^(0)=X, ..., H^(K)], (B, Nmax, .)
+    pre: list[np.ndarray] = field(default_factory=list)  # (B*Nmax, .)
+    propagated: list[np.ndarray] = field(default_factory=list)  # A_hat @ H^(k-1), (B, Nmax, .)
     h_g: np.ndarray | None = None
-    max_rows: np.ndarray | None = None
+    max_rows: np.ndarray | None = None  # (B, D): first node attaining each column's max
     min_rows: np.ndarray | None = None
     f_star: np.ndarray | None = None
     fused: np.ndarray | None = None
     z: np.ndarray | None = None
     logits: np.ndarray | None = None
     y_pred: np.ndarray | None = None
-
-
-def _first_extreme_rows(
-    h: np.ndarray, pooled: np.ndarray, starts: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
-    """Per (graph, column): first node row attaining the pooled extreme."""
-    total = h.shape[0]
-    expanded = np.repeat(pooled, sizes, axis=0)
-    row_index = np.arange(total, dtype=np.int64)[:, None]
-    masked = np.where(h == expanded, row_index, total)
-    return np.minimum.reduceat(masked, starts, axis=0)
 
 
 def forward(batch: GraphBatch, params: ModelParameters) -> ForwardTrace:
@@ -477,39 +478,49 @@ def forward(batch: GraphBatch, params: ModelParameters) -> ForwardTrace:
     fusion = cfg.fusion_input_dim
 
     if cfg.input_mode in ("hybrid", "graph"):
-        h = batch.node_matrix
+        h = batch.nodes
+        width = h.shape[1]
         trace.hidden.append(h)
         for w, bias in zip(params.layer_weights, params.layer_biases):
-            m = batch.adjacency @ h
-            p = m @ w + bias
-            h = act(p)
+            m = batch.operator @ h
+            p = m.reshape(b * width, -1) @ w
+            p += bias
+            h = act(p).reshape(b, width, -1)
             trace.propagated.append(m)
             trace.pre.append(p)
             trace.hidden.append(h)
-        starts, sizes = batch.starts, batch.sizes
-        maxv = np.maximum.reduceat(h, starts, axis=0)
-        trace.max_rows = _first_extreme_rows(h, maxv, starts, sizes)
-        if cfg.readout_mode == "max_plus_mean":
-            meanv = np.add.reduceat(h, starts, axis=0) / sizes[:, None]
-            trace.h_g = maxv + meanv
-        elif cfg.readout_mode == "max_plus_min":
-            minv = np.minimum.reduceat(h, starts, axis=0)
-            trace.min_rows = _first_extreme_rows(h, minv, starts, sizes)
+        # Padding rows hold act(bias); the readouts mask them out. argmax and
+        # argmin return the first extreme node, the rows backward routes to.
+        padding = ~batch.mask[:, :, None]
+        masked = np.where(padding, -np.inf, h)
+        trace.max_rows = masked.argmax(axis=1)
+        maxv = np.take_along_axis(h, trace.max_rows[:, None, :], axis=1)[:, 0, :]
+        if cfg.readout_mode == "max_plus_min":
+            np.copyto(masked, np.inf, where=padding)
+            trace.min_rows = masked.argmin(axis=1)
+            minv = np.take_along_axis(h, trace.min_rows[:, None, :], axis=1)[:, 0, :]
             trace.h_g = maxv + minv
         else:
-            meanv = np.add.reduceat(h, starts, axis=0) / sizes[:, None]
-            trace.h_g = np.concatenate([meanv, maxv], axis=1)
+            np.copyto(masked, 0.0, where=padding)
+            meanv = masked.sum(axis=1) / batch.sizes[:, None]
+            if cfg.readout_mode == "max_plus_mean":
+                trace.h_g = maxv + meanv
+            else:
+                trace.h_g = np.concatenate([meanv, maxv], axis=1)
     else:
         trace.h_g = np.zeros((b, fusion))
 
     if cfg.input_mode in ("hybrid", "fingerprint"):
-        trace.f_star = batch.fingerprints @ params.fp_weight + params.fp_bias
+        trace.f_star = batch.fingerprints @ params.fp_weight
+        trace.f_star += params.fp_bias
     else:
         trace.f_star = np.zeros((b, fusion))
 
     trace.fused = trace.h_g + trace.f_star
-    trace.z = trace.fused @ params.fuse_weight + params.fuse_bias
-    trace.logits = trace.z @ params.head_weight + params.head_bias
+    trace.z = trace.fused @ params.fuse_weight
+    trace.z += params.fuse_bias
+    trace.logits = trace.z @ params.head_weight
+    trace.logits += params.head_bias
     trace.y_pred = _head(trace.logits, cfg.head_mode)
     return trace
 
@@ -557,8 +568,15 @@ def backward(
     grads = params.zeros_like()
     batch = trace.batch
 
-    dy = _loss_grad(trace.y_pred, np.asarray(targets, dtype=np.float64), task)
-    dlogits = _head_grad(dy, trace.y_pred, cfg.head_mode)
+    y, t = trace.y_pred, np.asarray(targets, dtype=np.float64)
+    if task == "multilabel" and cfg.head_mode == "sigmoid_multilabel":
+        # Through the sigmoid the clamped BCE gradient collapses to
+        # (y - t) / n where the clamp is inactive, and 0 where it is active.
+        dlogits = np.subtract(y, t)
+        dlogits /= y.size
+        dlogits[(y <= BCE_EPS) | (y >= 1.0 - BCE_EPS)] = 0.0
+    else:
+        dlogits = _head_grad(_loss_grad(y, t, task), y, cfg.head_mode)
 
     grads.head_weight[:] = trace.z.T @ dlogits
     grads.head_bias[:] = dlogits.sum(axis=0)
@@ -573,31 +591,37 @@ def backward(
         grads.fp_bias[:] = dfused.sum(axis=0)
 
     if cfg.input_mode in ("hybrid", "graph"):
-        h_final = trace.hidden[-1]
-        total, width = h_final.shape
-        starts, sizes = batch.starts, batch.sizes
-        col_grid = np.broadcast_to(
-            np.arange(width, dtype=np.int64), (batch.instance_count, width)
-        )
-        dh = np.zeros_like(h_final)
-        if cfg.readout_mode == "max_plus_mean":
-            np.add.at(dh, (trace.max_rows, col_grid), dfused)
-            dh += np.repeat(dfused / sizes[:, None], sizes, axis=0)
-        elif cfg.readout_mode == "max_plus_min":
-            np.add.at(dh, (trace.max_rows, col_grid), dfused)
-            np.add.at(dh, (trace.min_rows, col_grid), dfused)
+        b, width, dim = trace.hidden[-1].shape
+        if cfg.readout_mode == "max_plus_min":
+            dmax = dfused
+            dh = np.zeros((b, width, dim))
         else:
-            dmean, dmax = np.split(dfused, 2, axis=1)
-            dh += np.repeat(dmean / sizes[:, None], sizes, axis=0)
-            np.add.at(dh, (trace.max_rows, col_grid), dmax)
+            dmean, dmax = (
+                (dfused, dfused) if cfg.readout_mode == "max_plus_mean"
+                else np.split(dfused, 2, axis=1)
+            )
+            dh = batch.mask[:, :, None] * (dmean / batch.sizes[:, None])[:, None, :]
+        # Flat offset of node row 0 for each (graph, column). A column has one
+        # max row per graph, so no element is hit twice by one += below.
+        base = np.arange(b)[:, None] * (width * dim) + np.arange(dim)
+        flat = dh.reshape(-1)
+        flat[base + trace.max_rows * dim] += dmax
+        if cfg.readout_mode == "max_plus_min":
+            flat[base + trace.min_rows * dim] += dfused
 
+        # Padding rows of dh start at zero and stay zero, because the
+        # operator's padding rows are zero, so they add nothing to any
+        # gradient. dh is this function's own buffer: each layer turns it into
+        # the gradient of its pre-activation in place.
+        dh = dh.reshape(b * width, dim)
         for k in range(cfg.layer_count - 1, -1, -1):
-            dp = dh * dact(trace.pre[k], trace.hidden[k + 1])
-            grads.layer_weights[k][:] = trace.propagated[k].T @ dp
-            grads.layer_biases[k][:] = dp.sum(axis=0)
+            dh *= dact(trace.pre[k], trace.hidden[k + 1].reshape(dh.shape))
+            grads.layer_weights[k][:] = trace.propagated[k].reshape(b * width, -1).T @ dh
+            grads.layer_biases[k][:] = dh.sum(axis=0)
             if k > 0:
                 # The operator is symmetric, so A_hat.T @ x == A_hat @ x.
-                dh = batch.adjacency @ (dp @ params.layer_weights[k].T)
+                back = (dh @ params.layer_weights[k].T).reshape(b, width, -1)
+                dh = (batch.operator @ back).reshape(b * width, -1)
     return grads
 
 
@@ -675,7 +699,10 @@ def train(
     dataset: MultiLabelDataset, net: NetworkConfig, cfg: TrainConfig
 ) -> tuple[ModelParameters, list[float]]:
     """Gradient descent from a seeded init; returns params and the per-epoch
-    training loss (loss at the parameters each epoch started from)."""
+    training loss (loss at the parameters each epoch started from).
+
+    Raises ValueError at the first non-finite loss, naming the epoch.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     targets = _training_targets(dataset, net, cfg.task)
@@ -684,27 +711,39 @@ def train(
     velocity = params.zeros_like() if cfg.momentum > 0 else None
     curve: list[float] = []
 
-    if cfg.batch_size is None or cfg.batch_size >= len(dataset):
-        batch = build_batch(dataset.instances, net)
-        for _ in range(cfg.epochs):
-            value, grads = loss_and_gradients(params, batch, targets, cfg.task)
-            curve.append(value)
-            _apply_update(params, grads, velocity, cfg)
-        return params, curve
+    # A diverging run overflows before its loss turns non-finite; the check
+    # below reports that as one error instead of a stream of warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.batch_size is None or cfg.batch_size >= len(dataset):
+            batch = build_batch(dataset.instances, net)
+            for epoch in range(1, cfg.epochs + 1):
+                value, grads = loss_and_gradients(params, batch, targets, cfg.task)
+                curve.append(_finite_loss(value, epoch, cfg))
+                _apply_update(params, grads, velocity, cfg)
+            return params, curve
 
-    indices = np.arange(len(dataset))
-    for _ in range(cfg.epochs):
-        order = rng.permutation(indices)
-        epoch_sum = 0.0
-        for lo in range(0, order.size, cfg.batch_size):
-            chunk = order[lo : lo + cfg.batch_size]
-            sub = [dataset.instances[i] for i in chunk]
-            batch = build_batch(sub, net)
-            value, grads = loss_and_gradients(params, batch, targets[chunk], cfg.task)
-            epoch_sum += value * chunk.size
-            _apply_update(params, grads, velocity, cfg)
-        curve.append(epoch_sum / order.size)
+        indices = np.arange(len(dataset))
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(indices)
+            epoch_sum = 0.0
+            for lo in range(0, order.size, cfg.batch_size):
+                chunk = order[lo : lo + cfg.batch_size]
+                sub = [dataset.instances[i] for i in chunk]
+                batch = build_batch(sub, net)
+                value, grads = loss_and_gradients(params, batch, targets[chunk], cfg.task)
+                epoch_sum += _finite_loss(value, epoch, cfg) * chunk.size
+                _apply_update(params, grads, velocity, cfg)
+            curve.append(epoch_sum / order.size)
     return params, curve
+
+
+def _finite_loss(value: float, epoch: int, cfg: TrainConfig) -> float:
+    if not math.isfinite(value):
+        raise ValueError(
+            f"training diverged: loss is {value!r} in epoch {epoch}; "
+            f"try a lower --lr than {cfg.learning_rate!r}"
+        )
+    return value
 
 
 def _apply_update(

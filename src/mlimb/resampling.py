@@ -52,8 +52,13 @@ METHODS = ("proposed", "mlsmote")
 
 @dataclass(frozen=True)
 class ResampleConfig:
-    """method, oversampling fraction p, replication count r (proposed),
-    neighbor count k (mlsmote), and the seed driving all randomness."""
+    """method, oversampling fraction p, replication count r (proposed) and
+    neighbor count k (mlsmote).
+
+    ``seed`` is recorded in the diagnostics document only. Both methods are
+    deterministic: neither the ``proposed`` selection nor the ``mlsmote``
+    synthetics depend on it.
+    """
 
     method: str
     p: float
@@ -269,9 +274,9 @@ def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutco
 
     Bags are walked in descending IRLbl order, one synthetic per seed visit,
     repeating passes over the bags until the budget is met or no bag can
-    contribute. Each visit draws one reference neighbor from the k found, so
-    the random stream is part of the method's contract even though the
-    majority votes do not depend on the draw. Synthetics have no graph.
+    contribute. The majority votes use every one of the k neighbors, so no
+    random draw is involved and the output does not depend on
+    ``config.seed``. Synthetics have no graph.
     """
     n = len(dataset)
     if n == 0:
@@ -322,7 +327,6 @@ def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutco
         l: np.stack([dataset.instances[i].fingerprint.bits for i in bags[l]]) for l in usable
     }
 
-    rng = np.random.default_rng(config.seed)
     warnings: list[str] = []
     per_label: dict[int, int] = {l: 0 for l in ordered_minority}
     per_seed_serial: dict[str, int] = {}
@@ -342,7 +346,6 @@ def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutco
                 dist[pos] = bits.shape[1] + 1  # the seed is not its own neighbor
                 order = np.lexsort((np.arange(len(members)), dist))
                 neighbor_pos = [int(i) for i in order[:k_eff]]
-                rng.integers(k_eff)  # reference-neighbor draw, part of the seeded protocol
                 group_rows = [pos] + neighbor_pos
                 group_instances = [dataset.instances[members[i]] for i in group_rows]
                 synth_bits, synth_labels = _vote_group(bits, group_rows, group_instances)

@@ -1,9 +1,15 @@
 """End-to-end command-line runs: outputs, determinism, error classes."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mlimb
 from mlimb.cli import main
 from mlimb.data import load_dataset, save_dataset
 from mlimb.metrics import imbalance_report
@@ -206,3 +212,64 @@ def test_eval_label_count_mismatch(synth_dir, tmp_path, capsys):
                           "--model", str(model),
                           "--report", str(tmp_path / "r.json"))
     assert code == 2 and stderr.startswith("config_error:")
+
+
+def test_threads_flag_is_gone(synth_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads=2", "metrics", "--data", str(synth_dir / "dataset.jsonl"),
+              "--out", str(tmp_path / "m")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads=2" in capsys.readouterr().err
+
+
+def test_diverging_training_is_a_config_error(tmp_path, capsys):
+    base = tmp_path / "regdata"
+    code, _, _ = run(capsys, "synth", "--n-instances", "30", "--n-labels", "4",
+                     "--fp-width", "16", "--graph-nodes", "3,5", "--node-dim", "3",
+                     "--reg-width", "2", "--seed", "3", "--out", str(base))
+    assert code == 0
+    model = tmp_path / "reg.json"
+    code, _, stderr = run(capsys, "train", "--data", str(base / "dataset.jsonl"),
+                          "--task", "multiregression", "--epochs", "50", "--hidden", "4",
+                          "--fuse-dim", "3", "--lr", "100", "--model-out", str(model))
+    assert code == 2
+    assert re.fullmatch(r"config_error: training diverged: loss is (inf|nan) in epoch \d+; "
+                        r"try a lower --lr than 100\.0\n", stderr)
+    assert not model.exists()
+
+
+def _cli_env(**extra):
+    """Environment for a child interpreter that imports this checkout's mlimb."""
+    src = str(Path(mlimb.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **extra}
+
+
+def test_cli_import_does_not_load_scipy():
+    probe = ("import sys, mlimb.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=_cli_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_train_and_eval_identical_across_blas_thread_counts(tmp_path, capsys):
+    base = tmp_path / "base"
+    code, _, _ = run(capsys, "synth", "--n-instances", "600", "--n-labels", "20",
+                     "--boost", "0.3", "--seed", "5", "--out", str(base))
+    assert code == 0
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = _cli_env(OPENBLAS_NUM_THREADS=threads)
+        for argv in (
+            ["train", "--data", str(base / "dataset.jsonl"), "--task", "multilabel",
+             "--epochs", "20", "--lr", "1.0", "--hidden", "32,32", "--fuse-dim", "32",
+             "--model-out", str(out / "model.json")],
+            ["eval", "--data", str(base / "dataset.jsonl"), "--model", str(out / "model.json"),
+             "--report", str(out / "report.json")],
+        ):
+            subprocess.run([sys.executable, "-m", "mlimb.cli", *argv], env=env,
+                           capture_output=True, check=True)
+        outputs[threads] = [(out / name).read_bytes() for name in ("model.json", "report.json")]
+    assert outputs["1"] == outputs["2"]

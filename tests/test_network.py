@@ -36,6 +36,7 @@ from mlimb.network import (
     save_checkpoint,
     train,
     _apply_update,
+    _sigmoid,
 )
 from tests.conftest import random_dataset, random_graph
 
@@ -222,6 +223,15 @@ def test_bce_clamp_keeps_loss_and_gradients_finite():
     assert value == pytest.approx(-math.log(BCE_EPS), rel=1e-6)
     for _, g in grads.named_tensors():
         assert np.isfinite(g).all()
+
+
+def test_sigmoid_saturates_without_overflow_warnings():
+    x = np.array([-1000.0, -40.0, 0.0, 40.0, 1000.0])
+    with np.errstate(over="raise", invalid="raise"):
+        y = _sigmoid(x)
+    assert y[0] == 0.0 and y[2] == 0.5 and y[4] == 1.0
+    assert np.allclose(y[1:4], [1.0 / (1.0 + math.exp(40.0)), 0.5, 1.0 / (1.0 + math.exp(-40.0))],
+                       rtol=1e-15, atol=0.0)
 
 
 def test_zero_loss_means_zero_gradients():
@@ -416,6 +426,17 @@ def test_momentum_update_matches_hand_computation():
     _apply_update(params, grads, velocity, tc)
     # v2 = 0.5*(-0.1 g) - 0.1 g = -0.15 g
     assert np.allclose(params.head_bias, before - 0.25 * np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("batch_size", [None, 4])
+def test_training_stops_at_first_non_finite_loss(batch_size):
+    rng = np.random.default_rng(8)
+    ds = random_dataset(rng, max_instances=12, graph_prob=0.0, reg_width=2)
+    cfg = small_config(fingerprint_width=ds.fingerprint_width, output_dim=2,
+                       head_mode="linear_regression", input_mode="fingerprint")
+    with pytest.raises(ValueError, match=r"loss is (inf|nan) in epoch \d+; try a lower --lr"):
+        train(ds, cfg, TrainConfig(task="multiregression", epochs=100, learning_rate=1e3,
+                                   batch_size=batch_size))
 
 
 def test_target_matrices():

@@ -316,6 +316,17 @@ def test_mlsmote_deterministic():
     assert a.per_label_synthetic_counts == b.per_label_synthetic_counts
 
 
+def test_mlsmote_output_does_not_depend_on_seed():
+    d = generate(SynthConfig(n_instances=300, n_labels=12, fingerprint_width=32,
+                             graph_nodes_range=None, cooccurrence_boost=0.3, seed=4))
+    a = mlsmote(d, ResampleConfig(method="mlsmote", p=0.5, k=3, seed=1))
+    b = mlsmote(d, ResampleConfig(method="mlsmote", p=0.5, k=3, seed=2))
+    assert a.added_count > 0
+    assert a.dataset == b.dataset
+    assert a.per_label_synthetic_counts == b.per_label_synthetic_counts
+    assert a.warnings == b.warnings
+
+
 def test_dispatch_and_diagnostics_document():
     d = make_dataset([(0,)] * 5 + [(1,)] * 2 + [(2,)], 3)
     cfg = ResampleConfig(method="proposed", p=0.25, r=2)
