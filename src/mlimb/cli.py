@@ -73,10 +73,6 @@ def _write_manifest(path: Path, subcommand: str, args: argparse.Namespace,
     path.write_text(_canonical_json(doc), encoding="utf-8")
 
 
-def _load(data: str, vocab: str | None) -> MultiLabelDataset:
-    return load_dataset(data, vocab)
-
-
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -89,7 +85,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     started = time.time()
-    dataset = _load(args.data, args.vocab)
+    dataset = load_dataset(args.data, args.vocab)
     report = imbalance_report(dataset)
     out = _out_dir(args)
     report_path = out / "report.json"
@@ -103,7 +99,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_oversample(args: argparse.Namespace) -> int:
     started = time.time()
-    dataset = _load(args.data, args.vocab)
+    dataset = load_dataset(args.data, args.vocab)
     config = ResampleConfig(method=args.method, p=args.p, r=args.r, k=args.k, seed=args.seed)
     outcome = oversample(dataset, config)
     out = _out_dir(args)
@@ -131,7 +127,7 @@ def _parse_snapshots(entries: list[str], vocab: str | None) -> list[tuple[str, M
         if name in seen:
             raise ValueError(f"duplicate snapshot name {name!r}")
         seen.add(name)
-        snapshots.append((name, _load(path, vocab)))
+        snapshots.append((name, load_dataset(path, vocab)))
     return snapshots
 
 
@@ -231,7 +227,7 @@ def _network_config(args: argparse.Namespace, dataset: MultiLabelDataset) -> Net
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.time()
-    dataset = _load(args.data, args.vocab)
+    dataset = load_dataset(args.data, args.vocab)
     net = _network_config(args, dataset)
     cfg = TrainConfig(
         task=args.task,
@@ -256,7 +252,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     started = time.time()
-    dataset = _load(args.data, args.vocab)
+    dataset = load_dataset(args.data, args.vocab)
     params = load_checkpoint(args.model)
     task = "multiregression" if params.config.head_mode == "linear_regression" else "multilabel"
     scores = predict(dataset.instances, params)

@@ -391,6 +391,18 @@ class GraphBatch:
     sizes: np.ndarray | None = None
 
 
+def _require_graphs(instances: list[Instance], config: NetworkConfig) -> None:
+    """Reject, in one line, instances without a graph under a graph input mode."""
+    if config.input_mode == "fingerprint":
+        return
+    missing = [inst.id for inst in instances if inst.graph is None]
+    if missing:
+        raise ValueError(
+            f"{len(missing)} of {len(instances)} instances have no graph (first {missing[0]!r}) "
+            f"but input_mode={config.input_mode!r}; use --inputs fingerprint"
+        )
+
+
 def build_batch(instances: list[Instance], config: NetworkConfig) -> GraphBatch:
     if not instances:
         raise ValueError("cannot build a batch from zero instances")
@@ -405,11 +417,8 @@ def build_batch(instances: list[Instance], config: NetworkConfig) -> GraphBatch:
     if config.input_mode == "fingerprint":
         return batch
 
+    _require_graphs(instances, config)
     for inst in instances:
-        if inst.graph is None:
-            raise ValueError(
-                f"instance {inst.id!r} has no graph but input_mode={config.input_mode!r}"
-            )
         if inst.graph.feature_dim != config.node_feature_dim:
             raise ValueError(
                 f"instance {inst.id!r}: node feature dim {inst.graph.feature_dim} "
@@ -701,11 +710,14 @@ def train(
     """Gradient descent from a seeded init; returns params and the per-epoch
     training loss (loss at the parameters each epoch started from).
 
-    Raises ValueError at the first non-finite loss, naming the epoch.
+    Raises ValueError before the first update when a graph input mode meets
+    instances without a graph, and at the first non-finite loss, naming the
+    epoch.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     targets = _training_targets(dataset, net, cfg.task)
+    _require_graphs(dataset.instances, net)
     rng = np.random.default_rng(cfg.seed)
     params = init_parameters(net, rng)
     velocity = params.zeros_like() if cfg.momentum > 0 else None

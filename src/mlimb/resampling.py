@@ -14,11 +14,13 @@ Two methods share one interface:
     seed instance, synthesizes one new instance from the seed and its k
     nearest bag neighbors under Hamming distance: fingerprints by per-bit
     strict-majority vote, labels active iff present in strictly more than
-    half of the group. Budget floor(p*|D|); per-seed neighbor searches make
-    the cost grow with bag size, quadratic when bags scale with |D|.
+    half of the group. Budget floor(p*|D|); a budget past one round of seed
+    visits replays the round. The first round's neighbor searches make the
+    cost grow with bag size, quadratic when bags scale with |D|.
 
 Copies and synthetics get fresh ids (source id plus a ``::p<j>`` / ``::s<j>``
-suffix) and carry origin = source id. Original instances are never modified
+suffix, j the source's next serial whose id the dataset does not hold) and
+carry origin = source id. Original instances are never modified
 and keep their positions; new instances are appended after them.
 """
 
@@ -26,8 +28,8 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -93,7 +95,7 @@ class ResampleOutcome:
     minority_label_count: int
     selected_ids: tuple[str, ...] = ()
     zero_score_selected: int = 0
-    per_label_synthetic_counts: dict[int, int] | None = None
+    per_label_synthetic_counts: dict[int, int] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
 
     def diagnostics_document(self, config: ResampleConfig) -> dict:
@@ -112,7 +114,7 @@ class ResampleOutcome:
             doc["zero_score_selected"] = self.zero_score_selected
         else:
             doc["per_label_synthetic_counts"] = {
-                str(l): c for l, c in sorted((self.per_label_synthetic_counts or {}).items())
+                str(l): c for l, c in sorted(self.per_label_synthetic_counts.items())
             }
         return doc
 
@@ -170,46 +172,75 @@ def rank_candidates(dataset: MultiLabelDataset, minority_set: frozenset[int]) ->
     ]
 
 
-def _copy_of(src: Instance, new_id: str) -> Instance:
-    # Verbatim copy sharing every field reference with the source. Bypasses
-    # field revalidation, which the source already passed and which dominates
-    # wall time when appending tens of thousands of replicas.
-    dup = copy.copy(src)
+NO_LABELS = "no labeled instances; dataset returned unchanged"
+
+
+def _imbalance(dataset: MultiLabelDataset) -> tuple[np.ndarray, frozenset[int]] | None:
+    """IRLbl table and minority label set; None when no instance has a label."""
+    if len(dataset) == 0:
+        raise ValueError("cannot oversample an empty dataset")
+    counts = label_counts(dataset)
+    if counts.max(initial=0) == 0:
+        return None
+    table = irlbl(counts)
+    return table, minority_labels(table, mean_ir(table))
+
+
+def _unchanged(
+    dataset: MultiLabelDataset, method: str, minority_label_count: int, warning: str
+) -> ResampleOutcome:
+    """Outcome of a method that adds nothing, with the reason as its warning."""
+    return ResampleOutcome(
+        dataset=dataset.with_instances(list(dataset.instances)),
+        method=method,
+        added_count=0,
+        minority_label_count=minority_label_count,
+        warnings=(warning,),
+    )
+
+
+def _id_minter(dataset: MultiLabelDataset, tag: str) -> Callable[[str], str]:
+    """Mints ``<src>::<tag><j>`` with a per-source serial j counting from 1,
+    skipping ids the dataset already holds. Two sources never mint the same
+    id, since the suffix after the last ``::`` holds no colon."""
+    taken = {inst.id for inst in dataset.instances}
+    serials: dict[str, int] = {}
+
+    def mint(src_id: str) -> str:
+        j = serials.get(src_id, 0) + 1
+        while f"{src_id}::{tag}{j}" in taken:
+            j += 1
+        serials[src_id] = j
+        return f"{src_id}::{tag}{j}"
+
+    return mint
+
+
+def _copy_of(template: Instance, new_id: str, origin: str) -> Instance:
+    # Verbatim copy sharing every field reference with the template. Bypasses
+    # field revalidation, which the template already passed and which
+    # dominates wall time when appending tens of thousands of rows.
+    dup = copy.copy(template)
     dup.id = new_id
-    dup.origin = src.id
+    dup.origin = origin
     return dup
 
 
 def oversample_proposed(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutcome:
     """Select the floor((p/r)*|D|) most minority-heavy instances and append r
     verbatim copies of each (fresh ids, origin = source id)."""
-    n = len(dataset)
-    if n == 0:
-        raise ValueError("cannot oversample an empty dataset")
-    warnings: list[str] = []
-    s = int(math.floor((config.p / config.r) * n))
-
-    counts = label_counts(dataset)
-    if counts.max(initial=0) == 0:
-        return ResampleOutcome(
-            dataset=dataset.with_instances(list(dataset.instances)),
-            method="proposed",
-            added_count=0,
-            minority_label_count=0,
-            warnings=("no labeled instances; dataset returned unchanged",),
-        )
-    table = irlbl(counts)
-    minority = minority_labels(table, mean_ir(table))
-
+    s = int(math.floor((config.p / config.r) * len(dataset)))
+    found = _imbalance(dataset)
+    if found is None:
+        return _unchanged(dataset, "proposed", 0, NO_LABELS)
+    minority = found[1]
     if s == 0:
-        return ResampleOutcome(
-            dataset=dataset.with_instances(list(dataset.instances)),
-            method="proposed",
-            added_count=0,
-            minority_label_count=len(minority),
-            warnings=("selection count floor((p/r)*|D|) is 0; dataset returned unchanged",),
+        return _unchanged(
+            dataset, "proposed", len(minority),
+            "selection count floor((p/r)*|D|) is 0; dataset returned unchanged",
         )
 
+    warnings: list[str] = []
     order, scores = _ranked_indices(dataset, minority)
     if order.size < s:
         warnings.append(
@@ -221,12 +252,12 @@ def oversample_proposed(dataset: MultiLabelDataset, config: ResampleConfig) -> R
     if zero_score:
         warnings.append(f"{zero_score} selected instances had zero minority score")
 
-    added: list[Instance] = []
-    for index in selected:
-        src = dataset.instances[index]
-        for j in range(1, config.r + 1):
-            added.append(_copy_of(src, f"{src.id}::p{j}"))
-
+    mint = _id_minter(dataset, "p")
+    added = [
+        _copy_of(src, mint(src.id), src.id)
+        for src in (dataset.instances[i] for i in selected)
+        for _ in range(config.r)
+    ]
     return ResampleOutcome(
         dataset=dataset.with_instances(list(dataset.instances) + added),
         method="proposed",
@@ -238,20 +269,16 @@ def oversample_proposed(dataset: MultiLabelDataset, config: ResampleConfig) -> R
     )
 
 
-def knn_hamming(bag: Sequence[Instance], query: Instance, k: int) -> list[int]:
-    """Positions of the k bag members nearest to the query fingerprint.
+def knn_hamming(bits: np.ndarray, row: int, k: int) -> list[int]:
+    """Rows of ``bits`` nearest to ``bits[row]``, excluding ``row`` itself.
 
-    Hamming distance; ties broken by ascending bag position; k past the bag
-    size returns the whole bag. The bag must not contain the query itself.
+    Hamming distance; ties broken by ascending row; k past the number of
+    other rows returns all of them.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    if not bag:
-        return []
-    bits = np.stack([inst.fingerprint.bits for inst in bag])
-    dist = (bits != query.fingerprint.bits).sum(axis=1)
-    order = np.lexsort((np.arange(len(bag)), dist))
-    return [int(i) for i in order[: min(k, len(bag))]]
+    order = np.argsort((bits != bits[row]).sum(axis=1), kind="stable")
+    return [int(i) for i in order[order != row][:k]]
 
 
 def _vote_group(
@@ -272,51 +299,27 @@ def _vote_group(
 def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutcome:
     """Neighbor-vote synthesis inside minority-label bags, budget floor(p*|D|).
 
-    Bags are walked in descending IRLbl order, one synthetic per seed visit,
-    repeating passes over the bags until the budget is met or no bag can
-    contribute. The majority votes use every one of the k neighbors, so no
+    One round visits every member of every bag with at least 2 members.
+    Bags never change, so a budget past one round replays it: later visits
+    copy the first round's synthetic under the seed's next id, and a warning
+    says so. The majority votes use every one of the k neighbors, so no
     random draw is involved and the output does not depend on
     ``config.seed``. Synthetics have no graph.
     """
-    n = len(dataset)
-    if n == 0:
-        raise ValueError("cannot oversample an empty dataset")
-    budget = int(math.floor(config.p * n))
-
-    counts = label_counts(dataset)
-    if counts.max(initial=0) == 0:
-        return ResampleOutcome(
-            dataset=dataset.with_instances(list(dataset.instances)),
-            method="mlsmote",
-            added_count=0,
-            minority_label_count=0,
-            per_label_synthetic_counts={},
-            warnings=("no labeled instances; dataset returned unchanged",),
-        )
-    table = irlbl(counts)
-    minority = minority_labels(table, mean_ir(table))
+    budget = int(math.floor(config.p * len(dataset)))
+    found = _imbalance(dataset)
+    if found is None:
+        return _unchanged(dataset, "mlsmote", 0, NO_LABELS)
+    table, minority = found
     if not minority:
-        return ResampleOutcome(
-            dataset=dataset.with_instances(list(dataset.instances)),
-            method="mlsmote",
-            added_count=0,
-            minority_label_count=0,
-            per_label_synthetic_counts={},
-            warnings=("no minority labels; dataset returned unchanged",),
-        )
-    ordered_minority = sorted(minority, key=lambda l: (-table[l], l))
-
+        return _unchanged(dataset, "mlsmote", 0, "no minority labels; dataset returned unchanged")
     if budget == 0:
-        return ResampleOutcome(
-            dataset=dataset.with_instances(list(dataset.instances)),
-            method="mlsmote",
-            added_count=0,
-            minority_label_count=len(minority),
-            per_label_synthetic_counts={},
-            warnings=("synthesis budget floor(p*|D|) is 0; dataset returned unchanged",),
+        return _unchanged(
+            dataset, "mlsmote", len(minority),
+            "synthesis budget floor(p*|D|) is 0; dataset returned unchanged",
         )
 
-    # Bags and their bit matrices are built once from the original instances.
+    ordered_minority = sorted(minority, key=lambda l: (-table[l], l))
     bags: dict[int, list[int]] = {l: [] for l in ordered_minority}
     for index, inst in enumerate(dataset.instances):
         for l in inst.labels:
@@ -326,48 +329,39 @@ def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutco
     bag_bits = {
         l: np.stack([dataset.instances[i].fingerprint.bits for i in bags[l]]) for l in usable
     }
+    visits = [(l, pos) for l in usable for pos in range(len(bags[l]))]
 
-    warnings: list[str] = []
+    if not visits:
+        warnings = ["every minority bag has fewer than 2 members; nothing synthesized",
+                    f"budget {budget} not met; produced 0 synthetics"]
+    elif budget > len(visits):
+        warnings = [f"budget {budget} exceeds one round of {len(visits)} seed visits; "
+                    "later synthetics repeat earlier ones"]
+    else:
+        warnings = []
+
+    mint = _id_minter(dataset, "s")
     per_label: dict[int, int] = {l: 0 for l in ordered_minority}
-    per_seed_serial: dict[str, int] = {}
     added: list[Instance] = []
-
-    if not usable:
-        warnings.append("every minority bag has fewer than 2 members; nothing synthesized")
-    while usable and len(added) < budget:
-        for l in usable:
-            members = bags[l]
-            bits = bag_bits[l]
-            k_eff = min(config.k, len(members) - 1)
-            for pos, seed_index in enumerate(members):
-                if len(added) >= budget:
-                    break
-                dist = (bits != bits[pos]).sum(axis=1)
-                dist[pos] = bits.shape[1] + 1  # the seed is not its own neighbor
-                order = np.lexsort((np.arange(len(members)), dist))
-                neighbor_pos = [int(i) for i in order[:k_eff]]
-                group_rows = [pos] + neighbor_pos
-                group_instances = [dataset.instances[members[i]] for i in group_rows]
-                synth_bits, synth_labels = _vote_group(bits, group_rows, group_instances)
-                seed_inst = dataset.instances[seed_index]
-                serial = per_seed_serial.get(seed_inst.id, 0) + 1
-                per_seed_serial[seed_inst.id] = serial
-                added.append(
-                    Instance(
-                        id=f"{seed_inst.id}::s{serial}",
-                        fingerprint=Fingerprint(synth_bits),
-                        labels=synth_labels,
-                        graph=None,
-                        regression_targets=None,
-                        origin=seed_inst.id,
-                    )
+    for j in range(budget if visits else 0):
+        l, pos = visits[j % len(visits)]
+        members = bags[l]
+        seed_id = dataset.instances[members[pos]].id
+        if j < len(visits):
+            group_rows = [pos] + knn_hamming(bag_bits[l], pos, config.k)
+            group_instances = [dataset.instances[members[i]] for i in group_rows]
+            synth_bits, synth_labels = _vote_group(bag_bits[l], group_rows, group_instances)
+            added.append(
+                Instance(
+                    id=mint(seed_id),
+                    fingerprint=Fingerprint(synth_bits),
+                    labels=synth_labels,
+                    origin=seed_id,
                 )
-                per_label[l] += 1
-            if len(added) >= budget:
-                break
-
-    if len(added) < budget:
-        warnings.append(f"budget {budget} not met; produced {len(added)} synthetics")
+            )
+        else:
+            added.append(_copy_of(added[j % len(visits)], mint(seed_id), seed_id))
+        per_label[l] += 1
 
     return ResampleOutcome(
         dataset=dataset.with_instances(list(dataset.instances) + added),

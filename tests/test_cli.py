@@ -77,6 +77,24 @@ def test_oversample_p_zero_is_identity_with_warning(synth_dir, tmp_path, capsys)
     assert (out / "dataset.jsonl").read_text() == original
 
 
+@pytest.mark.parametrize("method", ["proposed", "mlsmote"])
+def test_oversampling_oversampled_output_mints_fresh_ids(synth_dir, tmp_path, capsys, method):
+    first, second = tmp_path / "first", tmp_path / "second"
+    for source, out in ((synth_dir, first), (first, second)):
+        code, _, stderr = run(capsys, "oversample", "--data", str(source / "dataset.jsonl"),
+                              "--method", method, "--p", "0.5", "--out", str(out))
+        assert code == 0, stderr
+    before = load_dataset(first / "dataset.jsonl")
+    after = load_dataset(second / "dataset.jsonl")
+    ids = [inst.id for inst in after.instances]
+    assert len(set(ids)) == len(ids)
+    assert after.instances[: len(before)] == before.instances
+    source_ids = {inst.id for inst in before.instances}
+    added = after.instances[len(before):]
+    assert added and all(inst.origin in source_ids for inst in added)
+    assert all(inst.id.startswith(inst.origin + "::") for inst in added)
+
+
 def test_rerun_primary_outputs_byte_identical(synth_dir, tmp_path, capsys):
     outs = []
     for tag in ("a", "b"):
@@ -212,6 +230,66 @@ def test_eval_label_count_mismatch(synth_dir, tmp_path, capsys):
                           "--model", str(model),
                           "--report", str(tmp_path / "r.json"))
     assert code == 2 and stderr.startswith("config_error:")
+
+
+@pytest.fixture
+def mlsmote_dir(tmp_path, capsys):
+    base, out = tmp_path / "graphs", tmp_path / "mlsmote"
+    code, _, _ = run(capsys, "synth", "--n-instances", "100", "--n-labels", "6",
+                     "--fp-width", "16", "--graph-nodes", "3,5", "--node-dim", "3",
+                     "--boost", "0.3", "--seed", "12", "--out", str(base))
+    assert code == 0
+    code, _, _ = run(capsys, "oversample", "--data", str(base / "dataset.jsonl"),
+                     "--method", "mlsmote", "--p", "0.3", "--out", str(out))
+    assert code == 0
+    return out
+
+
+GRAPHLESS = re.compile(r"config_error: 30 of 130 instances have no graph \(first '[^']+::s1'\) "
+                       r"but input_mode='(hybrid|graph)'; use --inputs fingerprint\n")
+
+
+@pytest.mark.parametrize("batch", [[], ["--batch-size", "64"]], ids=["full", "batch64"])
+@pytest.mark.parametrize("inputs", ["hybrid", "graph", "fingerprint"])
+def test_train_on_graphless_rows_fails_up_front(mlsmote_dir, tmp_path, capsys, inputs, batch):
+    model = tmp_path / "m.json"
+    code, _, stderr = run(capsys, "train", "--data", str(mlsmote_dir / "dataset.jsonl"),
+                          "--task", "multilabel", "--inputs", inputs, "--epochs", "2",
+                          "--hidden", "4", "--fuse-dim", "3", *batch, "--model-out", str(model))
+    if inputs == "fingerprint":
+        assert code == 0, stderr
+        assert model.exists()
+    else:
+        assert code == 2
+        assert GRAPHLESS.fullmatch(stderr), stderr
+        assert not model.exists()
+
+
+def test_multiregression_on_mlsmote_output_names_missing_targets_first(tmp_path, capsys):
+    base, out = tmp_path / "reg", tmp_path / "mlsmote"
+    run(capsys, "synth", "--n-instances", "60", "--n-labels", "6", "--fp-width", "16",
+        "--graph-nodes", "3,5", "--node-dim", "3", "--reg-width", "2", "--boost", "0.3",
+        "--seed", "3", "--out", str(base))
+    run(capsys, "oversample", "--data", str(base / "dataset.jsonl"), "--method", "mlsmote",
+        "--p", "0.3", "--out", str(out))
+    # The graph hint would lead to this second error, so it is reported first.
+    code, _, stderr = run(capsys, "train", "--data", str(out / "dataset.jsonl"),
+                          "--task", "multiregression", "--inputs", "hybrid", "--epochs", "1",
+                          "--model-out", str(tmp_path / "m.json"))
+    assert code == 2
+    assert re.fullmatch(r"config_error: instance '[^']+::s1' has no regression targets\n", stderr)
+
+
+def test_eval_on_graphless_rows_names_the_fix(mlsmote_dir, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    code, _, _ = run(capsys, "train", "--data", str(mlsmote_dir.parent / "graphs" / "dataset.jsonl"),
+                     "--task", "multilabel", "--epochs", "1", "--hidden", "4",
+                     "--fuse-dim", "3", "--model-out", str(model))
+    assert code == 0
+    code, _, stderr = run(capsys, "eval", "--data", str(mlsmote_dir / "dataset.jsonl"),
+                          "--model", str(model), "--report", str(tmp_path / "r.json"))
+    assert code == 2
+    assert GRAPHLESS.fullmatch(stderr), stderr
 
 
 def test_threads_flag_is_gone(synth_dir, tmp_path, capsys):

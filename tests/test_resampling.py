@@ -1,11 +1,13 @@
 """Oversampling methods against brute-force references and hand-worked examples."""
 
+import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
 
-from mlimb.data import Fingerprint, Instance, LabelVocabulary, MultiLabelDataset
+from mlimb.data import Fingerprint, Instance, LabelVocabulary, MultiLabelDataset, write_dataset
 from mlimb.metrics import cardinality, irlbl, label_counts, mean_ir
 from mlimb.resampling import (
     ResampleConfig,
@@ -203,23 +205,20 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 def test_knn_exact_match_ranked_first():
-    fps = [[0, 0, 1, 1], [1, 1, 1, 1], [0, 0, 0, 0]]
-    d = make_dataset([(0,)] * 3, 1, fps=fps)
-    query = d.instances[0]
-    exact = Instance(id="q2", fingerprint=query.fingerprint, labels=(0,))
-    assert knn_hamming([d.instances[1], exact], query, 1) == [1]
+    bits = np.array([[0, 0, 1, 1], [1, 1, 1, 1], [0, 0, 1, 1]], dtype=np.uint8)
+    # Row 0 is the query; row 2 is an exact copy of it.
+    assert knn_hamming(bits, 0, 1) == [2]
 
 
 def test_knn_whole_bag_and_tie_break():
-    fps = [[0, 0], [0, 1], [1, 0]]
-    d = make_dataset([(0,)] * 3, 1, fps=fps)
-    query = d.instances[0]
-    bag = [d.instances[1], d.instances[2]]
-    # Both neighbors at distance 1: ascending position wins.
-    assert knn_hamming(bag, query, 2) == [0, 1]
-    assert knn_hamming(bag, query, 5) == [0, 1]
+    bits = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.uint8)
+    # Both neighbors of row 0 at distance 1: ascending row wins.
+    assert knn_hamming(bits, 0, 2) == [1, 2]
+    assert knn_hamming(bits, 0, 5) == [1, 2]
+    # The query row is skipped wherever it sits.
+    assert knn_hamming(bits, 1, 2) == [0, 2]
     with pytest.raises(ValueError):
-        knn_hamming(bag, query, 0)
+        knn_hamming(bits, 0, 0)
 
 
 def test_knn_matches_exhaustive_sort():
@@ -227,17 +226,12 @@ def test_knn_matches_exhaustive_sort():
     for _ in range(30):
         m = int(rng.integers(2, 9))
         bits = rng.integers(0, 2, size=(m + 1, 16)).astype(np.uint8)
-        instances = [
-            Instance(id=f"b{i}", fingerprint=Fingerprint(bits[i]), labels=(0,))
-            for i in range(m + 1)
-        ]
-        query, bag = instances[0], instances[1:]
         k = int(rng.integers(1, m + 1))
         expected = sorted(
             range(m),
             key=lambda i: (int((bits[i + 1] != bits[0]).sum()), i),
         )[:k]
-        assert knn_hamming(bag, query, k) == expected
+        assert knn_hamming(bits, 0, k) == [i + 1 for i in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +283,38 @@ def test_synthetic_labels_subset_of_neighborhood():
         for orig in d.instances:
             seen |= set(orig.labels)
         assert set(synth.labels) <= seen
+
+
+def test_replay_warning_exactly_past_one_round():
+    # One minority bag of 3 members: one round is 3 seed visits.
+    d = make_dataset([(0,)] * 3 + [(1,)] * 9, 2,
+                     fps=[[1, 0, 1, 0], [1, 1, 1, 0], [0, 0, 1, 1]] + [[0, 0, 0, 0]] * 9)
+    within = mlsmote(d, ResampleConfig(method="mlsmote", p=3 / 12, k=2))
+    assert within.added_count == 3
+    assert within.warnings == ()
+    past = mlsmote(d, ResampleConfig(method="mlsmote", p=4 / 12, k=2))
+    assert past.warnings == (
+        "budget 4 exceeds one round of 3 seed visits; later synthetics repeat earlier ones",
+    )
+    first, replay = past.dataset.instances[12], past.dataset.instances[15]
+    assert (first.id, replay.id) == ("i0::s1", "i0::s2")
+    assert replay.origin == first.origin == "i0"
+    assert replay.fingerprint == first.fingerprint and replay.labels == first.labels
+    assert past.per_label_synthetic_counts == {0: 4}
+
+
+def test_mlsmote_output_pinned_across_rounds():
+    # Budget 300 over rounds of 82 seed visits; the digest was recorded from
+    # the implementation that recomputed every round's neighbors and votes.
+    d = generate(SynthConfig(n_instances=300, n_labels=20, fingerprint_width=32,
+                             graph_nodes_range=None, cooccurrence_boost=0.3, seed=4))
+    out = mlsmote(d, ResampleConfig(method="mlsmote", p=1.0, k=3))
+    assert out.added_count == 300
+    assert "one round of 82 seed visits" in out.warnings[0]
+    buffer = io.StringIO()
+    write_dataset(out.dataset, buffer)
+    digest = hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+    assert digest == "182ab9cab08c9d74bcd4fa922a19438c62a063155b5740368310eba8442e58f1"
 
 
 def test_no_minority_labels_warns_unchanged():
