@@ -255,18 +255,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data, args.vocab)
     params = load_checkpoint(args.model)
     task = "multiregression" if params.config.head_mode == "linear_regression" else "multilabel"
-    scores = predict(dataset.instances, params)
-    report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    outputs = [report_path]
     if task == "multilabel":
         if params.config.output_dim != dataset.label_count:
             raise ValueError(
                 f"model predicts {params.config.output_dim} labels, dataset has {dataset.label_count}"
             )
-        report = evaluate_multilabel(scores, label_matrix(dataset), threshold=args.threshold)
+        targets = label_matrix(dataset)
     else:
         targets = regression_matrix(dataset)
+        if params.config.output_dim != dataset.regression_width:
+            raise ValueError(
+                f"model predicts {params.config.output_dim} regression targets, "
+                f"dataset has {dataset.regression_width}"
+            )
+    scores = predict(dataset.instances, params)
+    report_path = Path(args.report)
+    report_path.parent.mkdir(parents=True, exist_ok=True)
+    outputs = [report_path]
+    if task == "multilabel":
+        report = evaluate_multilabel(scores, targets, threshold=args.threshold)
+    else:
         report = evaluate_regression(scores, targets)
         scatter_path = report_path.with_name(report_path.stem + ".scatter.csv")
         scatter_path.write_text(scatter_csv(scores, targets), encoding="utf-8")

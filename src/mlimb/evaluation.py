@@ -49,9 +49,9 @@ def _check_binary_pair(predictions: np.ndarray, targets: np.ndarray) -> tuple[np
     if p.ndim != 2:
         raise ValueError("expected 2-D (instances x labels) arrays")
     for name, arr in (("predictions", p), ("targets", t)):
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValueError(f"{name} must contain only 0/1 entries")
-    return p.astype(np.int64), t.astype(np.int64)
+    return p.astype(bool, copy=False), t.astype(bool, copy=False)
 
 
 def prf(predictions: np.ndarray, targets: np.ndarray, averaging: str) -> tuple[float, float, float]:
@@ -59,19 +59,19 @@ def prf(predictions: np.ndarray, targets: np.ndarray, averaging: str) -> tuple[f
     if averaging not in AVERAGINGS:
         raise ValueError(f"unknown averaging {averaging!r}; expected one of {AVERAGINGS}")
     p, t = _check_binary_pair(predictions, targets)
-    tp = p * t
+    tp = p & t
 
     if averaging == "micro":
-        tp_total = int(tp.sum())
-        precision = _ratio(tp_total, int(p.sum()))
-        recall = _ratio(tp_total, int(t.sum()))
+        tp_total = int(np.count_nonzero(tp))
+        precision = _ratio(tp_total, int(np.count_nonzero(p)))
+        recall = _ratio(tp_total, int(np.count_nonzero(t)))
         f1 = _ratio(2 * precision * recall, precision + recall)
         return precision, recall, f1
 
     if averaging == "macro":
-        pred_pos = p.sum(axis=0)
-        targ_pos = t.sum(axis=0)
-        tp_label = tp.sum(axis=0)
+        pred_pos = np.count_nonzero(p, axis=0)
+        targ_pos = np.count_nonzero(t, axis=0)
+        tp_label = np.count_nonzero(tp, axis=0)
         keep = (pred_pos + targ_pos) > 0
         if not keep.any():
             return 0.0, 0.0, 0.0
@@ -88,9 +88,9 @@ def prf(predictions: np.ndarray, targets: np.ndarray, averaging: str) -> tuple[f
     n = p.shape[0]
     if n == 0:
         raise ValueError("samples averaging over an empty prediction matrix")
-    pred_pos = p.sum(axis=1)
-    targ_pos = t.sum(axis=1)
-    tp_inst = tp.sum(axis=1)
+    pred_pos = np.count_nonzero(p, axis=1)
+    targ_pos = np.count_nonzero(t, axis=1)
+    tp_inst = np.count_nonzero(tp, axis=1)
     precisions, recalls, f1s = [], [], []
     for i in range(n):
         pi = _ratio(int(tp_inst[i]), int(pred_pos[i]))

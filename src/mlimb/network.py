@@ -23,6 +23,10 @@ into real nodes, and readouts mask it out. An epoch is then a handful of
 batched and 2-D matrix products. Gradients are exact derivatives of the
 clamped losses, which is what the finite-difference checks in the test
 suite verify.
+
+Memory follows the batch, not the dataset: training builds each batch's
+dense targets from its own rows, and prediction runs in row blocks written
+into one output array.
 """
 
 from __future__ import annotations
@@ -660,12 +664,14 @@ def regression_matrix(dataset: MultiLabelDataset, instances: list[Instance] | No
     rows = dataset.instances if instances is None else instances
     if dataset.regression_width == 0:
         raise ValueError("dataset declares no regression targets")
-    stacked = []
-    for inst in rows:
+    _require_regression_targets(rows)
+    return np.stack([inst.regression_targets for inst in rows])
+
+
+def _require_regression_targets(instances: list[Instance]) -> None:
+    for inst in instances:
         if inst.regression_targets is None:
             raise ValueError(f"instance {inst.id!r} has no regression targets")
-        stacked.append(inst.regression_targets)
-    return np.stack(stacked)
 
 
 @dataclass(frozen=True)
@@ -690,18 +696,19 @@ class TrainConfig:
             raise ValueError("batch_size must be positive when given")
 
 
-def _training_targets(dataset: MultiLabelDataset, net: NetworkConfig, task: str) -> np.ndarray:
+def _check_targets(dataset: MultiLabelDataset, net: NetworkConfig, task: str) -> None:
+    """Fail before training when the dataset cannot supply the task's targets."""
     if task == "multilabel":
         if net.output_dim != dataset.label_count:
             raise ValueError(
                 f"output_dim {net.output_dim} does not match label count {dataset.label_count}"
             )
-        return label_matrix(dataset)
+        return
     if net.output_dim != dataset.regression_width:
         raise ValueError(
             f"output_dim {net.output_dim} does not match regression width {dataset.regression_width}"
         )
-    return regression_matrix(dataset)
+    _require_regression_targets(dataset.instances)
 
 
 def train(
@@ -710,14 +717,17 @@ def train(
     """Gradient descent from a seeded init; returns params and the per-epoch
     training loss (loss at the parameters each epoch started from).
 
-    Raises ValueError before the first update when a graph input mode meets
-    instances without a graph, and at the first non-finite loss, naming the
-    epoch.
+    Targets are built per batch, so a minibatch run holds batch_size x
+    output_dim of them, never the whole dataset's. Raises ValueError before
+    the first update when the dataset cannot supply the task's targets or a
+    graph input mode meets instances without a graph, and at the first
+    non-finite loss, naming the epoch.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    targets = _training_targets(dataset, net, cfg.task)
+    _check_targets(dataset, net, cfg.task)
     _require_graphs(dataset.instances, net)
+    target_rows = label_matrix if cfg.task == "multilabel" else regression_matrix
     rng = np.random.default_rng(cfg.seed)
     params = init_parameters(net, rng)
     velocity = params.zeros_like() if cfg.momentum > 0 else None
@@ -728,6 +738,7 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.batch_size is None or cfg.batch_size >= len(dataset):
             batch = build_batch(dataset.instances, net)
+            targets = target_rows(dataset)
             for epoch in range(1, cfg.epochs + 1):
                 value, grads = loss_and_gradients(params, batch, targets, cfg.task)
                 curve.append(_finite_loss(value, epoch, cfg))
@@ -742,7 +753,7 @@ def train(
                 chunk = order[lo : lo + cfg.batch_size]
                 sub = [dataset.instances[i] for i in chunk]
                 batch = build_batch(sub, net)
-                value, grads = loss_and_gradients(params, batch, targets[chunk], cfg.task)
+                value, grads = loss_and_gradients(params, batch, target_rows(dataset, sub), cfg.task)
                 epoch_sum += _finite_loss(value, epoch, cfg) * chunk.size
                 _apply_update(params, grads, velocity, cfg)
             curve.append(epoch_sum / order.size)
@@ -773,10 +784,27 @@ def _apply_update(
     params.add_scaled(velocity, 1.0)
 
 
+# predict splits its rows evenly into blocks of 256-511 rows, so its
+# temporaries (padded graph tensors, a few block x output_dim arrays) stay the
+# same size however many rows there are. On OpenBLAS, blocks of 64-1000 rows
+# gave exactly the predictions of one full batch; only blocks of a few rows
+# differed, in the last bits, and even splitting never makes blocks that small.
+_PREDICT_BLOCK_ROWS = 256
+
+
 def predict(instances: list[Instance], params: ModelParameters) -> np.ndarray:
-    """Batched forward pass; rows follow instance order."""
-    batch = build_batch(instances, params.config)
-    return forward(batch, params).y_pred
+    """Forward pass in row blocks written into one output; rows follow
+    instance order, and fewer than 512 rows run as a single batch."""
+    # Checked over all rows, so the error counts the whole input and comes
+    # before any block runs.
+    _require_graphs(instances, params.config)
+    n = len(instances)
+    blocks = max(1, n // _PREDICT_BLOCK_ROWS)
+    edges = [n * k // blocks for k in range(blocks + 1)]
+    out = np.empty((n, params.config.output_dim))
+    for lo, hi in zip(edges, edges[1:]):
+        out[lo:hi] = forward(build_batch(instances[lo:hi], params.config), params).y_pred
+    return out
 
 
 # ---------------------------------------------------------------------------

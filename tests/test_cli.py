@@ -228,8 +228,35 @@ def test_eval_label_count_mismatch(synth_dir, tmp_path, capsys):
         "--out", str(other))
     code, _, stderr = run(capsys, "eval", "--data", str(other / "dataset.jsonl"),
                           "--model", str(model),
-                          "--report", str(tmp_path / "r.json"))
-    assert code == 2 and stderr.startswith("config_error:")
+                          "--report", str(tmp_path / "r" / "deep" / "report.json"))
+    assert code == 2
+    assert stderr == "config_error: model predicts 6 labels, dataset has 3\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_eval_regression_targets_checked_up_front(tmp_path, capsys):
+    def synth(name, reg_width):
+        out = tmp_path / name
+        code, _, _ = run(capsys, "synth", "--n-instances", "20", "--n-labels", "4",
+                         "--fp-width", "16", "--graph-nodes", "none",
+                         "--reg-width", str(reg_width), "--out", str(out))
+        assert code == 0
+        return out / "dataset.jsonl"
+
+    model = tmp_path / "reg.json"
+    code, _, _ = run(capsys, "train", "--data", str(synth("reg2", 2)),
+                     "--task", "multiregression", "--inputs", "fingerprint", "--epochs", "1",
+                     "--hidden", "4", "--fuse-dim", "3", "--model-out", str(model))
+    assert code == 0
+    for data, message in (
+        (synth("plain", 0), "dataset declares no regression targets"),
+        (synth("reg3", 3), "model predicts 2 regression targets, dataset has 3"),
+    ):
+        code, _, stderr = run(capsys, "eval", "--data", str(data), "--model", str(model),
+                              "--report", str(tmp_path / "r" / "deep" / "report.json"))
+        assert code == 2
+        assert stderr == f"config_error: {message}\n"
+        assert not (tmp_path / "r").exists()
 
 
 @pytest.fixture

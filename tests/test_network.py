@@ -5,13 +5,17 @@ engine is checked against the plain single-instance path.
 """
 
 import dataclasses
+import gc
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mlimb.data import Fingerprint, Instance, MolecularGraph
+from mlimb.evaluation import evaluate_multilabel
 from mlimb.network import (
     BCE_EPS,
     ModelParameters,
@@ -38,6 +42,7 @@ from mlimb.network import (
     _apply_update,
     _sigmoid,
 )
+from mlimb.synth import SynthConfig, generate
 from tests.conftest import random_dataset, random_graph
 
 
@@ -330,6 +335,33 @@ def test_batched_forward_matches_single_instance_path():
         batched = predict(d.instances, params)
         for row, inst in zip(batched, d.instances):
             assert np.allclose(row, predict_instance(params, inst), atol=1e-12)
+    # More rows than one prediction block.
+    cfg = small_config(readout_mode="max_plus_min")
+    params = init_parameters(cfg, 5)
+    instances = small_instances(rng, 600, cfg)
+    for row, inst in zip(predict(instances, params), instances):
+        assert np.allclose(row, predict_instance(params, inst), atol=1e-12)
+
+
+@pytest.mark.parametrize("input_mode", ["hybrid", "graph"])
+def test_blockwise_predict_matches_one_batch(input_mode):
+    cfg = small_config(input_mode=input_mode)
+    params = init_parameters(cfg, 13)
+    rng = np.random.default_rng(13)
+    # 1100 rows run as four blocks with graphs of up to 3, 5, 7 and 10 nodes.
+    instances = [
+        Instance(id=f"g{i}",
+                 fingerprint=Fingerprint(rng.integers(0, 2, size=8).astype(np.uint8)),
+                 labels=(),
+                 graph=random_graph(rng, cfg.node_feature_dim, max_nodes=1 + i // 120))
+        for i in range(1100)
+    ]
+    whole = forward(build_batch(instances, cfg), params).y_pred
+    blocked = predict(instances, params)
+    assert blocked.shape == whole.shape
+    assert np.allclose(blocked, whole, rtol=0.0, atol=1e-12)
+    with pytest.raises(ValueError, match="cannot build a batch from zero instances"):
+        predict([], params)
 
 
 def test_missing_graph_rejected_in_graph_modes():
@@ -460,6 +492,75 @@ def test_output_dim_must_match_targets():
                         output_dim=d.label_count + 1, hidden_dims=(4,), fuse_dim=3)
     with pytest.raises(ValueError, match="output_dim"):
         train(d, cfg, TrainConfig(task="multilabel", epochs=1))
+
+
+# Recorded from the implementation that built every target row up front.
+@pytest.mark.parametrize("task, batch_size, digest", [
+    ("multilabel", 7, "1d256ce53bf449926821ed6099b4c797747ca12f8687f49b3054856932eb2f72"),
+    ("multilabel", None, "06fa06a80c887437cc0b499657ff947917f0d780d383e4568d4f669da2ca152f"),
+    ("multiregression", 10, "709479ab4c5fd3f5738d9987714877817fc5d53da8c756db52ec6936dd350cfe"),
+], ids=["multilabel-batch7", "multilabel-full", "multiregression-batch10"])
+def test_training_outputs_pinned(tmp_path, task, batch_size, digest):
+    # 45 rows, so batches of 7 and 10 both end on a partial batch.
+    d = generate(SynthConfig(n_instances=45, n_labels=6, fingerprint_width=16,
+                             graph_nodes_range=(3, 6), node_feature_dim=4,
+                             regression_width=2, cooccurrence_boost=0.3, seed=11))
+    regression = task == "multiregression"
+    cfg = NetworkConfig(node_feature_dim=d.node_feature_dim,
+                        fingerprint_width=d.fingerprint_width,
+                        output_dim=d.regression_width if regression else d.label_count,
+                        hidden_dims=(5, 4), fuse_dim=3,
+                        head_mode="linear_regression" if regression else "sigmoid_multilabel")
+    params, curve = train(d, cfg, TrainConfig(task=task, epochs=6, learning_rate=0.2,
+                                              momentum=0.5, batch_size=batch_size, seed=3))
+    save_checkpoint(params, tmp_path / "model.json")
+    payload = (tmp_path / "model.json").read_bytes() + loss_curve_csv(curve).encode("utf-8")
+    assert hashlib.sha256(payload).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Memory bounded by the batch
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def wide_fingerprints():
+    """4000 x 1000 labels: the dense float64 target matrix is 30.5 MiB."""
+    d = generate(SynthConfig(n_instances=4000, n_labels=1000, fingerprint_width=1024,
+                             graph_nodes_range=None))
+    cfg = NetworkConfig(node_feature_dim=d.node_feature_dim,
+                        fingerprint_width=d.fingerprint_width, output_dim=d.label_count,
+                        hidden_dims=(32,), fuse_dim=32, input_mode="fingerprint")
+    return d, cfg, len(d) * d.label_count * 8
+
+
+def traced_peak(call):
+    """Peak bytes allocated during call; numpy reports its buffers to tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_minibatch_training_memory_follows_the_batch(wide_fingerprints):
+    d, cfg, dense = wide_fingerprints
+    tc = TrainConfig(task="multilabel", epochs=1, batch_size=64)
+    assert traced_peak(lambda: train(d, cfg, tc)) < 0.25 * dense
+
+
+def test_predict_memory_is_the_output_plus_one_block(wide_fingerprints):
+    d, cfg, dense = wide_fingerprints
+    params = init_parameters(cfg, 0)
+    assert traced_peak(lambda: predict(d.instances, params)) < 1.5 * dense
+
+
+def test_evaluation_counts_without_copying_the_matrices(wide_fingerprints):
+    d, cfg, dense = wide_fingerprints
+    scores = predict(d.instances, init_parameters(cfg, 0))
+    targets = label_matrix(d)
+    assert traced_peak(lambda: evaluate_multilabel(scores, targets)) < 1.0 * dense
 
 
 # ---------------------------------------------------------------------------
