@@ -49,7 +49,7 @@ def _check_binary_pair(predictions: np.ndarray, targets: np.ndarray) -> tuple[np
     if p.ndim != 2:
         raise ValueError("expected 2-D (instances x labels) arrays")
     for name, arr in (("predictions", p), ("targets", t)):
-        if not ((arr == 0) | (arr == 1)).all():
+        if arr.dtype != bool and not ((arr == 0) | (arr == 1)).all():
             raise ValueError(f"{name} must contain only 0/1 entries")
     return p.astype(bool, copy=False), t.astype(bool, copy=False)
 
@@ -59,8 +59,11 @@ def prf(predictions: np.ndarray, targets: np.ndarray, averaging: str) -> tuple[f
     if averaging not in AVERAGINGS:
         raise ValueError(f"unknown averaging {averaging!r}; expected one of {AVERAGINGS}")
     p, t = _check_binary_pair(predictions, targets)
-    tp = p & t
+    return _prf(p, t, p & t, averaging)
 
+
+def _prf(p: np.ndarray, t: np.ndarray, tp: np.ndarray, averaging: str) -> tuple[float, float, float]:
+    """prf on checked bool matrices, with tp = p & t computed by the caller."""
     if averaging == "micro":
         tp_total = int(np.count_nonzero(tp))
         precision = _ratio(tp_total, int(np.count_nonzero(p)))
@@ -168,15 +171,18 @@ class EvalReport:
 
 
 def evaluate_multilabel(scores: np.ndarray, targets: np.ndarray, threshold: float = 0.5) -> EvalReport:
-    """Threshold the scores and compute P/R/F1 under all three averagings."""
-    predictions = binarize(scores, threshold)
+    """Threshold the scores and compute P/R/F1 under all three averagings.
+
+    The targets are checked and the true positives counted once for all
+    three.
+    """
+    p, t = _check_binary_pair(np.asarray(scores, dtype=np.float64) >= threshold, targets)
+    tp = p & t
     precision: dict[str, float] = {}
     recall: dict[str, float] = {}
     f1: dict[str, float] = {}
     for averaging in AVERAGINGS:
-        precision[averaging], recall[averaging], f1[averaging] = prf(
-            predictions, targets, averaging
-        )
+        precision[averaging], recall[averaging], f1[averaging] = _prf(p, t, tp, averaging)
     return EvalReport(
         precision=precision,
         recall=recall,

@@ -26,7 +26,10 @@ suite verify.
 
 Memory follows the batch, not the dataset: training builds each batch's
 dense targets from its own rows, and prediction runs in row blocks written
-into one output array.
+into one output array. Multilabel targets are bool matrices, and a step
+allocates few batch x labels arrays: the head overwrites the logits buffer,
+and the clamped cross-entropy fills one buffer with log(y) or log(1 - y) by
+target, which for 0/1 targets is the two-log form to the bit.
 """
 
 from __future__ import annotations
@@ -108,9 +111,13 @@ def _didentity(p: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.ones_like(p)
 
 
-def _sigmoid(p: np.ndarray) -> np.ndarray:
-    """Logistic 1 / (1 + exp(-p)); exp overflowing to inf correctly gives 0."""
-    out = np.negative(p)
+def _sigmoid(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic 1 / (1 + exp(-p)); exp overflowing to inf correctly gives 0.
+
+    Writes into ``out`` when given (``out=p`` overwrites the input), else
+    into a new array.
+    """
+    out = np.negative(p, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
@@ -327,13 +334,14 @@ def fingerprint_dense(f: np.ndarray, w_p: np.ndarray, c: np.ndarray) -> np.ndarr
 
 
 def _head(logits: np.ndarray, mode: str) -> np.ndarray:
+    """The configured head, computed in place: overwrites and returns logits."""
     if mode == "sigmoid_multilabel":
-        return _sigmoid(logits)
-    if mode == "linear_regression":
-        return logits
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+        return _sigmoid(logits, out=logits)
+    if mode == "softmax":
+        logits -= logits.max(axis=-1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def fuse_and_predict(h_g: np.ndarray, f_star: np.ndarray, params: ModelParameters) -> np.ndarray:
@@ -479,7 +487,6 @@ class ForwardTrace:
     f_star: np.ndarray | None = None
     fused: np.ndarray | None = None
     z: np.ndarray | None = None
-    logits: np.ndarray | None = None
     y_pred: np.ndarray | None = None
 
 
@@ -532,26 +539,37 @@ def forward(batch: GraphBatch, params: ModelParameters) -> ForwardTrace:
     trace.fused = trace.h_g + trace.f_star
     trace.z = trace.fused @ params.fuse_weight
     trace.z += params.fuse_bias
-    trace.logits = trace.z @ params.head_weight
-    trace.logits += params.head_bias
-    trace.y_pred = _head(trace.logits, cfg.head_mode)
+    logits = trace.z @ params.head_weight
+    logits += params.head_bias
+    trace.y_pred = _head(logits, cfg.head_mode)
     return trace
 
 
 def loss(y_pred: np.ndarray, targets: np.ndarray, task: str) -> float:
     """Mean squared error (multiregression) or mean clamped binary
-    cross-entropy (multilabel) over all outputs."""
+    cross-entropy (multilabel) over all outputs.
+
+    Multilabel targets are 0/1 or bool; any other value raises ValueError.
+    """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
     y = np.asarray(y_pred, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
+    t = np.asarray(targets)
     if y.shape != t.shape:
         raise ValueError(f"shape mismatch: predictions {y.shape} vs targets {t.shape}")
     if task == "multiregression":
         d = y - t
-        return float(np.mean(d * d))
-    yc = np.clip(y, BCE_EPS, 1.0 - BCE_EPS)
-    return float(np.mean(-(t * np.log(yc) + (1.0 - t) * np.log(1.0 - yc))))
+        d *= d
+        return float(np.mean(d))
+    if t.dtype != bool and not ((t == 0) | (t == 1)).all():
+        raise ValueError("multilabel targets must contain only 0/1 entries")
+    # With 0/1 targets one log per entry is enough: log(yc) where t is 1 and
+    # log(1 - yc) where it is 0. The term the two-log form multiplies by 0 is
+    # an exact +-0.0 there, so both forms give the same value to the bit.
+    w = np.clip(y, BCE_EPS, 1.0 - BCE_EPS)
+    np.subtract(1.0, w, out=w, where=t == 0)
+    np.log(w, out=w)
+    return -float(np.mean(w))
 
 
 def _loss_grad(y: np.ndarray, t: np.ndarray, task: str) -> np.ndarray:
@@ -581,13 +599,15 @@ def backward(
     grads = params.zeros_like()
     batch = trace.batch
 
-    y, t = trace.y_pred, np.asarray(targets, dtype=np.float64)
+    y, t = trace.y_pred, np.asarray(targets)
     if task == "multilabel" and cfg.head_mode == "sigmoid_multilabel":
         # Through the sigmoid the clamped BCE gradient collapses to
         # (y - t) / n where the clamp is inactive, and 0 where it is active.
         dlogits = np.subtract(y, t)
         dlogits /= y.size
-        dlogits[(y <= BCE_EPS) | (y >= 1.0 - BCE_EPS)] = 0.0
+        clamped = y <= BCE_EPS
+        clamped |= y >= 1.0 - BCE_EPS
+        dlogits[clamped] = 0.0
     else:
         dlogits = _head_grad(_loss_grad(y, t, task), y, cfg.head_mode)
 
@@ -650,12 +670,14 @@ def loss_and_gradients(
 # ---------------------------------------------------------------------------
 
 def label_matrix(dataset: MultiLabelDataset, instances: list[Instance] | None = None) -> np.ndarray:
-    """Dense 0/1 (instances x labels) target matrix."""
+    """Dense bool (instances x labels) target matrix, True where the label is
+    present. loss, backward and the evaluation metrics take targets as 0/1
+    numbers or bool, with the same results."""
     rows = dataset.instances if instances is None else instances
-    out = np.zeros((len(rows), dataset.label_count), dtype=np.float64)
+    out = np.zeros((len(rows), dataset.label_count), dtype=bool)
     for i, inst in enumerate(rows):
         for l in inst.labels:
-            out[i, l] = 1.0
+            out[i, l] = True
     return out
 
 

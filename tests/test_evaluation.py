@@ -214,6 +214,29 @@ def test_multilabel_report_structure():
     report.to_json()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, bool])
+def test_multilabel_report_equals_prf_of_binarized_scores(dtype):
+    rng = np.random.default_rng(23)
+    scores = rng.random((30, 7))
+    scores[0, :3] = [0.5, np.nextafter(0.5, 0.0), np.nan]  # inclusive threshold; NaN is negative
+    t = (rng.random((30, 7)) < 0.3).astype(dtype)
+    report = evaluate_multilabel(scores, t, threshold=0.5)
+    for averaging in ("micro", "macro", "samples"):
+        want = prf(binarize(scores, 0.5), t, averaging)
+        got = (report.precision[averaging], report.recall[averaging], report.f1[averaging])
+        assert got == want
+
+
+def test_multilabel_report_rejects_what_prf_rejects():
+    scores = np.full((2, 2), 0.75)
+    with pytest.raises(ValueError, match="targets must contain only 0/1 entries"):
+        evaluate_multilabel(scores, np.array([[0.5, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        evaluate_multilabel(scores, np.zeros((2, 3), dtype=bool))
+    with pytest.raises(ValueError, match="samples averaging over an empty"):
+        evaluate_multilabel(np.zeros((0, 2)), np.zeros((0, 2), dtype=bool))
+
+
 def test_regression_report_and_undefined_pearson():
     t = np.array([[1.0], [2.0], [3.0]])
     report = evaluate_regression(t + 0.5, t)

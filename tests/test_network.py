@@ -18,10 +18,12 @@ from mlimb.data import Fingerprint, Instance, MolecularGraph
 from mlimb.evaluation import evaluate_multilabel
 from mlimb.network import (
     BCE_EPS,
+    HEAD_MODES,
     ModelParameters,
     NetworkConfig,
     TrainConfig,
     adjacency_operator,
+    backward,
     build_batch,
     fingerprint_dense,
     forward,
@@ -228,6 +230,48 @@ def test_bce_clamp_keeps_loss_and_gradients_finite():
     assert value == pytest.approx(-math.log(BCE_EPS), rel=1e-6)
     for _, g in grads.named_tensors():
         assert np.isfinite(g).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, bool])
+def test_bce_equals_the_two_log_form_to_the_bit(dtype):
+    # Exactly 0 and 1, inside the clamp, at its edges, just past them, and
+    # the middle, each with target 1 and 0; then random entries.
+    edges = [0.0, 0.5 * BCE_EPS, BCE_EPS, 1.5 * BCE_EPS, 0.5,
+             1.0 - 1.5 * BCE_EPS, 1.0 - BCE_EPS, 1.0 - 0.5 * BCE_EPS, 1.0]
+    rng = np.random.default_rng(61)
+    y = np.concatenate([np.repeat(edges, 2), rng.random(482)]).reshape(25, 20)
+    t = np.concatenate([np.tile([1.0, 0.0], len(edges)),
+                        rng.integers(0, 2, 482)]).reshape(y.shape)
+
+    def two_log(y, t):
+        yc = np.clip(y, BCE_EPS, 1.0 - BCE_EPS)
+        return float(np.mean(-(t * np.log(yc) + (1.0 - t) * np.log(1.0 - yc))))
+
+    assert loss(y, t.astype(dtype), "multilabel") == two_log(y, t)
+    for yi, ti in zip(y.flat, t.flat):  # every term on its own
+        yi, ti = np.array([[yi]]), np.array([[ti]])
+        assert loss(yi, ti.astype(dtype), "multilabel") == two_log(yi, ti)
+
+
+@pytest.mark.parametrize("soft", [0.3, -1.0, 2.0, math.nan])
+def test_multilabel_loss_rejects_soft_targets(soft):
+    with pytest.raises(ValueError, match="multilabel targets must contain only 0/1 entries"):
+        loss(np.full((2, 2), 0.5), np.array([[1.0, 0.0], [soft, 1.0]]), "multilabel")
+
+
+@pytest.mark.parametrize("head", HEAD_MODES)
+def test_backward_takes_bool_targets_as_their_0_1_values(head):
+    cfg = small_config(head_mode=head, output_dim=5)
+    params = init_parameters(cfg, 7)
+    params.head_bias[:2] = [60.0, -60.0]  # some outputs inside the clamp
+    rng = np.random.default_rng(13)
+    batch = build_batch(small_instances(rng, 6, cfg), cfg)
+    targets = rng.random((6, 5)) < 0.4
+    trace = forward(batch, params)
+    from_bool = backward(trace, targets, params, "multilabel")
+    from_float = backward(trace, targets.astype(np.float64), params, "multilabel")
+    for (name, a), (_, b) in zip(from_bool.named_tensors(), from_float.named_tensors()):
+        assert np.array_equal(a, b), name
 
 
 def test_sigmoid_saturates_without_overflow_warnings():
@@ -475,6 +519,7 @@ def test_target_matrices():
     rng = np.random.default_rng(37)
     d = random_dataset(rng, max_instances=6, max_labels=3, reg_width=2)
     y = label_matrix(d)
+    assert y.dtype == bool
     for i, inst in enumerate(d.instances):
         assert set(np.nonzero(y[i])[0]) == set(inst.labels)
     r = regression_matrix(d)
@@ -561,6 +606,31 @@ def test_evaluation_counts_without_copying_the_matrices(wide_fingerprints):
     scores = predict(d.instances, init_parameters(cfg, 0))
     targets = label_matrix(d)
     assert traced_peak(lambda: evaluate_multilabel(scores, targets)) < 1.0 * dense
+
+
+@pytest.fixture(scope="module")
+def wide_step():
+    """One hybrid training batch of 256 x 2000 labels; a 256 x 2000 float64
+    array is 3.9 MiB."""
+    d = generate(SynthConfig(n_instances=256, n_labels=2000, fingerprint_width=2048,
+                             graph_nodes_range=(6, 12), seed=1))
+    cfg = NetworkConfig(node_feature_dim=d.node_feature_dim,
+                        fingerprint_width=d.fingerprint_width, output_dim=d.label_count,
+                        hidden_dims=(32, 32), fuse_dim=32)
+    targets = label_matrix(d)
+    return init_parameters(cfg, 0), build_batch(d.instances, cfg), targets, targets.size * 8
+
+
+def test_multilabel_loss_allocates_one_output_sized_buffer(wide_step):
+    _, _, targets, dense = wide_step
+    y = np.random.default_rng(0).random(targets.shape)
+    assert traced_peak(lambda: loss(y, targets, "multilabel")) < 1.25 * dense
+
+
+def test_training_step_memory_is_a_few_output_sized_arrays(wide_step):
+    params, batch, targets, dense = wide_step
+    step = lambda: loss_and_gradients(params, batch, targets, "multilabel")
+    assert traced_peak(step) < 5 * dense
 
 
 # ---------------------------------------------------------------------------
