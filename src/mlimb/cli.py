@@ -147,6 +147,11 @@ def cmd_cooccur(args: argparse.Namespace) -> int:
     else:
         subset = list(random_label_subset(reference.vocabulary, args.random_labels, args.seed))
 
+    # Compared first: it rejects a snapshot whose vocabulary differs before
+    # anything is written.
+    comparison = compare_snapshots(
+        reference, dict(snapshots[1:]), subset, original_name=snapshots[0][0]
+    )
     out = _out_dir(args)
     outputs = []
     for name, ds in snapshots:
@@ -156,9 +161,6 @@ def cmd_cooccur(args: argparse.Namespace) -> int:
             _canonical_json(chord_document(summary, reference.vocabulary)), encoding="utf-8"
         )
         outputs.append(chord_path)
-    comparison = compare_snapshots(
-        reference, dict(snapshots[1:]), subset, original_name=snapshots[0][0]
-    )
     table_path = out / "scumble_table.json"
     table_path.write_text(comparison.to_json() + "\n", encoding="utf-8")
     outputs.append(table_path)

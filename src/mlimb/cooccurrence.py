@@ -5,6 +5,9 @@ instance count (arc size) and the joint counts of label pairs (links). The
 export document is shaped for chord-diagram plotters. Snapshot comparison
 lines up per-label counts and SCUMBLE across an original dataset and any
 number of resampled variants sharing its vocabulary.
+
+Counts are taken once per distinct label set and weighted by how many
+instances carry it; they are integers, so the totals are exact.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabelVocabulary, MultiLabelDataset
-from .metrics import irlbl, label_counts, scumble_label
+from .metrics import irlbl, label_counts, label_set_counts, scumble_label
 
 __all__ = [
     "CooccurrenceSummary",
@@ -63,14 +66,14 @@ def cooccurrence(
     members = set(subset)
     arcs = {l: 0 for l in subset}
     joint: dict[tuple[int, int], int] = {}
-    for inst in dataset.instances:
-        active = [l for l in inst.labels if l in members]
+    for labels, count in label_set_counts(dataset).items():
+        active = [l for l in labels if l in members]
         for l in active:
-            arcs[l] += 1
+            arcs[l] += count
         for i in range(len(active)):
             for j in range(i + 1, len(active)):
                 pair = (active[i], active[j])  # labels are sorted, so a < b
-                joint[pair] = joint.get(pair, 0) + 1
+                joint[pair] = joint.get(pair, 0) + count
     links = tuple((a, b, c) for (a, b), c in sorted(joint.items()))
     return CooccurrenceSummary(
         snapshot_name=snapshot_name,
@@ -116,7 +119,9 @@ def compare_snapshots(
     snapshots.extend(variants.items())
     for name, ds in snapshots[1:]:
         if ds.vocabulary.names != original.vocabulary.names:
-            raise ValueError(f"snapshot {name!r} does not share the original vocabulary")
+            raise ValueError(
+                f"snapshot {name!r} does not share the vocabulary of snapshot {original_name!r}"
+            )
 
     counts: dict[str, tuple[int, ...]] = {}
     scumble: dict[str, tuple[float, ...]] = {}
@@ -127,7 +132,8 @@ def compare_snapshots(
             scumble[name] = tuple(0.0 for _ in subset)
         else:
             table = irlbl(c)
-            scumble[name] = tuple(scumble_label(ds, table, l) for l in subset)
+            sets = label_set_counts(ds)
+            scumble[name] = tuple(scumble_label(ds, table, l, sets) for l in subset)
     return SnapshotComparison(
         labels=subset,
         label_names=tuple(original.vocabulary.name_of(l) for l in subset),

@@ -15,6 +15,14 @@ recover the pair count exactly in IEEE arithmetic, so the report carries
 ``positive_pairs`` as an integer. These choices also make every statistic
 bit-for-bit invariant under duplicating the whole dataset, since correctly
 rounded results of 2a/2b and a/b coincide.
+
+Grouping by label set. SCUMBLE depends on an instance only through its label
+set, so each distinct set is scored once and its score enters the sums once
+per instance that carries it, via itertools.repeat. fsum returns the
+correctly rounded value of the exact sum of its inputs whatever their order,
+so these sums equal the per-instance ones to the bit. The product
+score * multiplicity would round, which is why the score is repeated rather
+than multiplied.
 """
 
 from __future__ import annotations
@@ -23,7 +31,9 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -31,6 +41,7 @@ from .data import Instance, MultiLabelDataset
 
 __all__ = [
     "label_counts",
+    "label_set_counts",
     "irlbl",
     "mean_ir",
     "cardinality",
@@ -49,6 +60,12 @@ def label_counts(dataset: MultiLabelDataset) -> np.ndarray:
     if not flat:
         return np.zeros(dataset.label_count, dtype=np.int64)
     return np.bincount(np.asarray(flat, dtype=np.int64), minlength=dataset.label_count)
+
+
+def label_set_counts(dataset: MultiLabelDataset) -> Counter[tuple[int, ...]]:
+    """Number of instances carrying each distinct label set, in order of
+    first appearance."""
+    return Counter(inst.labels for inst in dataset.instances)
 
 
 def irlbl(counts: np.ndarray) -> np.ndarray:
@@ -84,6 +101,26 @@ def cardinality(dataset: MultiLabelDataset) -> float:
     return positive_pair_count(dataset) / len(dataset)
 
 
+def _set_scumble(labels: tuple[int, ...], irlbl_table: np.ndarray | list[float]) -> float | None:
+    """SCUMBLE of one label set; None when one of several labels has an
+    undefined IRLbl. Indexing a list is much cheaper than indexing an array,
+    so callers scoring many sets pass the table as a list."""
+    if len(labels) <= 1:
+        return 0.0
+    values = [float(irlbl_table[l]) for l in labels]
+    if any(math.isnan(v) for v in values):
+        return None
+    if all(v == values[0] for v in values):
+        return 0.0
+    am = math.fsum(values) / len(values)
+    gm = math.exp(math.fsum(map(math.log, values)) / len(values))
+    return max(0.0, 1.0 - gm / am)
+
+
+def _undefined_irlbl(instance_id: str) -> ValueError:
+    return ValueError(f"instance {instance_id!r} has an active label with undefined IRLbl")
+
+
 def scumble_instance(instance: Instance, irlbl_table: np.ndarray) -> float:
     """Concurrence score of one instance's active labels.
 
@@ -92,30 +129,55 @@ def scumble_instance(instance: Instance, irlbl_table: np.ndarray) -> float:
     mean runs in log space so IRLbl values in the thousands cannot overflow
     the product.
     """
-    if len(instance.labels) <= 1:
-        return 0.0
-    values = [float(irlbl_table[l]) for l in instance.labels]
-    if any(math.isnan(v) for v in values):
-        raise ValueError(
-            f"instance {instance.id!r} has an active label with undefined IRLbl"
-        )
-    if all(v == values[0] for v in values):
-        return 0.0
-    am = math.fsum(values) / len(values)
-    gm = math.exp(math.fsum(math.log(v) for v in values) / len(values))
-    return max(0.0, 1.0 - gm / am)
+    score = _set_scumble(instance.labels, irlbl_table)
+    if score is None:
+        raise _undefined_irlbl(instance.id)
+    return score
 
 
-def scumble_label(dataset: MultiLabelDataset, irlbl_table: np.ndarray, label: int) -> float:
-    """Mean instance SCUMBLE over instances containing the label; 0 if absent."""
-    scores = [
-        scumble_instance(inst, irlbl_table)
-        for inst in dataset.instances
-        if label in inst.labels
-    ]
-    if not scores:
+def _set_scores(
+    dataset: MultiLabelDataset, irlbl_table: np.ndarray, sets: dict[tuple[int, ...], int]
+) -> list[float]:
+    """SCUMBLE of each label set of ``sets``, in their order.
+
+    A set with an undefined IRLbl raises naming the first instance carrying
+    it; sets come in first-appearance order, so that is the first offending
+    instance of the dataset, as a per-instance pass would report.
+    """
+    values = np.asarray(irlbl_table, dtype=np.float64).tolist()
+    scores = [_set_scumble(labels, values) for labels in sets]
+    if None in scores:
+        undefined = list(sets)[scores.index(None)]
+        first = next(inst for inst in dataset.instances if inst.labels == undefined)
+        raise _undefined_irlbl(first.id)
+    return scores
+
+
+def _repeated_mean(scores: list[float], multiplicities: list[int], total: int) -> float:
+    """Exact mean of each score repeated its multiplicity, over ``total`` items."""
+    return math.fsum(chain.from_iterable(map(repeat, scores, multiplicities))) / total
+
+
+def scumble_label(
+    dataset: MultiLabelDataset,
+    irlbl_table: np.ndarray,
+    label: int,
+    label_sets: Counter[tuple[int, ...]] | None = None,
+) -> float:
+    """Mean instance SCUMBLE over instances containing the label; 0 if absent.
+
+    ``label_sets`` is ``label_set_counts(dataset)``, for callers that score
+    several labels of one dataset and so need to group it only once.
+    """
+    if label_sets is None:
+        label_sets = label_set_counts(dataset)
+    sets = {labels: c for labels, c in label_sets.items() if label in labels}
+    if not sets:
         return 0.0
-    return math.fsum(scores) / len(scores)
+    multiplicities = list(sets.values())
+    return _repeated_mean(
+        _set_scores(dataset, irlbl_table, sets), multiplicities, sum(multiplicities)
+    )
 
 
 @dataclass(frozen=True)
@@ -164,17 +226,21 @@ def imbalance_report(dataset: MultiLabelDataset) -> ImbalanceReport:
     n = len(dataset)
     ir = irlbl(counts)
     m_ir = mean_ir(ir)
-    pairs = positive_pair_count(dataset)
+    pairs = int(counts.sum())
 
-    per_instance = [scumble_instance(inst, ir) for inst in dataset.instances]
-    per_label_scores: list[list[float]] = [[] for _ in range(dataset.label_count)]
-    for inst, score in zip(dataset.instances, per_instance):
-        for l in inst.labels:
-            per_label_scores[l].append(score)
+    sets = label_set_counts(dataset)
+    scores = _set_scores(dataset, ir, sets)
+    multiplicities = list(sets.values())
+    holders: list[list[int]] = [[] for _ in range(dataset.label_count)]
+    for i, labels in enumerate(sets):
+        for l in labels:
+            holders[l].append(i)
     scumble_per_label = tuple(
-        math.fsum(scores) / len(scores) if scores else 0.0 for scores in per_label_scores
+        _repeated_mean([scores[i] for i in held], [multiplicities[i] for i in held],
+                       int(counts[l])) if held else 0.0
+        for l, held in enumerate(holders)
     )
-    scumble_mean = math.fsum(per_instance) / n
+    scumble_mean = _repeated_mean(scores, multiplicities, n)
 
     percents = (100.0 * counts) / n
     profile = tuple(sorted(percents.tolist(), reverse=True))

@@ -15,8 +15,15 @@ Two methods share one interface:
     nearest bag neighbors under Hamming distance: fingerprints by per-bit
     strict-majority vote, labels active iff present in strictly more than
     half of the group. Budget floor(p*|D|); a budget past one round of seed
-    visits replays the round. The first round's neighbor searches make the
-    cost grow with bag size, quadratic when bags scale with |D|.
+    visits replays the round.
+
+    Cost model: a bag's neighbor search is one GEMM of the bag's bits
+    against themselves, taken in blocks of ``_BLOCK_ROWS`` seed rows. Time
+    stays quadratic in bag size: bag^2 * width multiply-adds, then a stable
+    argsort of every row of distances. Memory is bounded by block x bag
+    for the distances, on top of the bag's own bits (held as float64 for
+    the GEMM) and labels. The votes are one gather-and-sum per bag; only
+    building each synthetic Instance is still per-row Python.
 
 Copies and synthetics get fresh ids (source id plus a ``::p<j>`` / ``::s<j>``
 suffix, j the source's next serial whose id the dataset does not hold) and
@@ -26,9 +33,9 @@ and keep their positions; new instances are appended after them.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -96,6 +103,7 @@ class ResampleOutcome:
     selected_ids: tuple[str, ...] = ()
     zero_score_selected: int = 0
     per_label_synthetic_counts: dict[int, int] = field(default_factory=dict)
+    distinct_synthetics: int = 0
     warnings: tuple[str, ...] = ()
 
     def diagnostics_document(self, config: ResampleConfig) -> dict:
@@ -116,6 +124,7 @@ class ResampleOutcome:
             doc["per_label_synthetic_counts"] = {
                 str(l): c for l, c in sorted(self.per_label_synthetic_counts.items())
             }
+            doc["distinct_synthetics"] = self.distinct_synthetics
         return doc
 
 
@@ -220,9 +229,8 @@ def _copy_of(template: Instance, new_id: str, origin: str) -> Instance:
     # Verbatim copy sharing every field reference with the template. Bypasses
     # field revalidation, which the template already passed and which
     # dominates wall time when appending tens of thousands of rows.
-    dup = copy.copy(template)
-    dup.id = new_id
-    dup.origin = origin
+    dup = object.__new__(Instance)
+    dup.__dict__.update(template.__dict__, id=new_id, origin=origin)
     return dup
 
 
@@ -269,31 +277,83 @@ def oversample_proposed(dataset: MultiLabelDataset, config: ResampleConfig) -> R
     )
 
 
+# Seed rows per distance block: the block's distances and their argsort
+# take _BLOCK_ROWS x bag size 8-byte values each.
+_BLOCK_ROWS = 256
+
+
+def _neighbours(bits: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """For each of ``rows``, the min(k, m - 1) rows of the 0/1 matrix ``bits``
+    nearest to it by Hamming distance, itself excluded, ties broken by
+    ascending row; one line per query row, nearest first.
+
+    Distances come from one GEMM per block of query rows,
+    pop_i + pop_j - 2 b_i.b_j. Every product and partial sum is an integer
+    below 2**53, so the distances are exact whatever the summation order,
+    and a stable argsort of each row is the exhaustive (distance, row) sort.
+    """
+    m = bits.shape[0]
+    take = max(min(k, m - 1), 0)
+    out = np.empty((len(rows), take), dtype=np.intp)
+    dense = bits.astype(np.float64)
+    pop = dense.sum(axis=1)
+    for start in range(0, len(rows) if take else 0, _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        distance = dense[block] @ dense.T
+        distance *= -2.0
+        distance += pop
+        distance += pop[block, None]
+        distance[np.arange(len(block)), block] = np.inf  # never its own neighbour
+        out[start:start + len(block)] = np.argsort(distance, axis=1, kind="stable")[:, :take]
+    return out
+
+
 def knn_hamming(bits: np.ndarray, row: int, k: int) -> list[int]:
-    """Rows of ``bits`` nearest to ``bits[row]``, excluding ``row`` itself.
+    """Rows of the 0/1 matrix ``bits`` nearest to ``bits[row]``, excluding
+    ``row`` itself.
 
     Hamming distance; ties broken by ascending row; k past the number of
     other rows returns all of them.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    order = np.argsort((bits != bits[row]).sum(axis=1), kind="stable")
-    return [int(i) for i in order[order != row][:k]]
+    return _neighbours(bits, np.array([row]), k)[0].tolist()
 
 
-def _vote_group(
-    bag_bits: np.ndarray, group_rows: list[int], group_instances: list[Instance]
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Strict-majority fingerprint bits and label set over a seed+neighbors group."""
-    m = len(group_rows)
-    bit_counts = bag_bits[group_rows].sum(axis=0)
-    bits = (2 * bit_counts > m).astype(np.uint8)
-    label_tally: dict[int, int] = {}
-    for inst in group_instances:
-        for l in inst.labels:
-            label_tally[l] = label_tally.get(l, 0) + 1
-    labels = tuple(sorted(l for l, c in label_tally.items() if 2 * c > m))
-    return bits, labels
+def _vote(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Strict-majority vote of the 0/1 rows of ``values`` over each line of
+    ``groups`` (row indices): 1 where more than half the group holds 1."""
+    size = groups.shape[1]
+    tally = np.zeros((len(groups), values.shape[1]), dtype=np.min_scalar_type(size))
+    for column in groups.T:
+        tally += values[column]
+    return (tally > size // 2).astype(np.uint8)
+
+
+def _label_indicator(label_sets: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Labels present in any of the sets, ascending, and the 0/1 matrix of
+    which set holds which of them."""
+    flat = np.fromiter(chain.from_iterable(label_sets), dtype=np.int64)
+    present, column = np.unique(flat, return_inverse=True)
+    indicator = np.zeros((len(label_sets), present.size), dtype=np.uint8)
+    owner = np.repeat(np.arange(len(label_sets)), [len(ls) for ls in label_sets])
+    indicator[owner, column] = 1
+    return present, indicator
+
+
+def _bag_votes(
+    bag: list[Instance], seeds: np.ndarray, k: int
+) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Voted fingerprint rows and label sets of each seed position of one bag,
+    each seed voting with its k nearest bag neighbors."""
+    bits = np.stack([inst.fingerprint.bits for inst in bag])
+    present, indicator = _label_indicator([inst.labels for inst in bag])
+    groups = np.column_stack([seeds, _neighbours(bits, seeds, k)])
+    rows, columns = np.nonzero(_vote(indicator, groups))
+    flat = present[columns].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(seeds))).tolist()
+    label_sets = [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
+    return _vote(bits, groups), label_sets
 
 
 def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutcome:
@@ -304,7 +364,8 @@ def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutco
     copy the first round's synthetic under the seed's next id, and a warning
     says so. The majority votes use every one of the k neighbors, so no
     random draw is involved and the output does not depend on
-    ``config.seed``. Synthetics have no graph.
+    ``config.seed``. Synthetics have no graph. ``distinct_synthetics``
+    counts the distinct (fingerprint, labels) rows of the round.
     """
     budget = int(math.floor(config.p * len(dataset)))
     found = _imbalance(dataset)
@@ -326,16 +387,13 @@ def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutco
             if l in bags:
                 bags[l].append(index)
     usable = [l for l in ordered_minority if len(bags[l]) >= 2]
-    bag_bits = {
-        l: np.stack([dataset.instances[i].fingerprint.bits for i in bags[l]]) for l in usable
-    }
-    visits = [(l, pos) for l in usable for pos in range(len(bags[l]))]
+    round_size = sum(len(bags[l]) for l in usable)
 
-    if not visits:
+    if not round_size:
         warnings = ["every minority bag has fewer than 2 members; nothing synthesized",
                     f"budget {budget} not met; produced 0 synthetics"]
-    elif budget > len(visits):
-        warnings = [f"budget {budget} exceeds one round of {len(visits)} seed visits; "
+    elif budget > round_size:
+        warnings = [f"budget {budget} exceeds one round of {round_size} seed visits; "
                     "later synthetics repeat earlier ones"]
     else:
         warnings = []
@@ -343,25 +401,27 @@ def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutco
     mint = _id_minter(dataset, "s")
     per_label: dict[int, int] = {l: 0 for l in ordered_minority}
     added: list[Instance] = []
-    for j in range(budget if visits else 0):
-        l, pos = visits[j % len(visits)]
-        members = bags[l]
-        seed_id = dataset.instances[members[pos]].id
-        if j < len(visits):
-            group_rows = [pos] + knn_hamming(bag_bits[l], pos, config.k)
-            group_instances = [dataset.instances[members[i]] for i in group_rows]
-            synth_bits, synth_labels = _vote_group(bag_bits[l], group_rows, group_instances)
+    round_labels: list[int] = []  # the bag label of each synthetic of the round
+    distinct: set[tuple[bytes, tuple[int, ...]]] = set()
+    for l in usable:
+        seeds = np.arange(min(len(bags[l]), budget - len(added)))
+        if not seeds.size:
+            break
+        bag = [dataset.instances[i] for i in bags[l]]
+        voted_bits, voted_labels = _bag_votes(bag, seeds, config.k)
+        for pos, bits, labels in zip(seeds.tolist(), voted_bits, voted_labels):
+            seed_id = bag[pos].id
             added.append(
-                Instance(
-                    id=mint(seed_id),
-                    fingerprint=Fingerprint(synth_bits),
-                    labels=synth_labels,
-                    origin=seed_id,
-                )
+                Instance(id=mint(seed_id), fingerprint=Fingerprint(bits), labels=labels,
+                         origin=seed_id)
             )
-        else:
-            added.append(_copy_of(added[j % len(visits)], mint(seed_id), seed_id))
-        per_label[l] += 1
+            distinct.add((bits.tobytes(), labels))
+        per_label[l] += len(seeds)
+        round_labels += [l] * len(seeds)
+    for j in range(len(added), budget if round_size else 0):
+        replayed = added[j % round_size]
+        added.append(_copy_of(replayed, mint(replayed.origin), replayed.origin))
+        per_label[round_labels[j % round_size]] += 1
 
     return ResampleOutcome(
         dataset=dataset.with_instances(list(dataset.instances) + added),
@@ -369,6 +429,7 @@ def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutco
         added_count=len(added),
         minority_label_count=len(minority),
         per_label_synthetic_counts=per_label,
+        distinct_synthetics=len(distinct),
         warnings=tuple(warnings),
     )
 

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: outputs, determinism, error classes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 
 import mlimb
 from mlimb.cli import main
-from mlimb.data import load_dataset, save_dataset
+from mlimb.data import LabelVocabulary, load_dataset, save_dataset
 from mlimb.metrics import imbalance_report
 from mlimb.resampling import ResampleConfig, oversample
 from tests.test_resampling import make_dataset
@@ -134,6 +135,28 @@ def test_cooccur_label_flag_exclusivity_and_unknown_name(synth_dir, tmp_path, ca
     code, _, stderr = run(capsys, "cooccur", "--data", data, "--labels", "nope",
                           "--out", str(tmp_path / "y"))
     assert code == 2 and "unknown label" in stderr
+
+
+@pytest.mark.parametrize("other_labels", [("x0", "x1", "x2", "x3", "x4", "x5"),
+                                          ("c0000", "c0001", "c0002", "c0003")])
+def test_cooccur_vocabulary_mismatch_fails_before_writing(
+        synth_dir, tmp_path, capsys, other_labels):
+    # Different label names, then a smaller vocabulary: either way one line
+    # names the snapshot and --out is never created.
+    other = tmp_path / "other"
+    other.mkdir()
+    snapshot = dataclasses.replace(make_dataset([(0,), (1, 2)], len(other_labels)),
+                                   vocabulary=LabelVocabulary(other_labels))
+    save_dataset(snapshot, other / "dataset.jsonl", other / "dataset.labels.tsv")
+    out = tmp_path / "chords"
+    code, _, stderr = run(capsys, "cooccur",
+                          "--data", f"a={synth_dir / 'dataset.jsonl'}",
+                          "--data", f"b={other / 'dataset.jsonl'}",
+                          "--labels", "c0000,c0005", "--out", str(out))
+    assert code == 2
+    assert stderr == ("config_error: snapshot 'b' does not share the vocabulary "
+                      "of snapshot 'a'\n")
+    assert not out.exists()
 
 
 def test_train_and_eval_multilabel(synth_dir, tmp_path, capsys):

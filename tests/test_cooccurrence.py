@@ -87,7 +87,7 @@ def test_compare_snapshots_after_oversampling():
 def test_vocabulary_mismatch_rejected():
     a = make_dataset([(0,)], 2)
     b = make_dataset([(0,)], 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="snapshot 'other' does not share the vocabulary"):
         compare_snapshots(a, {"other": b}, (0,))
 
 
@@ -112,3 +112,26 @@ def test_chord_document_shape():
     ]
     assert doc["links"] == [{"a": "l0", "b": "l1", "count": 1}]
     json.dumps(doc)
+
+
+def per_instance_cooccurrence(dataset, subset):
+    arcs = {l: 0 for l in subset}
+    joint = {}
+    for inst in dataset.instances:
+        active = [l for l in inst.labels if l in arcs]
+        for i, a in enumerate(active):
+            arcs[a] += 1
+            for b in active[i + 1:]:
+                joint[(a, b)] = joint.get((a, b), 0) + 1
+    return tuple(arcs[l] for l in subset), tuple((a, b, c) for (a, b), c in sorted(joint.items()))
+
+
+def test_grouped_counts_equal_per_instance_reference():
+    rng = np.random.default_rng(23)
+    for _ in range(8):
+        d = random_dataset(rng, ensure_labeled=True, max_labels=7, graph_prob=0.0)
+        for method in ("proposed", "mlsmote"):
+            out = oversample(d, ResampleConfig(method=method, p=1.0, r=3, k=2)).dataset
+            subset = tuple(int(l) for l in rng.permutation(d.label_count)[:5])
+            summary = cooccurrence(out, subset)
+            assert (summary.arc_sizes, summary.links) == per_instance_cooccurrence(out, subset)

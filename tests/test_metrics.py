@@ -19,6 +19,8 @@ from mlimb.metrics import (
     scumble_instance,
     scumble_label,
 )
+from mlimb.resampling import ResampleConfig, oversample
+from mlimb.synth import SynthConfig, generate
 from tests.conftest import random_dataset
 
 
@@ -255,3 +257,62 @@ def test_permuting_instances_keeps_card():
     perm = rng.permutation(len(d))
     shuffled = d.with_instances([d.instances[i] for i in perm])
     assert cardinality(shuffled) == cardinality(d)
+
+
+# ---------------------------------------------------------------------------
+# Grouping by label set against a per-instance reference
+# ---------------------------------------------------------------------------
+
+def per_instance_report(dataset):
+    """SCUMBLE statistics the plain way: score every instance, sum its list."""
+    table = irlbl(label_counts(dataset))
+    scores = [scumble_instance(inst, table) for inst in dataset.instances]
+    per_label = [[] for _ in range(dataset.label_count)]
+    for inst, score in zip(dataset.instances, scores):
+        for l in inst.labels:
+            per_label[l].append(score)
+    return (
+        tuple(math.fsum(v) / len(v) if v else 0.0 for v in per_label),
+        math.fsum(scores) / len(scores),
+    )
+
+
+def repeated_label_set_datasets():
+    """Datasets where most label sets repeat: oversampled outputs and a
+    duplicated random dataset."""
+    rng = np.random.default_rng(12)
+    base = generate(SynthConfig(n_instances=500, n_labels=15, fingerprint_width=16,
+                                graph_nodes_range=None, cooccurrence_boost=0.4, seed=6))
+    yield base
+    for method in ("proposed", "mlsmote"):
+        yield oversample(base, ResampleConfig(method=method, p=1.0, r=4, k=3)).dataset
+    for _ in range(10):
+        d = random_dataset(rng, max_labels=6, ensure_labeled=True, graph_prob=0.0)
+        yield d.with_instances(d.instances + [
+            Instance(id=f"{inst.id}+{j}", fingerprint=inst.fingerprint, labels=inst.labels)
+            for j in range(3) for inst in d.instances
+        ])
+
+
+def test_grouped_scumble_equals_per_instance_reference():
+    for d in repeated_label_set_datasets():
+        assert len({inst.labels for inst in d.instances}) < len(d)
+        per_label, mean = per_instance_report(d)
+        report = imbalance_report(d)
+        assert report.scumble_per_label == per_label
+        assert report.scumble_mean == mean
+        table = np.array(report.irlbl)
+        for l in range(d.label_count):
+            assert scumble_label(d, table, l) == per_label[l]
+
+
+def test_undefined_irlbl_names_the_first_offending_instance():
+    d = dataset_from_label_sets([(0,), (1, 2), (0, 2), (1, 2), (0, 2)], 3)
+    table = np.array([1.0, 2.0, np.nan])
+    with pytest.raises(ValueError, match="'i1'"):
+        scumble_label(d, table, 2)
+    with pytest.raises(ValueError, match="'i2'"):
+        scumble_label(d, table, 0)
+    # A lone label scores 0 before its IRLbl is looked at, as per instance.
+    lone = dataset_from_label_sets([(2,), (0, 1)], 3)
+    assert scumble_label(lone, table, 2) == 0.0

@@ -18,7 +18,10 @@ from mlimb.resampling import (
     oversample,
     oversample_proposed,
     rank_candidates,
-    _vote_group,
+    _BLOCK_ROWS,
+    _bag_votes,
+    _neighbours,
+    _vote,
 )
 from mlimb.synth import SynthConfig, generate
 from tests.conftest import random_dataset
@@ -234,6 +237,40 @@ def test_knn_matches_exhaustive_sort():
         assert knn_hamming(bits, 0, k) == [i + 1 for i in expected]
 
 
+def exhaustive_neighbours(bits, row, k):
+    """Every other row sorted by (Hamming distance, row), first k kept."""
+    others = [j for j in range(len(bits)) if j != row]
+    return sorted(others, key=lambda j: (int((bits[j] != bits[row]).sum()), j))[:k]
+
+
+def test_batched_neighbours_match_exhaustive_sort():
+    rng = np.random.default_rng(44)
+    cases = [
+        (2, 8, 1), (2, 8, 5),  # m = 2: the one other row, whatever k is
+        (7, 3, 6), (7, 3, 40),  # k >= m - 1: every other row
+        (12, 2, 3),  # 2-bit rows: duplicates and ties everywhere
+        (_BLOCK_ROWS + 45, 5, 4),  # more rows than one block
+        (2 * _BLOCK_ROWS + 3, 9, 7),
+    ]
+    for m, width, k in cases:
+        bits = rng.integers(0, 2, size=(m, width)).astype(np.uint8)
+        bits[m // 2] = bits[0]  # an exact duplicate of row 0
+        rows = np.arange(m)
+        found = _neighbours(bits, rows, k)
+        assert found.shape == (m, min(k, m - 1))
+        for i in rows:
+            assert found[i].tolist() == exhaustive_neighbours(bits, i, k), (m, width, k, i)
+        # A subset of query rows, out of order and across block edges.
+        picked = rng.permutation(m)[: max(1, m // 3)]
+        assert _neighbours(bits, picked, k).tolist() == found[picked].tolist()
+
+
+def test_batched_neighbours_single_row_bag_is_empty():
+    bits = np.array([[1, 0, 1]], dtype=np.uint8)
+    assert _neighbours(bits, np.array([0]), 3).shape == (1, 0)
+    assert knn_hamming(bits, 0, 3) == []
+
+
 # ---------------------------------------------------------------------------
 # Neighbor-vote synthesis
 # ---------------------------------------------------------------------------
@@ -257,9 +294,51 @@ def test_vote_rule_majority_counts():
         Instance(id=f"v{i}", fingerprint=Fingerprint(bits[i]), labels=labels)
         for i, labels in enumerate([(0, 1), (0,), (0,), (0,), (1,)])
     ]
-    synth_bits, synth_labels = _vote_group(bits, [0, 1, 2, 3, 4], instances)
-    assert synth_labels == (0,)
-    assert synth_bits.tolist() == [1, 0]  # bit 0: 4/5, bit 1: 2/5
+    # Seed 0 with k=4 takes the whole bag as its group.
+    synth_bits, synth_labels = _bag_votes(instances, np.array([0]), 4)
+    assert synth_labels == [(0,)]
+    assert synth_bits.tolist() == [[1, 0]]  # bit 0: 4/5, bit 1: 2/5
+    assert _vote(bits, np.array([[0, 1, 2, 3, 4]])).tolist() == [[1, 0]]
+    # An even group needs more than half: 2 of 4 is not a majority.
+    assert _vote(bits, np.array([[0, 1, 2, 4], [0, 1, 4, 4]])).tolist() == [[1, 0], [0, 1]]
+
+
+def test_distinct_synthetics_counts_a_collapse():
+    # Label 0 is the only minority label. Its bag of four rows with k=3 puts
+    # every seed in the same whole-bag group, so all four synthetics are one
+    # row [1, 1, 0, 0] with labels (0,): one distinct row in the round.
+    collapse = make_dataset([(0,)] * 4 + [(1,)] * 12, 2,
+                            fps=[[1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 0, 1], [1, 1, 1, 0]]
+                            + [[0, 0, 0, 0]] * 12)
+    cfg = ResampleConfig(method="mlsmote", p=0.5, k=3)
+    out = mlsmote(collapse, cfg)
+    assert out.added_count == 8  # two rounds of four
+    assert {(tuple(s.fingerprint.bits.tolist()), s.labels)
+            for s in out.dataset.instances[16:]} == {((1, 1, 0, 0), (0,))}
+    assert out.distinct_synthetics == 1
+    doc = out.diagnostics_document(cfg)
+    assert doc["distinct_synthetics"] == 1
+    assert mlsmote(collapse, cfg).diagnostics_document(cfg) == doc
+
+    # Two pairs of identical rows with k=1: each seed votes with its twin,
+    # so the round holds two distinct rows.
+    pairs = make_dataset([(0,)] * 4 + [(1,)] * 12, 2,
+                         fps=[[1, 0, 0, 0], [0, 0, 1, 1], [1, 0, 0, 0], [0, 0, 1, 1]]
+                         + [[0, 0, 0, 0]] * 12)
+    out = mlsmote(pairs, ResampleConfig(method="mlsmote", p=0.25, k=1))
+    assert out.added_count == 4
+    assert out.distinct_synthetics == 2
+
+
+def test_distinct_synthetics_matches_the_written_rows():
+    d = generate(SynthConfig(n_instances=300, n_labels=20, fingerprint_width=32,
+                             graph_nodes_range=None, cooccurrence_boost=0.3, seed=4))
+    for p in (0.1, 0.27, 1.0):  # inside one round, cutting a bag, and replaying
+        out = mlsmote(d, ResampleConfig(method="mlsmote", p=p, k=3))
+        rows = {(s.fingerprint.bits.tobytes(), s.labels) for s in out.dataset.instances[len(d):]}
+        assert out.distinct_synthetics == len(rows)
+    cfg = ResampleConfig(method="proposed", p=0.5)
+    assert "distinct_synthetics" not in oversample(d, cfg).diagnostics_document(cfg)
 
 
 def test_budget_exact_on_synthetic_thousand():
