@@ -3,8 +3,9 @@ evaluate.
 
 Every subcommand is a thin wrapper over one library call. A run writes its
 primary outputs plus a manifest (subcommand, configuration, paths, seed,
-version, wall-time) next to them; primary outputs are byte-identical across
-reruns with identical flags, the manifest is not (it records wall-time).
+version, wall-time, seconds per phase, peak RSS, input sizes, numpy version)
+next to them; primary outputs are byte-identical across reruns with
+identical flags, the manifest is not (it records timings).
 Failures exit nonzero with a single line `<error_class>: <message>` on
 stderr, where the class is one of parse_error, validation_error, io_error,
 config_error.
@@ -13,11 +14,17 @@ config_error.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
+
+try:
+    import resource
+except ImportError:  # not available on Windows; manifests then record no peak RSS
+    resource = None
 
 import numpy as np
 
@@ -40,6 +47,7 @@ from .network import (
     loss_curve_csv,
     predict,
     regression_matrix,
+    _single_thread_blas,
     save_checkpoint,
     train,
 )
@@ -53,8 +61,33 @@ def _canonical_json(doc: dict) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+class _Phases:
+    """Seconds a command spends loading its inputs, computing, and writing
+    its primary outputs: ``with phases("load"): ...``."""
+
+    def __init__(self) -> None:
+        self.started = time.perf_counter()
+        self.seconds = {"load": 0.0, "compute": 0.0, "write": 0.0}
+
+    @contextmanager
+    def __call__(self, name: str) -> Iterator[None]:
+        begin = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] += time.perf_counter() - begin
+
+
+def _peak_rss_mb() -> float | None:
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes there, KiB here
+
+
 def _write_manifest(path: Path, subcommand: str, args: argparse.Namespace,
-                    outputs: list[Path], started: float) -> None:
+                    outputs: list[Path], phases: _Phases,
+                    inputs: list[MultiLabelDataset]) -> None:
     skip = {"func"}
     config = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -68,7 +101,14 @@ def _write_manifest(path: Path, subcommand: str, args: argparse.Namespace,
         "outputs": [str(p) for p in outputs],
         "seed": config.get("seed"),
         "version": __version__,
-        "wall_time_seconds": time.time() - started,
+        "wall_time_seconds": time.perf_counter() - phases.started,
+        "phases": phases.seconds,
+        "peak_rss_mb": _peak_rss_mb(),
+        "input_sizes": {
+            "instances": sum(len(ds) for ds in inputs),
+            "labels": inputs[0].label_count,
+        },
+        "numpy_version": np.__version__,
     }
     path.write_text(_canonical_json(doc), encoding="utf-8")
 
@@ -84,33 +124,40 @@ def _out_dir(args: argparse.Namespace) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    started = time.time()
-    dataset = load_dataset(args.data, args.vocab)
-    report = imbalance_report(dataset)
-    out = _out_dir(args)
-    report_path = out / "report.json"
-    profile_path = out / "profile.csv"
-    report_path.write_text(report.to_json(dataset.vocabulary.names) + "\n", encoding="utf-8")
-    profile_path.write_text(profile_csv(report), encoding="utf-8")
-    _write_manifest(out / "manifest.json", "metrics", args, [report_path, profile_path], started)
+    phases = _Phases()
+    with phases("load"):
+        dataset = load_dataset(args.data, args.vocab)
+    with phases("compute"):
+        report = imbalance_report(dataset)
+    with phases("write"):
+        out = _out_dir(args)
+        report_path = out / "report.json"
+        profile_path = out / "profile.csv"
+        report_path.write_text(report.to_json(dataset.vocabulary.names) + "\n", encoding="utf-8")
+        profile_path.write_text(profile_csv(report), encoding="utf-8")
+    _write_manifest(out / "manifest.json", "metrics", args, [report_path, profile_path],
+                    phases, [dataset])
     print(f"wrote {report_path} and {profile_path}")
     return 0
 
 
 def cmd_oversample(args: argparse.Namespace) -> int:
-    started = time.time()
-    dataset = load_dataset(args.data, args.vocab)
-    config = ResampleConfig(method=args.method, p=args.p, r=args.r, k=args.k, seed=args.seed)
-    outcome = oversample(dataset, config)
-    out = _out_dir(args)
-    data_path = out / "dataset.jsonl"
-    vocab_path = out / "dataset.labels.tsv"
-    diag_path = out / "diagnostics.json"
-    save_dataset(outcome.dataset, data_path, vocab_path)
-    diag_path.write_text(_canonical_json(outcome.diagnostics_document(config)), encoding="utf-8")
-    _write_manifest(
-        out / "manifest.json", "oversample", args, [data_path, vocab_path, diag_path], started
-    )
+    phases = _Phases()
+    with phases("load"):
+        dataset = load_dataset(args.data, args.vocab)
+    with phases("compute"):
+        config = ResampleConfig(method=args.method, p=args.p, r=args.r, k=args.k, seed=args.seed)
+        outcome = oversample(dataset, config)
+    with phases("write"):
+        out = _out_dir(args)
+        data_path = out / "dataset.jsonl"
+        vocab_path = out / "dataset.labels.tsv"
+        diag_path = out / "diagnostics.json"
+        save_dataset(outcome.dataset, data_path, vocab_path)
+        diag_path.write_text(_canonical_json(outcome.diagnostics_document(config)),
+                             encoding="utf-8")
+    _write_manifest(out / "manifest.json", "oversample", args,
+                    [data_path, vocab_path, diag_path], phases, [dataset])
     for warning in outcome.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"added {outcome.added_count} instances -> {data_path}")
@@ -132,45 +179,48 @@ def _parse_snapshots(entries: list[str], vocab: str | None) -> list[tuple[str, M
 
 
 def cmd_cooccur(args: argparse.Namespace) -> int:
-    started = time.time()
+    phases = _Phases()
     if (args.labels is None) == (args.random_labels is None):
         raise ValueError("exactly one of --labels and --random-labels is required")
-    snapshots = _parse_snapshots(args.data, args.vocab)
-    reference = snapshots[0][1]
-    if args.labels is not None:
-        subset = []
-        for name in args.labels.split(","):
-            try:
-                subset.append(reference.vocabulary.index_of(name.strip()))
-            except KeyError:
-                raise ValueError(f"unknown label name {name.strip()!r}") from None
-    else:
-        subset = list(random_label_subset(reference.vocabulary, args.random_labels, args.seed))
-
-    # Compared first: it rejects a snapshot whose vocabulary differs before
-    # anything is written.
-    comparison = compare_snapshots(
-        reference, dict(snapshots[1:]), subset, original_name=snapshots[0][0]
-    )
-    out = _out_dir(args)
-    outputs = []
-    for name, ds in snapshots:
-        summary = cooccurrence(ds, subset, snapshot_name=name)
-        chord_path = out / f"chord_{name}.json"
-        chord_path.write_text(
-            _canonical_json(chord_document(summary, reference.vocabulary)), encoding="utf-8"
+    with phases("load"):
+        snapshots = _parse_snapshots(args.data, args.vocab)
+    with phases("compute"):
+        reference = snapshots[0][1]
+        if args.labels is not None:
+            subset = []
+            for name in args.labels.split(","):
+                try:
+                    subset.append(reference.vocabulary.index_of(name.strip()))
+                except KeyError:
+                    raise ValueError(f"unknown label name {name.strip()!r}") from None
+        else:
+            subset = list(random_label_subset(reference.vocabulary, args.random_labels, args.seed))
+        # Compared first: it rejects a snapshot whose vocabulary differs before
+        # anything is written.
+        comparison = compare_snapshots(
+            reference, dict(snapshots[1:]), subset, original_name=snapshots[0][0]
         )
-        outputs.append(chord_path)
-    table_path = out / "scumble_table.json"
-    table_path.write_text(comparison.to_json() + "\n", encoding="utf-8")
-    outputs.append(table_path)
-    _write_manifest(out / "manifest.json", "cooccur", args, outputs, started)
+        summaries = [cooccurrence(ds, subset, snapshot_name=name) for name, ds in snapshots]
+    with phases("write"):
+        out = _out_dir(args)
+        outputs = []
+        for summary in summaries:
+            chord_path = out / f"chord_{summary.snapshot_name}.json"
+            chord_path.write_text(
+                _canonical_json(chord_document(summary, reference.vocabulary)), encoding="utf-8"
+            )
+            outputs.append(chord_path)
+        table_path = out / "scumble_table.json"
+        table_path.write_text(comparison.to_json() + "\n", encoding="utf-8")
+        outputs.append(table_path)
+    _write_manifest(out / "manifest.json", "cooccur", args, outputs, phases,
+                    [ds for _, ds in snapshots])
     print(f"wrote {len(outputs)} documents to {out}")
     return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    started = time.time()
+    phases = _Phases()
     if args.graph_nodes.lower() == "none":
         nodes_range = None
     else:
@@ -195,12 +245,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
         cooccurrence_boost=args.boost,
         seed=args.seed,
     )
-    dataset = generate(config)
-    out = _out_dir(args)
-    data_path = out / "dataset.jsonl"
-    vocab_path = out / "dataset.labels.tsv"
-    save_dataset(dataset, data_path, vocab_path)
-    _write_manifest(out / "manifest.json", "synth", args, [data_path, vocab_path], started)
+    with phases("compute"):
+        dataset = generate(config)
+    with phases("write"):
+        out = _out_dir(args)
+        data_path = out / "dataset.jsonl"
+        vocab_path = out / "dataset.labels.tsv"
+        save_dataset(dataset, data_path, vocab_path)
+    # synth reads no dataset; its sizes are those of the one it generates.
+    _write_manifest(out / "manifest.json", "synth", args, [data_path, vocab_path], phases,
+                    [dataset])
     print(f"generated {len(dataset)} instances -> {data_path}")
     return 0
 
@@ -228,62 +282,70 @@ def _network_config(args: argparse.Namespace, dataset: MultiLabelDataset) -> Net
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    started = time.time()
-    dataset = load_dataset(args.data, args.vocab)
-    net = _network_config(args, dataset)
-    cfg = TrainConfig(
-        task=args.task,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
-    params, curve = train(dataset, net, cfg)
-    model_path = Path(args.model_out)
-    model_path.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(params, model_path)
-    curve_path = model_path.with_name(model_path.stem + ".loss.csv")
-    curve_path.write_text(loss_curve_csv(curve), encoding="utf-8")
+    phases = _Phases()
+    with phases("load"):
+        dataset = load_dataset(args.data, args.vocab)
+    with phases("compute"):
+        net = _network_config(args, dataset)
+        cfg = TrainConfig(
+            task=args.task,
+            epochs=args.epochs,
+            learning_rate=args.lr,
+            momentum=args.momentum,
+            batch_size=args.batch_size,
+            seed=args.seed,
+        )
+        params, curve = train(dataset, net, cfg)
+    with phases("write"):
+        model_path = Path(args.model_out)
+        model_path.parent.mkdir(parents=True, exist_ok=True)
+        save_checkpoint(params, model_path)
+        curve_path = model_path.with_name(model_path.stem + ".loss.csv")
+        curve_path.write_text(loss_curve_csv(curve), encoding="utf-8")
     manifest_path = model_path.with_name(model_path.stem + ".manifest.json")
-    _write_manifest(manifest_path, "train", args, [model_path, curve_path], started)
+    _write_manifest(manifest_path, "train", args, [model_path, curve_path], phases, [dataset])
     final = f"{curve[-1]!r}" if curve else "n/a"
     print(f"trained {cfg.epochs} epochs (final loss {final}) -> {model_path}")
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    started = time.time()
-    dataset = load_dataset(args.data, args.vocab)
-    params = load_checkpoint(args.model)
-    task = "multiregression" if params.config.head_mode == "linear_regression" else "multilabel"
-    if task == "multilabel":
-        if params.config.output_dim != dataset.label_count:
-            raise ValueError(
-                f"model predicts {params.config.output_dim} labels, dataset has {dataset.label_count}"
-            )
-        targets = label_matrix(dataset)
-    else:
-        targets = regression_matrix(dataset)
-        if params.config.output_dim != dataset.regression_width:
-            raise ValueError(
-                f"model predicts {params.config.output_dim} regression targets, "
-                f"dataset has {dataset.regression_width}"
-            )
-    scores = predict(dataset.instances, params)
-    report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    outputs = [report_path]
-    if task == "multilabel":
-        report = evaluate_multilabel(scores, targets, threshold=args.threshold)
-    else:
-        report = evaluate_regression(scores, targets)
-        scatter_path = report_path.with_name(report_path.stem + ".scatter.csv")
-        scatter_path.write_text(scatter_csv(scores, targets), encoding="utf-8")
-        outputs.append(scatter_path)
-    report_path.write_text(report.to_json() + "\n", encoding="utf-8")
+    phases = _Phases()
+    with phases("load"):
+        dataset = load_dataset(args.data, args.vocab)
+        params = load_checkpoint(args.model)
+    with phases("compute"):
+        task = "multiregression" if params.config.head_mode == "linear_regression" else "multilabel"
+        if task == "multilabel":
+            if params.config.output_dim != dataset.label_count:
+                raise ValueError(
+                    f"model predicts {params.config.output_dim} labels, "
+                    f"dataset has {dataset.label_count}"
+                )
+            targets = label_matrix(dataset)
+        else:
+            targets = regression_matrix(dataset)
+            if params.config.output_dim != dataset.regression_width:
+                raise ValueError(
+                    f"model predicts {params.config.output_dim} regression targets, "
+                    f"dataset has {dataset.regression_width}"
+                )
+        scores = predict(dataset.instances, params)
+        if task == "multilabel":
+            report = evaluate_multilabel(scores, targets, threshold=args.threshold)
+        else:
+            report = evaluate_regression(scores, targets)
+    with phases("write"):
+        report_path = Path(args.report)
+        report_path.parent.mkdir(parents=True, exist_ok=True)
+        outputs = [report_path]
+        if task == "multiregression":
+            scatter_path = report_path.with_name(report_path.stem + ".scatter.csv")
+            scatter_path.write_text(scatter_csv(scores, targets), encoding="utf-8")
+            outputs.append(scatter_path)
+        report_path.write_text(report.to_json() + "\n", encoding="utf-8")
     manifest_path = report_path.with_name(report_path.stem + ".manifest.json")
-    _write_manifest(manifest_path, "eval", args, outputs, started)
+    _write_manifest(manifest_path, "eval", args, outputs, phases, [dataset])
     print(f"wrote {report_path}")
     return 0
 
@@ -380,36 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _single_thread_blas() -> None:
-    """Run OpenBLAS on one thread for the calling thread, which does all of
-    a command's numeric work (for the whole process where the library has no
-    per-thread setting).
-
-    Threaded OpenBLAS splits a matrix product by thread count, and the split
-    changes the last bits of some entries, so checkpoints and reports would
-    depend on the machine's core count. Finds a loaded OpenBLAS (numpy's
-    bundled build or a system one) through the process's memory map; other
-    BLAS libraries and platforms without ``/proc`` are left as they are.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
-    except OSError:
-        return
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("openblas_set_num_threads_local", "scipy_openblas_set_num_threads64_",
-                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return
-
-
 def _fail(error_class: str, exc: BaseException) -> int:
     message = " ".join(str(exc).split())
     print(f"{error_class}: {message}", file=sys.stderr)
@@ -419,9 +451,9 @@ def _fail(error_class: str, exc: BaseException) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _single_thread_blas()
     try:
-        return args.func(args)
+        with _single_thread_blas():
+            return args.func(args)
     except FormatError as exc:
         return _fail("parse_error", exc)
     except ValidationError as exc:

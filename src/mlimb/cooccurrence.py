@@ -6,8 +6,9 @@ export document is shaped for chord-diagram plotters. Snapshot comparison
 lines up per-label counts and SCUMBLE across an original dataset and any
 number of resampled variants sharing its vocabulary.
 
-Counts are taken once per distinct label set and weighted by how many
-instances carry it; they are integers, so the totals are exact.
+Counts are taken once per distinct label set of the dataset's table and
+weighted by how many instances carry it; they are integers, so the totals
+are exact.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabelVocabulary, MultiLabelDataset
-from .metrics import irlbl, label_counts, label_set_counts, scumble_label
+from .metrics import irlbl, label_counts, scumble_label
 
 __all__ = [
     "CooccurrenceSummary",
@@ -66,8 +67,12 @@ def cooccurrence(
     members = set(subset)
     arcs = {l: 0 for l in subset}
     joint: dict[tuple[int, int], int] = {}
-    for labels, count in label_set_counts(dataset).items():
-        active = [l for l in labels if l in members]
+    owners, labels = dataset.set_members
+    table, multiplicities = dataset.label_sets, dataset.set_counts.tolist()
+    # Only the table's sets holding a label of the subset contribute.
+    for s in np.unique(owners[np.isin(labels, subset)]).tolist():
+        count = multiplicities[s]
+        active = [l for l in table[s] if l in members]
         for l in active:
             arcs[l] += count
         for i in range(len(active)):
@@ -132,8 +137,7 @@ def compare_snapshots(
             scumble[name] = tuple(0.0 for _ in subset)
         else:
             table = irlbl(c)
-            sets = label_set_counts(ds)
-            scumble[name] = tuple(scumble_label(ds, table, l, sets) for l in subset)
+            scumble[name] = tuple(scumble_label(ds, table, l) for l in subset)
     return SnapshotComparison(
         labels=subset,
         label_names=tuple(original.vocabulary.name_of(l) for l in subset),

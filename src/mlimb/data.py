@@ -1,11 +1,27 @@
 """Dataset model and line-delimited file format for multilabel molecular data.
 
-A dataset file is one JSON document per line: a header carrying the
-dataset-level dimensions, followed by one record per instance. Label sets are
-stored as sparse index arrays and fingerprints as hex strings, so files stay
-compact even with thousands of mostly-absent labels. Serialization is
-canonical (fixed key order, compact separators), which makes rewrites of a
-parsed file byte-identical.
+Storage. A ``MultiLabelDataset`` holds its rows as columns: tuples of ids and
+origins, tuples of references to each row's ``Fingerprint``,
+``MolecularGraph`` (or None) and regression-target array (or None), and one
+table of the distinct label sets, in order of first appearance, with one
+integer set id per row. Rows copied from another dataset share these objects
+with their sources instead of duplicating them. Statistics that depend on a
+row only through its label set read the table and the per-set
+multiplicities (``set_counts``), so their cost follows the number of
+distinct sets, not of rows.
+
+``instances`` is a read-only view of the same rows as ``Instance`` objects.
+A dataset built from an ``Instance`` list keeps that list; one built from
+another dataset's columns (a split or an oversampling result) makes it on
+first access. The columns never see a change to the list: build a new
+dataset with ``with_instances`` instead of mutating it.
+
+File format. A dataset file is one JSON document per line: a header carrying
+the dataset-level dimensions, followed by one record per instance. Label
+sets are stored as sparse index arrays and fingerprints as hex strings, so
+files stay compact even with thousands of mostly-absent labels.
+Serialization is canonical (fixed key order, compact separators), which
+makes rewrites of a parsed file byte-identical.
 """
 
 from __future__ import annotations
@@ -13,6 +29,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, starmap
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -171,7 +189,7 @@ class MolecularGraph:
         )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Instance:
     """One dataset row: fingerprint, optional graph, sparse label set.
 
@@ -201,6 +219,14 @@ class Instance:
                 raise ValidationError(f"instance {self.id!r}: regression targets must be a vector")
             self.regression_targets = reg
 
+    @classmethod
+    def _trusted(cls, id, fingerprint, labels, graph, regression_targets, origin) -> "Instance":
+        """Row view of fields a dataset has already validated."""
+        row = object.__new__(cls)
+        row.id, row.fingerprint, row.labels = id, fingerprint, labels
+        row.graph, row.regression_targets, row.origin = graph, regression_targets, origin
+        return row
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented
@@ -208,10 +234,44 @@ class Instance:
             return False
         if self.fingerprint != other.fingerprint or self.graph != other.graph:
             return False
-        a, b = self.regression_targets, other.regression_targets
-        if (a is None) != (b is None):
-            return False
-        return a is None or np.array_equal(a, b, equal_nan=True)
+        return _same_targets(self.regression_targets, other.regression_targets)
+
+
+def _same_targets(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b, equal_nan=True)
+
+
+class _SetIndex(dict):
+    """Label set -> set id, in order of first appearance; looking up an
+    unseen set adds it under the next id."""
+
+    def __missing__(self, labels: tuple[int, ...]) -> int:
+        self[labels] = set_id = len(self)
+        return set_id
+
+    def ids_of(self, label_sets: Iterable[tuple[int, ...]]) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, label_sets), dtype=np.intp)
+
+
+# Per-row object columns of a MultiLabelDataset, in the order they are stored.
+_COLUMNS = ("_ids", "_origins", "_fingerprints", "_graphs", "_targets")
+
+
+def _check_new_ids(new_ids: Iterable[str], taken: frozenset[str]) -> None:
+    """Raise for the first of ``new_ids`` that repeats an id of ``taken`` or
+    an earlier new id."""
+    seen: set[str] = set()
+    for inst_id in new_ids:
+        if inst_id in taken or inst_id in seen:
+            raise ValidationError(f"instance {inst_id!r}: duplicate instance id")
+        seen.add(inst_id)
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(eq=False)
@@ -222,7 +282,8 @@ class MultiLabelDataset:
     ``node_feature_dim``, and regression targets (when present) share
     ``regression_width``. ``meta`` holds extra header fields (for example the
     generator configuration echoed by synthetic datasets) and survives
-    round-trips through the file format.
+    round-trips through the file format. Rows are stored as columns (see the
+    module docstring); ``instances`` is their read-only row view.
     """
 
     vocabulary: LabelVocabulary
@@ -239,43 +300,206 @@ class MultiLabelDataset:
             raise ValidationError("node_feature_dim must be positive")
         if self.regression_width < 0:
             raise ValidationError("regression_width must be non-negative")
+        rows = self.instances
+        ids, origins, fingerprints, graphs, targets, labels = (
+            tuple(map(attrgetter(name), rows))
+            for name in ("id", "origin", "fingerprint", "graph", "regression_targets", "labels")
+        )
+        held = frozenset(ids)
+        if len(held) != len(ids):
+            _check_new_ids(ids, frozenset())
+        index = _SetIndex()
+        set_ids = index.ids_of(labels)
+        self._store((ids, origins, fingerprints, graphs, targets), tuple(index), set_ids)
+        self._id_set = held
+        self._check_rows(ids, labels, fingerprints, graphs, targets)
+
+    def _store(self, columns, label_sets, set_ids) -> None:
+        """Keep the object columns (None for a dataset that extends another,
+        see ``_extended``), the label-set table and the set ids."""
+        if columns is not None:
+            for name, column in zip(_COLUMNS, columns):
+                setattr(self, name, column)
+        self._label_sets: tuple[tuple[int, ...], ...] = label_sets
+        self._set_ids = _readonly(set_ids)
+        self._id_set: frozenset[str] | None = None
+        self._set_counts: np.ndarray | None = None
+        self._set_members: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _check_rows(self, ids, label_sets, fingerprints, graphs, targets) -> None:
+        """Dataset-level checks, other than unique ids, of the given rows in
+        order."""
         label_count = len(self.vocabulary)
-        ids = [inst.id for inst in self.instances]
-        if len(set(ids)) != len(ids):
-            seen: set[str] = set()
-            for inst_id in ids:
-                if inst_id in seen:
-                    raise ValidationError(f"instance {inst_id!r}: duplicate instance id")
-                seen.add(inst_id)
-        for inst in self.instances:
-            if inst.labels and inst.labels[-1] >= label_count:
+        width, node_dim, reg_width = (
+            self.fingerprint_width, self.node_feature_dim, self.regression_width)
+        for inst_id, labels, fingerprint, graph, reg in zip(
+            ids, label_sets, fingerprints, graphs, targets
+        ):
+            if labels and labels[-1] >= label_count:
                 raise ValidationError(
-                    f"instance {inst.id!r}: label index {inst.labels[-1]} outside vocabulary of size {label_count}"
+                    f"instance {inst_id!r}: label index {labels[-1]} outside vocabulary of size {label_count}"
                 )
-            if inst.fingerprint.width != self.fingerprint_width:
+            if fingerprint.bits.size != width:
                 raise ValidationError(
-                    f"instance {inst.id!r}: fingerprint width {inst.fingerprint.width} != declared {self.fingerprint_width}"
+                    f"instance {inst_id!r}: fingerprint width {fingerprint.width} != declared {width}"
                 )
-            if inst.graph is not None and inst.graph.feature_dim != self.node_feature_dim:
+            if graph is not None and graph.feature_dim != node_dim:
                 raise ValidationError(
-                    f"instance {inst.id!r}: node feature dim {inst.graph.feature_dim} != declared {self.node_feature_dim}"
+                    f"instance {inst_id!r}: node feature dim {graph.feature_dim} != declared {node_dim}"
                 )
-            if inst.regression_targets is not None:
-                if self.regression_width == 0:
+            if reg is not None:
+                if reg_width == 0:
                     raise ValidationError(
-                        f"instance {inst.id!r}: regression targets present but regression_width is 0"
+                        f"instance {inst_id!r}: regression targets present but regression_width is 0"
                     )
-                if inst.regression_targets.size != self.regression_width:
+                if reg.size != reg_width:
                     raise ValidationError(
-                        f"instance {inst.id!r}: regression width {inst.regression_targets.size} != declared {self.regression_width}"
+                        f"instance {inst_id!r}: regression width {reg.size} != declared {reg_width}"
                     )
 
+    def _derived(self, columns, label_sets, set_ids) -> "MultiLabelDataset":
+        """Dataset of the given columns with this one's vocabulary, dimensions
+        and meta, made without the public constructor's validation."""
+        out = object.__new__(MultiLabelDataset)
+        out.vocabulary = self.vocabulary
+        out.fingerprint_width = self.fingerprint_width
+        out.node_feature_dim = self.node_feature_dim
+        out.regression_width = self.regression_width
+        out.meta = dict(self.meta)
+        out._store(columns, label_sets, set_ids)
+        return out
+
+    def _extended(self, extension, label_sets, set_ids) -> "MultiLabelDataset":
+        """This dataset followed by the rows of ``extension`` (one tuple per
+        object column). The result joins this dataset's object columns with
+        the extension when a column is first read, so statistics, which read
+        only the label sets, never copy them."""
+        out = self._derived(None, label_sets, set_ids)
+        out._base, out._extension = self, extension
+        return out
+
+    def _take(self, rows: np.ndarray) -> "MultiLabelDataset":
+        """This dataset's rows at positions ``rows``, in that order, sharing
+        their objects; the label-set table keeps the sets they use, renumbered
+        by first appearance."""
+        rows = np.asarray(rows, dtype=np.intp)
+        pick = rows.tolist()
+        used, first, inverse = np.unique(self._set_ids[rows], return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first)
+        renumber = np.empty(used.size, dtype=np.intp)
+        renumber[order] = np.arange(used.size)
+        return self._derived(
+            tuple(tuple(map(getattr(self, name).__getitem__, pick)) for name in _COLUMNS),
+            tuple(self._label_sets[s] for s in used[order].tolist()),
+            renumber[inverse],
+        )
+
+    def _with_copies(self, rows: np.ndarray, ids: list[str], origins: list[str]
+                     ) -> "MultiLabelDataset":
+        """This dataset followed by copies of its rows ``rows`` under the new
+        ``ids`` and ``origins``. Copies share every object with their source
+        and are not revalidated: the caller guarantees the ids are new."""
+        pick = np.asarray(rows, dtype=np.intp).tolist()
+        return self._extended(
+            (tuple(ids), tuple(origins), *(tuple(map(column.__getitem__, pick)) for column in (
+                self._fingerprints, self._graphs, self._targets))),
+            self._label_sets,
+            np.concatenate([self._set_ids, self._set_ids[pick]]),
+        )
+
+    def _append(self, ids: list[str], origins: list[str], fingerprints: list[Fingerprint],
+                label_sets: list[tuple[int, ...]]) -> "MultiLabelDataset":
+        """This dataset followed by new rows without graph or regression
+        targets; label sets must be sorted and free of repeats. Only the new
+        rows are validated."""
+        taken = self.id_set
+        if not taken.isdisjoint(ids) or len(set(ids)) != len(ids):
+            _check_new_ids(ids, taken)
+        index = _SetIndex(zip(self._label_sets, range(len(self._label_sets))))
+        set_ids = index.ids_of(label_sets)
+        extension = (tuple(ids), tuple(origins), tuple(fingerprints),
+                     (None,) * len(ids), (None,) * len(ids))
+        out = self._extended(extension, tuple(index), np.concatenate([self._set_ids, set_ids]))
+        out._check_rows(extension[0], label_sets, *extension[2:])
+        return out
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes never set. A dataset made by
+        # ``_extended`` joins an object column when it is first read, and one
+        # made from columns builds its row view on first access; both are kept.
+        if name in _COLUMNS and "_extension" in self.__dict__:
+            value = getattr(self._base, name) + self._extension[_COLUMNS.index(name)]
+        elif name == "instances":
+            value = list(starmap(Instance._trusted, self._row_fields()))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        setattr(self, name, value)
+        return value
+
     def __len__(self) -> int:
-        return len(self.instances)
+        return self._set_ids.size
 
     @property
     def label_count(self) -> int:
         return len(self.vocabulary)
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        return self._ids
+
+    @property
+    def id_set(self) -> frozenset[str]:
+        """The ids of all rows, for membership tests; built once."""
+        if self._id_set is None:
+            self._id_set = frozenset(self._ids)
+        return self._id_set
+
+    @property
+    def fingerprints(self) -> tuple[Fingerprint, ...]:
+        return self._fingerprints
+
+    @property
+    def label_sets(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct label sets, in order of first appearance."""
+        return self._label_sets
+
+    @property
+    def set_ids(self) -> np.ndarray:
+        """Per row, the position of its label set in ``label_sets`` (read-only)."""
+        return self._set_ids
+
+    @property
+    def set_counts(self) -> np.ndarray:
+        """Rows carrying each label set (read-only)."""
+        if self._set_counts is None:
+            self._set_counts = _readonly(
+                np.bincount(self._set_ids, minlength=len(self._label_sets)))
+        return self._set_counts
+
+    @property
+    def set_members(self) -> tuple[np.ndarray, np.ndarray]:
+        """One (set, label) pair per label of each set of ``label_sets``, set
+        by set: the set positions and the labels (both read-only)."""
+        if self._set_members is None:
+            sets = self._label_sets
+            owners = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+            labels = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=owners.size)
+            self._set_members = (_readonly(owners), _readonly(labels))
+        return self._set_members
+
+    def rows_with_label(self, label: int) -> np.ndarray:
+        """Positions of the rows whose label set holds ``label``, ascending."""
+        owners, labels = self.set_members
+        holds = np.zeros(len(self._label_sets), dtype=bool)
+        holds[owners[labels == label]] = True
+        return np.flatnonzero(holds[self._set_ids])
+
+    def _row_fields(self) -> Iterable[tuple]:
+        """(id, fingerprint, labels, graph, regression targets, origin) of each row."""
+        sets = self._label_sets
+        return zip(self._ids, self._fingerprints, map(sets.__getitem__, self._set_ids.tolist()),
+                   self._graphs, self._targets, self._origins)
 
     def with_instances(self, instances: list[Instance]) -> "MultiLabelDataset":
         """New dataset sharing vocabulary, dimensions, and meta."""
@@ -291,14 +515,21 @@ class MultiLabelDataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiLabelDataset):
             return NotImplemented
+        # Both tables list their sets by first appearance, so equal row labels
+        # mean equal tables and equal set ids.
         return (
             self.vocabulary.names == other.vocabulary.names
             and self.fingerprint_width == other.fingerprint_width
             and self.node_feature_dim == other.node_feature_dim
             and self.regression_width == other.regression_width
             and self.meta == other.meta
-            and len(self.instances) == len(other.instances)
-            and all(a == b for a, b in zip(self.instances, other.instances))
+            and self._ids == other._ids
+            and self._origins == other._origins
+            and self._label_sets == other._label_sets
+            and np.array_equal(self._set_ids, other._set_ids)
+            and self._fingerprints == other._fingerprints
+            and self._graphs == other._graphs
+            and all(map(_same_targets, self._targets, other._targets))
         )
 
 
@@ -349,17 +580,17 @@ def _format_header(dataset: MultiLabelDataset) -> str:
     return json.dumps(header, separators=(",", ":"))
 
 
-def _format_record(inst: Instance) -> str:
-    record: dict = {"id": inst.id, "fp": inst.fingerprint.to_hex(), "labels": list(inst.labels)}
-    if inst.graph is not None:
+def _format_record(inst_id, fingerprint, labels, graph, reg, origin) -> str:
+    record: dict = {"id": inst_id, "fp": fingerprint.to_hex(), "labels": list(labels)}
+    if graph is not None:
         record["graph"] = {
-            "nodes": inst.graph.node_features.tolist(),
-            "edges": [[u, v] for u, v in inst.graph.edges],
+            "nodes": graph.node_features.tolist(),
+            "edges": [[u, v] for u, v in graph.edges],
         }
-    if inst.regression_targets is not None:
-        record["reg"] = inst.regression_targets.tolist()
-    if inst.origin is not None:
-        record["origin"] = inst.origin
+    if reg is not None:
+        record["reg"] = reg.tolist()
+    if origin is not None:
+        record["origin"] = origin
     return json.dumps(record, separators=(",", ":"))
 
 
@@ -507,8 +738,8 @@ def write_dataset(dataset: MultiLabelDataset, destination: TextIO | str | Path) 
             write_dataset(dataset, fh)
         return
     destination.write(_format_header(dataset) + "\n")
-    for inst in dataset.instances:
-        destination.write(_format_record(inst) + "\n")
+    for fields in dataset._row_fields():
+        destination.write(_format_record(*fields) + "\n")
 
 
 def default_vocabulary_path(records_path: str | Path) -> Path:
@@ -552,8 +783,7 @@ def split_dataset(
     n_test = int(math.floor(test_fraction * n + 0.5))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    test_ids = set(perm[:n_test].tolist())
+    in_test = np.zeros(n, dtype=bool)
+    in_test[perm[:n_test]] = True
     # Both sides keep the original relative instance order.
-    train = [inst for i, inst in enumerate(dataset.instances) if i not in test_ids]
-    test = [inst for i, inst in enumerate(dataset.instances) if i in test_ids]
-    return dataset.with_instances(train), dataset.with_instances(test)
+    return dataset._take(np.flatnonzero(~in_test)), dataset._take(np.flatnonzero(in_test))

@@ -16,11 +16,14 @@ recover the pair count exactly in IEEE arithmetic, so the report carries
 bit-for-bit invariant under duplicating the whole dataset, since correctly
 rounded results of 2a/2b and a/b coincide.
 
-Grouping by label set. SCUMBLE depends on an instance only through its label
-set, so each distinct set is scored once and its score enters the sums once
-per instance that carries it, via itertools.repeat. fsum returns the
-correctly rounded value of the exact sum of its inputs whatever their order,
-so these sums equal the per-instance ones to the bit. The product
+Grouping by label set. Every statistic here depends on an instance only
+through its label set, so all of them read the dataset's table of distinct
+sets and their multiplicities (``set_counts``) instead of walking instances.
+Counts are multiplicity-weighted sums over the table, exact in integers.
+Each distinct set's SCUMBLE is computed once and enters the sums once per
+instance that carries it, via itertools.repeat. fsum returns the correctly
+rounded value of the exact sum of its inputs whatever their order, so these
+sums equal the per-instance ones to the bit. The product
 score * multiplicity would round, which is why the score is repeated rather
 than multiplied.
 """
@@ -56,16 +59,17 @@ __all__ = [
 
 def label_counts(dataset: MultiLabelDataset) -> np.ndarray:
     """counts[l] = number of instances whose label set contains l."""
-    flat = [l for inst in dataset.instances for l in inst.labels]
-    if not flat:
-        return np.zeros(dataset.label_count, dtype=np.int64)
-    return np.bincount(np.asarray(flat, dtype=np.int64), minlength=dataset.label_count)
+    owners, labels = dataset.set_members
+    # Float weights hold these integer sums exactly (they stay below 2**53).
+    weighted = np.bincount(labels, weights=dataset.set_counts[owners],
+                           minlength=dataset.label_count)
+    return weighted.astype(np.int64)
 
 
 def label_set_counts(dataset: MultiLabelDataset) -> Counter[tuple[int, ...]]:
     """Number of instances carrying each distinct label set, in order of
     first appearance."""
-    return Counter(inst.labels for inst in dataset.instances)
+    return Counter(dict(zip(dataset.label_sets, dataset.set_counts.tolist())))
 
 
 def irlbl(counts: np.ndarray) -> np.ndarray:
@@ -91,7 +95,8 @@ def mean_ir(irlbl_values: np.ndarray) -> float:
 
 def positive_pair_count(dataset: MultiLabelDataset) -> int:
     """Total number of positive (instance, label) pairs."""
-    return sum(len(inst.labels) for inst in dataset.instances)
+    owners, _ = dataset.set_members
+    return int(dataset.set_counts[owners].sum())
 
 
 def cardinality(dataset: MultiLabelDataset) -> float:
@@ -107,10 +112,10 @@ def _set_scumble(labels: tuple[int, ...], irlbl_table: np.ndarray | list[float])
     so callers scoring many sets pass the table as a list."""
     if len(labels) <= 1:
         return 0.0
-    values = [float(irlbl_table[l]) for l in labels]
-    if any(math.isnan(v) for v in values):
+    values = [irlbl_table[l] for l in labels]
+    if any(map(math.isnan, values)):
         return None
-    if all(v == values[0] for v in values):
+    if values.count(values[0]) == len(values):
         return 0.0
     am = math.fsum(values) / len(values)
     gm = math.exp(math.fsum(map(math.log, values)) / len(values))
@@ -135,21 +140,20 @@ def scumble_instance(instance: Instance, irlbl_table: np.ndarray) -> float:
     return score
 
 
-def _set_scores(
-    dataset: MultiLabelDataset, irlbl_table: np.ndarray, sets: dict[tuple[int, ...], int]
-) -> list[float]:
-    """SCUMBLE of each label set of ``sets``, in their order.
+def _set_scores(dataset: MultiLabelDataset, irlbl_table: np.ndarray, sets: list[int]) -> list[float]:
+    """SCUMBLE of each of the dataset's label sets at positions ``sets``.
 
     A set with an undefined IRLbl raises naming the first instance carrying
-    it; sets come in first-appearance order, so that is the first offending
-    instance of the dataset, as a per-instance pass would report.
+    it. The table lists sets by first appearance, so for ascending ``sets``
+    that is the first offending instance of the dataset, as a per-instance
+    pass would report.
     """
     values = np.asarray(irlbl_table, dtype=np.float64).tolist()
-    scores = [_set_scumble(labels, values) for labels in sets]
+    table = dataset.label_sets
+    scores = [_set_scumble(table[s], values) for s in sets]
     if None in scores:
-        undefined = list(sets)[scores.index(None)]
-        first = next(inst for inst in dataset.instances if inst.labels == undefined)
-        raise _undefined_irlbl(first.id)
+        undefined = sets[scores.index(None)]
+        raise _undefined_irlbl(dataset.ids[int(np.argmax(dataset.set_ids == undefined))])
     return scores
 
 
@@ -158,25 +162,15 @@ def _repeated_mean(scores: list[float], multiplicities: list[int], total: int) -
     return math.fsum(chain.from_iterable(map(repeat, scores, multiplicities))) / total
 
 
-def scumble_label(
-    dataset: MultiLabelDataset,
-    irlbl_table: np.ndarray,
-    label: int,
-    label_sets: Counter[tuple[int, ...]] | None = None,
-) -> float:
-    """Mean instance SCUMBLE over instances containing the label; 0 if absent.
-
-    ``label_sets`` is ``label_set_counts(dataset)``, for callers that score
-    several labels of one dataset and so need to group it only once.
-    """
-    if label_sets is None:
-        label_sets = label_set_counts(dataset)
-    sets = {labels: c for labels, c in label_sets.items() if label in labels}
-    if not sets:
+def scumble_label(dataset: MultiLabelDataset, irlbl_table: np.ndarray, label: int) -> float:
+    """Mean instance SCUMBLE over instances containing the label; 0 if absent."""
+    owners, labels = dataset.set_members
+    held = owners[labels == label].tolist()
+    if not held:
         return 0.0
-    multiplicities = list(sets.values())
+    multiplicities = dataset.set_counts[held].tolist()
     return _repeated_mean(
-        _set_scores(dataset, irlbl_table, sets), multiplicities, sum(multiplicities)
+        _set_scores(dataset, irlbl_table, held), multiplicities, sum(multiplicities)
     )
 
 
@@ -228,17 +222,16 @@ def imbalance_report(dataset: MultiLabelDataset) -> ImbalanceReport:
     m_ir = mean_ir(ir)
     pairs = int(counts.sum())
 
-    sets = label_set_counts(dataset)
-    scores = _set_scores(dataset, ir, sets)
-    multiplicities = list(sets.values())
-    holders: list[list[int]] = [[] for _ in range(dataset.label_count)]
-    for i, labels in enumerate(sets):
-        for l in labels:
-            holders[l].append(i)
+    scores = _set_scores(dataset, ir, list(range(len(dataset.label_sets))))
+    multiplicities = dataset.set_counts.tolist()
+    # The sets holding each label, ascending: owners grouped by label.
+    owners, labels = dataset.set_members
+    holders = owners[np.argsort(labels, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(labels, minlength=dataset.label_count)).tolist()
     scumble_per_label = tuple(
         _repeated_mean([scores[i] for i in held], [multiplicities[i] for i in held],
                        int(counts[l])) if held else 0.0
-        for l, held in enumerate(holders)
+        for l, held in enumerate(holders[a:b] for a, b in zip([0] + ends, ends))
     )
     scumble_mean = _repeated_mean(scores, multiplicities, n)
 

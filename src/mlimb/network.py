@@ -34,11 +34,15 @@ target, which for 0/1 targets is the two-log form to the bit.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -733,6 +737,62 @@ def _check_targets(dataset: MultiLabelDataset, net: NetworkConfig, task: str) ->
     _require_regression_targets(dataset.instances)
 
 
+# (get, set) thread-count symbols of OpenBLAS builds; numpy's bundled build
+# prefixes its names.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """Getter and setter of the thread count of the loaded OpenBLAS, found
+    through the process's memory map; None for other BLAS libraries and on
+    platforms without ``/proc``."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            getter, setter = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+@contextmanager
+def _single_thread_blas() -> Iterator[None]:
+    """Run OpenBLAS on one thread inside the block, then restore the
+    caller's thread count.
+
+    Threaded OpenBLAS splits a matrix product by thread count, and the split
+    changes the last bits of some entries, so checkpoints and predictions
+    would depend on the machine's core count. The setting is process-wide.
+    Other BLAS libraries are left as they are.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def train(
     dataset: MultiLabelDataset, net: NetworkConfig, cfg: TrainConfig
 ) -> tuple[ModelParameters, list[float]]:
@@ -743,8 +803,16 @@ def train(
     output_dim of them, never the whole dataset's. Raises ValueError before
     the first update when the dataset cannot supply the task's targets or a
     graph input mode meets instances without a graph, and at the first
-    non-finite loss, naming the epoch.
+    non-finite loss, naming the epoch. OpenBLAS runs on one thread meanwhile,
+    so the result does not depend on the core count.
     """
+    with _single_thread_blas():
+        return _train(dataset, net, cfg)
+
+
+def _train(
+    dataset: MultiLabelDataset, net: NetworkConfig, cfg: TrainConfig
+) -> tuple[ModelParameters, list[float]]:
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     _check_targets(dataset, net, cfg.task)
@@ -816,7 +884,8 @@ _PREDICT_BLOCK_ROWS = 256
 
 def predict(instances: list[Instance], params: ModelParameters) -> np.ndarray:
     """Forward pass in row blocks written into one output; rows follow
-    instance order, and fewer than 512 rows run as a single batch."""
+    instance order, and fewer than 512 rows run as a single batch. OpenBLAS
+    runs on one thread meanwhile, as in ``train``."""
     # Checked over all rows, so the error counts the whole input and comes
     # before any block runs.
     _require_graphs(instances, params.config)
@@ -824,8 +893,9 @@ def predict(instances: list[Instance], params: ModelParameters) -> np.ndarray:
     blocks = max(1, n // _PREDICT_BLOCK_ROWS)
     edges = [n * k // blocks for k in range(blocks + 1)]
     out = np.empty((n, params.config.output_dim))
-    for lo, hi in zip(edges, edges[1:]):
-        out[lo:hi] = forward(build_batch(instances[lo:hi], params.config), params).y_pred
+    with _single_thread_blas():
+        for lo, hi in zip(edges, edges[1:]):
+            out[lo:hi] = forward(build_batch(instances[lo:hi], params.config), params).y_pred
     return out
 
 

@@ -6,8 +6,8 @@ Two methods share one interface:
     Scores every labeled instance by the fraction of its active labels that
     are minority labels (IRLbl strictly above MeanIR), ranks descending,
     selects the top floor((p/r)*|D|), and appends exactly r verbatim copies
-    of each. Runs in O(|D| * mean labels per instance + |D| log |D|): no
-    pairwise instance comparisons.
+    of each. Each distinct label set is scored once, so ranking runs in
+    O(sets * mean set size + |D| log |D|): no pairwise comparisons.
 
 ``mlsmote``
     Walks minority-label instance bags in descending IRLbl order and, per
@@ -22,8 +22,12 @@ Two methods share one interface:
     stays quadratic in bag size: bag^2 * width multiply-adds, then a stable
     argsort of every row of distances. Memory is bounded by block x bag
     for the distances, on top of the bag's own bits (held as float64 for
-    the GEMM) and labels. The votes are one gather-and-sum per bag; only
-    building each synthetic Instance is still per-row Python.
+    the GEMM) and labels. Bags come from the label-set table, and the votes
+    are one gather-and-sum per bag.
+
+Results are built from the input's columns (see ``mlimb.data``): copies and
+replays are index gathers sharing every object with their source, and only
+mlsmote's synthetics are validated. Only id minting is still per-row Python.
 
 Copies and synthetics get fresh ids (source id plus a ``::p<j>`` / ``::s<j>``
 suffix, j the source's next serial whose id the dataset does not hold) and
@@ -155,20 +159,13 @@ def _ranked_indices(
     Order is score descending with index as the tie-break; the score of
     index i is scores[position of i in the returned order].
     """
-    n = len(dataset.instances)
-    lengths = np.fromiter((len(inst.labels) for inst in dataset.instances), np.int64, count=n)
-    flat = [l for inst in dataset.instances for l in inst.labels]
-    mask = np.zeros(dataset.label_count, dtype=np.float64)
-    mask[list(minority_set)] = 1.0
-    hits = np.zeros(n, dtype=np.float64)
-    if flat:
-        owners = np.repeat(np.arange(n), lengths)
-        hits = np.bincount(owners, weights=mask[np.asarray(flat, dtype=np.int64)], minlength=n)
-    scorable = lengths > 0
-    scores = np.zeros(n, dtype=np.float64)
-    scores[scorable] = hits[scorable] / lengths[scorable]
-    order = np.lexsort((np.arange(n), -scores))
-    order = order[scorable[order]]
+    owners, labels = dataset.set_members
+    sizes = np.bincount(owners, minlength=len(dataset.label_sets))
+    hits = np.bincount(owners, weights=np.isin(labels, list(minority_set)), minlength=sizes.size)
+    scorable = sizes > 0
+    scores = np.divide(hits, sizes, out=np.zeros(sizes.size), where=scorable)[dataset.set_ids]
+    order = np.argsort(-scores, kind="stable")
+    order = order[scorable[dataset.set_ids[order]]]
     return order, scores[order]
 
 
@@ -200,7 +197,7 @@ def _unchanged(
 ) -> ResampleOutcome:
     """Outcome of a method that adds nothing, with the reason as its warning."""
     return ResampleOutcome(
-        dataset=dataset.with_instances(list(dataset.instances)),
+        dataset=dataset._take(np.arange(len(dataset))),
         method=method,
         added_count=0,
         minority_label_count=minority_label_count,
@@ -208,30 +205,27 @@ def _unchanged(
     )
 
 
-def _id_minter(dataset: MultiLabelDataset, tag: str) -> Callable[[str], str]:
-    """Mints ``<src>::<tag><j>`` with a per-source serial j counting from 1,
-    skipping ids the dataset already holds. Two sources never mint the same
-    id, since the suffix after the last ``::`` holds no colon."""
-    taken = {inst.id for inst in dataset.instances}
+def _id_minter(dataset: MultiLabelDataset, tag: str) -> Callable[[list[str]], list[str]]:
+    """Mints one id per source id of a list: ``<src>::<tag><j>`` with a
+    per-source serial j counting from 1 across calls, skipping ids the
+    dataset already holds. Two sources never mint the same id, since the
+    suffix after the last ``::`` holds no colon."""
+    taken = dataset.id_set
     serials: dict[str, int] = {}
 
-    def mint(src_id: str) -> str:
-        j = serials.get(src_id, 0) + 1
-        while f"{src_id}::{tag}{j}" in taken:
-            j += 1
-        serials[src_id] = j
-        return f"{src_id}::{tag}{j}"
+    def mint(sources: list[str]) -> list[str]:
+        minted = []
+        for src_id in sources:
+            j = serials.get(src_id, 0) + 1
+            new_id = f"{src_id}::{tag}{j}"
+            while new_id in taken:
+                j += 1
+                new_id = f"{src_id}::{tag}{j}"
+            serials[src_id] = j
+            minted.append(new_id)
+        return minted
 
     return mint
-
-
-def _copy_of(template: Instance, new_id: str, origin: str) -> Instance:
-    # Verbatim copy sharing every field reference with the template. Bypasses
-    # field revalidation, which the template already passed and which
-    # dominates wall time when appending tens of thousands of rows.
-    dup = object.__new__(Instance)
-    dup.__dict__.update(template.__dict__, id=new_id, origin=origin)
-    return dup
 
 
 def oversample_proposed(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutcome:
@@ -260,18 +254,16 @@ def oversample_proposed(dataset: MultiLabelDataset, config: ResampleConfig) -> R
     if zero_score:
         warnings.append(f"{zero_score} selected instances had zero minority score")
 
+    ids = dataset.ids
+    copied = np.repeat(selected, config.r)
+    sources = [ids[i] for i in copied.tolist()]
     mint = _id_minter(dataset, "p")
-    added = [
-        _copy_of(src, mint(src.id), src.id)
-        for src in (dataset.instances[i] for i in selected)
-        for _ in range(config.r)
-    ]
     return ResampleOutcome(
-        dataset=dataset.with_instances(list(dataset.instances) + added),
+        dataset=dataset._with_copies(copied, mint(sources), sources),
         method="proposed",
-        added_count=len(added),
+        added_count=len(sources),
         minority_label_count=len(minority),
-        selected_ids=tuple(dataset.instances[i].id for i in selected),
+        selected_ids=tuple(sources[::config.r]),
         zero_score_selected=zero_score,
         warnings=tuple(warnings),
     )
@@ -330,24 +322,25 @@ def _vote(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
     return (tally > size // 2).astype(np.uint8)
 
 
-def _label_indicator(label_sets: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """Labels present in any of the sets, ascending, and the 0/1 matrix of
-    which set holds which of them."""
-    flat = np.fromiter(chain.from_iterable(label_sets), dtype=np.int64)
+def _label_indicator(dataset: MultiLabelDataset, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels carried by any of the dataset's ``rows``, ascending, and the 0/1
+    matrix of which row holds which of them, built once per distinct set."""
+    sets, where = np.unique(dataset.set_ids[rows], return_inverse=True)
+    table = [dataset.label_sets[s] for s in sets.tolist()]
+    flat = np.fromiter(chain.from_iterable(table), dtype=np.int64)
     present, column = np.unique(flat, return_inverse=True)
-    indicator = np.zeros((len(label_sets), present.size), dtype=np.uint8)
-    owner = np.repeat(np.arange(len(label_sets)), [len(ls) for ls in label_sets])
-    indicator[owner, column] = 1
-    return present, indicator
+    indicator = np.zeros((len(table), present.size), dtype=np.uint8)
+    indicator[np.repeat(np.arange(len(table)), [len(t) for t in table]), column] = 1
+    return present, indicator[where]
 
 
 def _bag_votes(
-    bag: list[Instance], seeds: np.ndarray, k: int
+    dataset: MultiLabelDataset, bag: np.ndarray, seeds: np.ndarray, k: int
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Voted fingerprint rows and label sets of each seed position of one bag,
-    each seed voting with its k nearest bag neighbors."""
-    bits = np.stack([inst.fingerprint.bits for inst in bag])
-    present, indicator = _label_indicator([inst.labels for inst in bag])
+    """Voted fingerprint rows and label sets of each seed position of one bag
+    (dataset rows), each seed voting with its k nearest bag neighbors."""
+    bits = np.stack([fp.bits for fp in map(dataset.fingerprints.__getitem__, bag.tolist())])
+    present, indicator = _label_indicator(dataset, bag)
     groups = np.column_stack([seeds, _neighbours(bits, seeds, k)])
     rows, columns = np.nonzero(_vote(indicator, groups))
     flat = present[columns].tolist()
@@ -381,11 +374,7 @@ def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutco
         )
 
     ordered_minority = sorted(minority, key=lambda l: (-table[l], l))
-    bags: dict[int, list[int]] = {l: [] for l in ordered_minority}
-    for index, inst in enumerate(dataset.instances):
-        for l in inst.labels:
-            if l in bags:
-                bags[l].append(index)
+    bags = {l: dataset.rows_with_label(l) for l in ordered_minority}
     usable = [l for l in ordered_minority if len(bags[l]) >= 2]
     round_size = sum(len(bags[l]) for l in usable)
 
@@ -398,38 +387,44 @@ def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutco
     else:
         warnings = []
 
+    ids = dataset.ids
     mint = _id_minter(dataset, "s")
-    per_label: dict[int, int] = {l: 0 for l in ordered_minority}
-    added: list[Instance] = []
+    per_label = dict.fromkeys(ordered_minority, 0)
+    origins: list[str] = []  # the seed id of each synthetic of the round
+    fingerprints: list[Fingerprint] = []
+    label_sets: list[tuple[int, ...]] = []
     round_labels: list[int] = []  # the bag label of each synthetic of the round
-    distinct: set[tuple[bytes, tuple[int, ...]]] = set()
+    made: dict[tuple[bytes, tuple[int, ...]], Fingerprint] = {}  # one per distinct synthetic
     for l in usable:
-        seeds = np.arange(min(len(bags[l]), budget - len(added)))
+        seeds = np.arange(min(len(bags[l]), budget - len(origins)))
         if not seeds.size:
             break
-        bag = [dataset.instances[i] for i in bags[l]]
-        voted_bits, voted_labels = _bag_votes(bag, seeds, config.k)
-        for pos, bits, labels in zip(seeds.tolist(), voted_bits, voted_labels):
-            seed_id = bag[pos].id
-            added.append(
-                Instance(id=mint(seed_id), fingerprint=Fingerprint(bits), labels=labels,
-                         origin=seed_id)
-            )
-            distinct.add((bits.tobytes(), labels))
-        per_label[l] += len(seeds)
+        bag = bags[l]
+        voted_bits, voted_labels = _bag_votes(dataset, bag, seeds, config.k)
+        for seed, bits, voted in zip(bag[seeds].tolist(), voted_bits, voted_labels):
+            key = (bits.tobytes(), voted)
+            if key not in made:
+                made[key] = Fingerprint(bits)
+            origins.append(ids[seed])
+            fingerprints.append(made[key])
+            label_sets.append(voted)
         round_labels += [l] * len(seeds)
-    for j in range(len(added), budget if round_size else 0):
-        replayed = added[j % round_size]
-        added.append(_copy_of(replayed, mint(replayed.origin), replayed.origin))
+    result = dataset._append(mint(origins), origins, fingerprints, label_sets)
+
+    # Replays gather the round's rows again under the seeds' next ids.
+    replayed = np.arange(len(origins), budget if round_size else 0) % max(round_size, 1)
+    replay_origins = [origins[j] for j in replayed.tolist()]
+    result = result._with_copies(len(dataset) + replayed, mint(replay_origins), replay_origins)
+    for j in range(len(result) - len(dataset)):
         per_label[round_labels[j % round_size]] += 1
 
     return ResampleOutcome(
-        dataset=dataset.with_instances(list(dataset.instances) + added),
+        dataset=result,
         method="mlsmote",
-        added_count=len(added),
+        added_count=len(result) - len(dataset),
         minority_label_count=len(minority),
         per_label_synthetic_counts=per_label,
-        distinct_synthetics=len(distinct),
+        distinct_synthetics=len(made),
         warnings=tuple(warnings),
     )
 

@@ -373,6 +373,37 @@ def _cli_env(**extra):
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **extra}
 
 
+LIBRARY_RUN = """
+import sys
+from mlimb import network, synth
+
+data = synth.generate(synth.SynthConfig(n_instances=600, n_labels=20, cooccurrence_boost=0.3,
+                                        seed=5))
+net = network.NetworkConfig(node_feature_dim=data.node_feature_dim,
+                            fingerprint_width=data.fingerprint_width, output_dim=20,
+                            hidden_dims=(32, 32), fuse_dim=32)
+params, _ = network.train(data, net, network.TrainConfig(task="multilabel", epochs=20,
+                                                         learning_rate=1.0))
+network.save_checkpoint(params, sys.argv[1])
+scores = network.predict(data.instances, params)
+threads = network._openblas_threads()
+print(scores.tobytes().hex(), threads[0]() if threads else "none")
+"""
+
+
+def test_library_train_and_predict_pin_blas_and_restore_the_callers_threads(tmp_path):
+    outputs = {}
+    for threads in ("1", "2"):
+        model = tmp_path / f"model{threads}.json"
+        out = subprocess.run([sys.executable, "-c", LIBRARY_RUN, str(model)],
+                             env=_cli_env(OPENBLAS_NUM_THREADS=threads),
+                             capture_output=True, text=True, check=True)
+        scores, after = out.stdout.split()
+        assert after in (threads, "none")  # the caller's count is back after the calls
+        outputs[threads] = (model.read_bytes(), scores)
+    assert outputs["1"] == outputs["2"]
+
+
 def test_cli_import_does_not_load_scipy():
     probe = ("import sys, mlimb.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -401,3 +432,35 @@ def test_train_and_eval_identical_across_blas_thread_counts(tmp_path, capsys):
                            capture_output=True, check=True)
         outputs[threads] = [(out / name).read_bytes() for name in ("model.json", "report.json")]
     assert outputs["1"] == outputs["2"]
+
+
+def test_every_manifest_records_phases_peak_rss_sizes_and_numpy(synth_dir, tmp_path, capsys):
+    import numpy as np
+
+    data = str(synth_dir / "dataset.jsonl")
+    model = tmp_path / "model.json"
+    runs = {
+        tmp_path / "m" / "manifest.json": ["metrics", "--data", data, "--out", str(tmp_path / "m")],
+        tmp_path / "o" / "manifest.json": ["oversample", "--data", data, "--method", "proposed",
+                                           "--p", "0.5", "--out", str(tmp_path / "o")],
+        tmp_path / "c" / "manifest.json": ["cooccur", "--data", f"a={data}", "--data", f"b={data}",
+                                           "--random-labels", "2", "--out", str(tmp_path / "c")],
+        tmp_path / "model.manifest.json": ["train", "--data", data, "--task", "multilabel",
+                                           "--epochs", "2", "--hidden", "4", "--fuse-dim", "3",
+                                           "--model-out", str(model)],
+        tmp_path / "report.manifest.json": ["eval", "--data", data, "--model", str(model),
+                                            "--report", str(tmp_path / "report.json")],
+        synth_dir / "manifest.json": None,  # written by the fixture
+    }
+    for manifest, argv in runs.items():
+        if argv is not None:
+            assert run(capsys, *argv)[0] == 0
+        doc = json.loads(manifest.read_text())
+        assert set(doc["phases"]) == {"load", "compute", "write"}
+        assert all(seconds >= 0.0 for seconds in doc["phases"].values())
+        assert sum(doc["phases"].values()) <= doc["wall_time_seconds"]
+        assert doc["peak_rss_mb"] > 1.0
+        rows = 80 if doc["subcommand"] == "cooccur" else 40
+        assert doc["input_sizes"] == {"instances": rows, "labels": 6}
+        assert doc["numpy_version"] == np.__version__
+    assert json.loads((synth_dir / "manifest.json").read_text())["phases"]["load"] == 0.0

@@ -224,6 +224,124 @@ def test_dataset_rejects_wrong_regression_width():
 
 
 # ---------------------------------------------------------------------------
+# Column storage: gathers and appends equal the public constructor
+# ---------------------------------------------------------------------------
+
+def rebuilt(dataset: MultiLabelDataset, rows) -> MultiLabelDataset:
+    """The same rows through the public constructor, which validates them all."""
+    return dataset.with_instances([dataset.instances[i] for i in rows])
+
+
+def assert_same_dataset(got: MultiLabelDataset, expected: MultiLabelDataset) -> None:
+    from mlimb.cooccurrence import cooccurrence
+    from mlimb.metrics import imbalance_report, label_counts, label_set_counts, positive_pair_count
+
+    assert got == expected
+    assert got.instances == expected.instances
+    assert list(label_set_counts(got).items()) == list(label_set_counts(expected).items())
+    assert np.array_equal(label_counts(got), label_counts(expected))
+    assert positive_pair_count(got) == positive_pair_count(expected)
+    if len(got) and label_counts(got).any():
+        assert imbalance_report(got).to_json() == imbalance_report(expected).to_json()
+    subset = list(range(min(3, got.label_count)))
+    assert cooccurrence(got, subset) == cooccurrence(expected, subset)
+    buf_got, buf_expected = io.StringIO(), io.StringIO()
+    write_dataset(got, buf_got)
+    write_dataset(expected, buf_expected)
+    assert buf_got.getvalue() == buf_expected.getvalue()
+
+
+def test_gathered_rows_equal_constructed_rows():
+    rng = np.random.default_rng(70)
+    for _ in range(60):
+        dataset = random_dataset(rng, max_instances=30, max_labels=6,
+                                 reg_width=int(rng.integers(0, 3)))
+        n = len(dataset)
+        rows = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+        assert_same_dataset(dataset._take(rows), rebuilt(dataset, rows))
+        copied = rng.integers(0, n, size=int(rng.integers(0, 2 * n + 1)))
+        ids = [f"{dataset.ids[i]}::c{j}" for j, i in enumerate(copied)]
+        origins = [dataset.ids[i] for i in copied]
+        expected = dataset.with_instances(list(dataset.instances) + [
+            Instance(id=new_id, fingerprint=src.fingerprint, labels=src.labels, graph=src.graph,
+                     regression_targets=src.regression_targets, origin=origin)
+            for new_id, origin, src in zip(ids, origins, (dataset.instances[i] for i in copied))
+        ])
+        assert_same_dataset(dataset._with_copies(copied, ids, origins), expected)
+
+
+def test_appended_rows_equal_constructed_rows():
+    rng = np.random.default_rng(71)
+    for _ in range(60):
+        dataset = random_dataset(rng, max_instances=20, max_labels=6)
+        new = [
+            Instance(id=f"new{j}",
+                     fingerprint=Fingerprint(rng.integers(0, 2, dataset.fingerprint_width)),
+                     labels=tuple(np.flatnonzero(rng.random(dataset.label_count) < 0.4).tolist()),
+                     origin=dataset.ids[0])
+            for j in range(int(rng.integers(0, 8)))
+        ]
+        appended = dataset._append([i.id for i in new], [i.origin for i in new],
+                                   [i.fingerprint for i in new], [i.labels for i in new])
+        assert_same_dataset(appended, dataset.with_instances(list(dataset.instances) + new))
+
+
+@pytest.mark.parametrize("case", ["duplicate id", "label outside vocabulary", "width"])
+def test_append_rejects_new_rows_as_the_constructor_does(case):
+    dataset = make_plain(3)
+    fingerprint = Fingerprint(np.zeros(4, dtype=np.uint8))
+    labels = (1,)
+    new_id = "fresh"
+    if case == "duplicate id":
+        new_id = "i1"
+    elif case == "label outside vocabulary":
+        labels = (0, 5)
+    else:
+        fingerprint = Fingerprint(np.zeros(6, dtype=np.uint8))
+    row = Instance(id=new_id, fingerprint=fingerprint, labels=labels)
+    with pytest.raises(ValidationError) as public:
+        dataset.with_instances(list(dataset.instances) + [row])
+    with pytest.raises(ValidationError) as appended:
+        dataset._append([new_id], [None], [fingerprint], [labels])
+    assert str(appended.value) == str(public.value)
+
+
+def test_oversampled_copies_share_their_source_objects():
+    from mlimb.resampling import ResampleConfig, oversample
+
+    rng = np.random.default_rng(72)
+    dataset = random_dataset(rng, max_instances=40, max_labels=6, graph_prob=1.0,
+                             reg_width=1, ensure_labeled=True)
+    by_id = {inst.id: inst for inst in dataset.instances}
+    out = oversample(dataset, ResampleConfig(method="proposed", p=1.0, r=2)).dataset
+    assert len(out) > len(dataset)
+    for copy in out.instances[len(dataset):]:
+        source = by_id[copy.origin]
+        assert copy.fingerprint is source.fingerprint
+        assert copy.graph is source.graph
+        assert copy.regression_targets is source.regression_targets
+    # mlsmote replays share the objects of the round's synthetic they repeat.
+    base = make_plain(6).with_instances(
+        [Instance(id=f"m{i}", fingerprint=Fingerprint(np.array([i % 2, 1, 0, 0])), labels=labels)
+         for i, labels in enumerate([(0,), (0,), (0,), (1,), (1,), (1,), (1,), (1,), (1,)])])
+    out = oversample(base, ResampleConfig(method="mlsmote", p=1.0, k=2)).dataset
+    synthetics = out.instances[len(base):]
+    assert len(synthetics) == len(base)
+    for j, replay in enumerate(synthetics[3:], start=3):
+        assert replay.fingerprint is synthetics[j % 3].fingerprint
+        assert replay.origin == synthetics[j % 3].origin
+
+
+def test_instances_view_is_built_once_and_kept():
+    dataset = make_plain(5)
+    assert dataset.instances is dataset.instances
+    train, _ = split_dataset(dataset, 0.4, seed=1)
+    rows = train.instances
+    assert rows is train.instances
+    assert [inst.id for inst in rows] == list(train.ids)
+
+
+# ---------------------------------------------------------------------------
 # Splitting
 # ---------------------------------------------------------------------------
 

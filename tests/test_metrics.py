@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlimb.data import Fingerprint, Instance, LabelVocabulary, MultiLabelDataset
+from mlimb.data import Fingerprint, Instance, LabelVocabulary, MultiLabelDataset, split_dataset
 from mlimb.metrics import (
     cardinality,
     imbalance_report,
@@ -316,3 +316,16 @@ def test_undefined_irlbl_names_the_first_offending_instance():
     # A lone label scores 0 before its IRLbl is looked at, as per instance.
     lone = dataset_from_label_sets([(2,), (0, 1)], 3)
     assert scumble_label(lone, table, 2) == 0.0
+
+
+def test_undefined_irlbl_names_the_first_offending_instance_after_a_split():
+    # Seed 5 keeps i0, i2, i3 and i5, so (0, 2) now appears before (1, 2).
+    d = dataset_from_label_sets([(0,), (1, 2), (0, 2), (1, 2), (0, 2), (0,)], 3)
+    train, test = split_dataset(d, 0.34, seed=5)
+    assert train.ids == ("i0", "i2", "i3", "i5")
+    assert train.label_sets == ((0,), (0, 2), (1, 2))
+    table = np.array([1.0, 2.0, np.nan])
+    with pytest.raises(ValueError, match="'i2'"):
+        scumble_label(train, table, 2)
+    with pytest.raises(ValueError, match="'i1'"):
+        scumble_label(test, table, 2)

@@ -290,12 +290,9 @@ def test_identical_bag_fixed_point():
 def test_vote_rule_majority_counts():
     # Group label sets {a,b},{a},{a},{a},{b}: a in 4 of 5, b in 2 of 5.
     bits = np.array([[1, 1], [1, 0], [1, 0], [1, 0], [0, 1]], dtype=np.uint8)
-    instances = [
-        Instance(id=f"v{i}", fingerprint=Fingerprint(bits[i]), labels=labels)
-        for i, labels in enumerate([(0, 1), (0,), (0,), (0,), (1,)])
-    ]
+    bag = make_dataset([(0, 1), (0,), (0,), (0,), (1,)], 2, fps=bits.tolist())
     # Seed 0 with k=4 takes the whole bag as its group.
-    synth_bits, synth_labels = _bag_votes(instances, np.array([0]), 4)
+    synth_bits, synth_labels = _bag_votes(bag, np.arange(5), np.array([0]), 4)
     assert synth_labels == [(0,)]
     assert synth_bits.tolist() == [[1, 0]]  # bit 0: 4/5, bit 1: 2/5
     assert _vote(bits, np.array([[0, 1, 2, 3, 4]])).tolist() == [[1, 0]]
