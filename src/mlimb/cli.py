@@ -330,7 +330,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     f"model predicts {params.config.output_dim} regression targets, "
                     f"dataset has {dataset.regression_width}"
                 )
-        scores = predict(dataset.instances, params)
+        # An overflowing model is reported below as one line, not as warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = predict(dataset.instances, params)
+        bad = int(np.count_nonzero(~np.isfinite(scores)))
+        if bad:
+            raise ValueError(
+                f"{bad} of {scores.size} predictions are non-finite; "
+                f"retrain the model with a lower --lr"
+            )
         if task == "multilabel":
             report = evaluate_multilabel(scores, targets, threshold=args.threshold)
         else:

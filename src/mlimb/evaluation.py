@@ -118,7 +118,8 @@ def mae(predictions: np.ndarray, targets: np.ndarray) -> float:
 def pearson(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
     """Sample Pearson r over flattened pairs, plus r squared.
 
-    Raises on fewer than 2 pairs or zero variance on either side.
+    Raises on fewer than 2 pairs, zero variance on either side, or a
+    non-finite or overflowing value.
     """
     x = np.asarray(predictions, dtype=np.float64).ravel()
     y = np.asarray(targets, dtype=np.float64).ravel()
@@ -126,12 +127,16 @@ def pearson(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, float]
         raise ValueError("prediction and target sizes differ")
     if x.size < 2:
         raise ValueError("Pearson correlation needs at least 2 pairs")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
+    # Non-finite or overflowing values raise below, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x - x.mean()
+        dy = y - y.mean()
+        sxx = float(dx @ dx)
+        syy = float(dy @ dy)
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("Pearson correlation undefined: zero variance")
+    if not math.isfinite(sxx * syy):
+        raise ValueError("Pearson correlation undefined: non-finite or overflowing values")
     r = float(dx @ dy) / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     return r, r * r
@@ -174,8 +179,10 @@ def evaluate_multilabel(scores: np.ndarray, targets: np.ndarray, threshold: floa
     """Threshold the scores and compute P/R/F1 under all three averagings.
 
     The targets are checked and the true positives counted once for all
-    three.
+    three. A non-finite threshold raises ValueError.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
     p, t = _check_binary_pair(np.asarray(scores, dtype=np.float64) >= threshold, targets)
     tp = p & t
     precision: dict[str, float] = {}

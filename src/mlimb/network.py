@@ -39,7 +39,7 @@ import functools
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator
@@ -192,96 +192,89 @@ class NetworkConfig:
         return factor * self.embedding_dim
 
 
+def _layout(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every parameter tensor, in the order they lie in
+    the parameter vector: graph layers, fingerprint path, fusion, head."""
+    dims = (config.node_feature_dim,) + config.hidden_dims
+    fusion = config.fusion_input_dim
+    layers = []
+    for k in range(config.layer_count):
+        layers.append((f"layer_weights.{k}", (dims[k], dims[k + 1])))
+        layers.append((f"layer_biases.{k}", (dims[k + 1],)))
+    return layers + [
+        ("fp_weight", (config.fingerprint_width, fusion)),
+        ("fp_bias", (fusion,)),
+        ("fuse_weight", (fusion, config.fuse_dim)),
+        ("fuse_bias", (config.fuse_dim,)),
+        ("head_weight", (config.fuse_dim, config.output_dim)),
+        ("head_bias", (config.output_dim,)),
+    ]
+
+
+def _vector_size(config: NetworkConfig) -> int:
+    return sum(math.prod(shape) for _, shape in _layout(config))
+
+
 @dataclass
 class ModelParameters:
-    """Every weight/bias tensor plus the config that fixes their shapes."""
+    """The config plus one float64 vector holding every weight and bias.
+
+    The tensor fields and ``named_tensors()`` are views into ``vector``,
+    carved by ``_layout``: writing through them writes the vector, and a
+    whole-model update or copy is one vector operation.
+    """
 
     config: NetworkConfig
-    layer_weights: list[np.ndarray]
-    layer_biases: list[np.ndarray]
-    fp_weight: np.ndarray
-    fp_bias: np.ndarray
-    fuse_weight: np.ndarray
-    fuse_bias: np.ndarray
-    head_weight: np.ndarray
-    head_bias: np.ndarray
+    vector: np.ndarray
+    layer_weights: list[np.ndarray] = field(init=False, repr=False)
+    layer_biases: list[np.ndarray] = field(init=False, repr=False)
+    fp_weight: np.ndarray = field(init=False, repr=False)
+    fp_bias: np.ndarray = field(init=False, repr=False)
+    fuse_weight: np.ndarray = field(init=False, repr=False)
+    fuse_bias: np.ndarray = field(init=False, repr=False)
+    head_weight: np.ndarray = field(init=False, repr=False)
+    head_bias: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        size = _vector_size(self.config)
+        if self.vector.dtype != np.float64 or self.vector.shape != (size,):
+            raise ValueError(f"parameter vector must be float64 of shape ({size},), "
+                             f"got {self.vector.dtype} of shape {self.vector.shape}")
+        self.layer_weights, self.layer_biases = [], []
+        for name, view in self.named_tensors():
+            field_name, layered, _ = name.partition(".")
+            if layered:
+                getattr(self, field_name).append(view)
+            else:
+                setattr(self, field_name, view)
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for k, (w, b) in enumerate(zip(self.layer_weights, self.layer_biases)):
-            out.append((f"layer_weights.{k}", w))
-            out.append((f"layer_biases.{k}", b))
-        out.extend(
-            [
-                ("fp_weight", self.fp_weight),
-                ("fp_bias", self.fp_bias),
-                ("fuse_weight", self.fuse_weight),
-                ("fuse_bias", self.fuse_bias),
-                ("head_weight", self.head_weight),
-                ("head_bias", self.head_bias),
-            ]
-        )
-        return out
+        layout = _layout(self.config)
+        ends = np.cumsum([math.prod(shape) for _, shape in layout])
+        pieces = np.split(self.vector, ends[:-1])
+        return [(name, piece.reshape(shape)) for (name, shape), piece in zip(layout, pieces)]
 
     def copy(self) -> "ModelParameters":
-        return ModelParameters(
-            config=self.config,
-            layer_weights=[w.copy() for w in self.layer_weights],
-            layer_biases=[b.copy() for b in self.layer_biases],
-            fp_weight=self.fp_weight.copy(),
-            fp_bias=self.fp_bias.copy(),
-            fuse_weight=self.fuse_weight.copy(),
-            fuse_bias=self.fuse_bias.copy(),
-            head_weight=self.head_weight.copy(),
-            head_bias=self.head_bias.copy(),
-        )
+        return ModelParameters(self.config, self.vector.copy())
 
     def zeros_like(self) -> "ModelParameters":
-        return ModelParameters(
-            config=self.config,
-            layer_weights=[np.zeros_like(w) for w in self.layer_weights],
-            layer_biases=[np.zeros_like(b) for b in self.layer_biases],
-            fp_weight=np.zeros_like(self.fp_weight),
-            fp_bias=np.zeros_like(self.fp_bias),
-            fuse_weight=np.zeros_like(self.fuse_weight),
-            fuse_bias=np.zeros_like(self.fuse_bias),
-            head_weight=np.zeros_like(self.head_weight),
-            head_bias=np.zeros_like(self.head_bias),
-        )
-
-    def add_scaled(self, other: "ModelParameters", factor: float) -> None:
-        """In-place self += factor * other, tensor by tensor."""
-        for (_, a), (_, b) in zip(self.named_tensors(), other.named_tensors()):
-            a += factor * b
-
-
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    s = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-s, s, size=(fan_in, fan_out))
+        return ModelParameters(self.config, np.zeros_like(self.vector))
 
 
 def init_parameters(config: NetworkConfig, seed_or_rng: int | np.random.Generator) -> ModelParameters:
-    """Uniform [-s, s] weights with s = sqrt(6/(fan_in+fan_out)); zero biases."""
+    """Uniform [-s, s] weights with s = sqrt(6/(fan_in+fan_out)), drawn in
+    layout order; zero biases."""
     rng = (
         seed_or_rng
         if isinstance(seed_or_rng, np.random.Generator)
         else np.random.default_rng(seed_or_rng)
     )
-    dims = (config.node_feature_dim,) + config.hidden_dims
-    layer_weights = [_glorot(rng, dims[k], dims[k + 1]) for k in range(config.layer_count)]
-    layer_biases = [np.zeros(dims[k + 1]) for k in range(config.layer_count)]
-    fusion = config.fusion_input_dim
-    return ModelParameters(
-        config=config,
-        layer_weights=layer_weights,
-        layer_biases=layer_biases,
-        fp_weight=_glorot(rng, config.fingerprint_width, fusion),
-        fp_bias=np.zeros(fusion),
-        fuse_weight=_glorot(rng, fusion, config.fuse_dim),
-        fuse_bias=np.zeros(config.fuse_dim),
-        head_weight=_glorot(rng, config.fuse_dim, config.output_dim),
-        head_bias=np.zeros(config.output_dim),
-    )
+    params = ModelParameters(config, np.zeros(_vector_size(config)))
+    for _, tensor in params.named_tensors():
+        if tensor.ndim == 2:
+            s = math.sqrt(6.0 / sum(tensor.shape))
+            tensor[:] = rng.uniform(-s, s, size=tensor.shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -714,8 +707,8 @@ class TrainConfig:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (0.0 < self.learning_rate < math.inf):
+            raise ValueError("learning_rate must be positive and finite")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
         if self.batch_size is not None and self.batch_size < 1:
@@ -802,12 +795,21 @@ def train(
     Targets are built per batch, so a minibatch run holds batch_size x
     output_dim of them, never the whole dataset's. Raises ValueError before
     the first update when the dataset cannot supply the task's targets or a
-    graph input mode meets instances without a graph, and at the first
-    non-finite loss, naming the epoch. OpenBLAS runs on one thread meanwhile,
-    so the result does not depend on the core count.
+    graph input mode meets instances without a graph, at the first
+    non-finite loss, naming the epoch, and when the last update leaves a
+    parameter non-finite, so no caller saves a non-finite checkpoint.
+    OpenBLAS runs on one thread meanwhile, so the result does not depend on
+    the core count.
     """
     with _single_thread_blas():
-        return _train(dataset, net, cfg)
+        params, curve = _train(dataset, net, cfg)
+    bad = int(np.count_nonzero(~np.isfinite(params.vector)))
+    if bad:
+        raise ValueError(
+            f"training diverged: {bad} parameters are non-finite after epoch {cfg.epochs}; "
+            f"try a lower --lr than {cfg.learning_rate!r}"
+        )
+    return params, curve
 
 
 def _train(
@@ -866,12 +868,11 @@ def _apply_update(
     cfg: TrainConfig,
 ) -> None:
     if velocity is None:
-        params.add_scaled(grads, -cfg.learning_rate)
+        params.vector += -cfg.learning_rate * grads.vector
         return
-    for (_, v), (_, g) in zip(velocity.named_tensors(), grads.named_tensors()):
-        v *= cfg.momentum
-        v -= cfg.learning_rate * g
-    params.add_scaled(velocity, 1.0)
+    velocity.vector *= cfg.momentum
+    velocity.vector -= cfg.learning_rate * grads.vector
+    params.vector += velocity.vector
 
 
 # predict splits its rows evenly into blocks of 256-511 rows, so its
@@ -922,23 +923,46 @@ def save_checkpoint(params: ModelParameters, destination: str | Path) -> None:
 
 
 def load_checkpoint(source: str | Path) -> ModelParameters:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    Raises ValueError, in one line, on any other document: another format,
+    a config with missing or unknown fields, a missing, malformed or
+    misshapen tensor, or a value that is not finite.
+    """
     doc = json.loads(Path(source).read_text(encoding="utf-8"))
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a model checkpoint: format {doc.get('format')!r}")
-    raw = dict(doc["config"])
-    raw["hidden_dims"] = tuple(raw["hidden_dims"])
-    config = NetworkConfig(**raw)
-    params = init_parameters(config, 0)
-    loaded = {name: np.asarray(t["data"], dtype=np.float64).reshape(t["shape"])
-              for name, t in doc["tensors"].items()}
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        raise ValueError(f"not a model checkpoint: format {found!r}")
+    raw, tensors = doc.get("config"), doc.get("tensors")
+    if not isinstance(raw, dict) or not isinstance(tensors, dict):
+        raise ValueError("checkpoint needs a config object and a tensors object")
+    expected = {f.name for f in fields(NetworkConfig)}
+    missing, unknown = sorted(expected - raw.keys()), sorted(raw.keys() - expected)
+    if missing or unknown:
+        raise ValueError(
+            f"checkpoint config has missing fields {missing} and unknown fields {unknown}"
+        )
+    try:
+        config = NetworkConfig(**raw)
+        params = ModelParameters(config, np.zeros(_vector_size(config)))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint config is invalid: {exc}") from exc
     for name, tensor in params.named_tensors():
-        if name not in loaded:
-            raise ValueError(f"checkpoint is missing tensor {name!r}")
-        if loaded[name].shape != tensor.shape:
+        entry = tensors.get(name)
+        if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
+            raise ValueError(f"checkpoint tensor {name!r} is missing or lacks its shape or data")
+        try:
+            loaded = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint tensor {name!r} is malformed: {exc}") from exc
+        if loaded.shape != tensor.shape:
             raise ValueError(
-                f"checkpoint tensor {name!r} has shape {loaded[name].shape}, expected {tensor.shape}"
+                f"checkpoint tensor {name!r} has shape {loaded.shape}, expected {tensor.shape}"
             )
-        tensor[:] = loaded[name]
+        tensor[:] = loaded
+    bad = int(np.count_nonzero(~np.isfinite(params.vector)))
+    if bad:
+        raise ValueError(f"checkpoint holds {bad} non-finite parameter values")
     return params
 
 

@@ -366,6 +366,53 @@ def test_diverging_training_is_a_config_error(tmp_path, capsys):
     assert not model.exists()
 
 
+def test_train_and_eval_refuse_non_finite_values(tmp_path, capsys):
+    base = tmp_path / "regdata"
+    code, _, _ = run(capsys, "synth", "--n-instances", "30", "--n-labels", "4",
+                     "--fp-width", "16", "--graph-nodes", "none", "--reg-width", "2",
+                     "--seed", "3", "--out", str(base))
+    assert code == 0
+    model = tmp_path / "reg.json"
+
+    def train_at(lr):
+        return run(capsys, "train", "--data", str(base / "dataset.jsonl"),
+                   "--task", "multiregression", "--inputs", "fingerprint", "--epochs", "1",
+                   "--hidden", "4", "--fuse-dim", "3", "--lr", lr, "--model-out", str(model))
+
+    code, _, stderr = train_at("nan")
+    assert (code, stderr) == (2, "config_error: learning_rate must be positive and finite\n")
+    assert not model.exists()
+    # One step at this rate leaves finite weights whose predictions overflow.
+    code, _, _ = train_at("1e300")
+    assert code == 0
+    report = tmp_path / "r" / "deep" / "report.json"
+    code, _, stderr = run(capsys, "eval", "--data", str(base / "dataset.jsonl"),
+                          "--model", str(model), "--report", str(report))
+    assert code == 2
+    assert stderr == ("config_error: 60 of 60 predictions are non-finite; "
+                      "retrain the model with a lower --lr\n")
+    assert not (tmp_path / "r").exists()
+
+
+def test_eval_rejects_a_malformed_checkpoint_or_threshold(synth_dir, tmp_path, capsys):
+    data = str(synth_dir / "dataset.jsonl")
+    model = tmp_path / "model.json"
+    code, _, _ = run(capsys, "train", "--data", data, "--task", "multilabel", "--epochs", "1",
+                     "--hidden", "4", "--fuse-dim", "3", "--model-out", str(model))
+    assert code == 0
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps([json.loads(model.read_text())]))
+    report = tmp_path / "r" / "deep" / "report.json"
+    for checkpoint, extra, message in (
+        (listed, [], "not a model checkpoint: format None"),
+        (model, ["--threshold", "nan"], "threshold must be finite, got nan"),
+    ):
+        code, _, stderr = run(capsys, "eval", "--data", data, "--model", str(checkpoint),
+                              "--report", str(report), *extra)
+        assert (code, stderr) == (2, f"config_error: {message}\n")
+        assert not (tmp_path / "r").exists()
+
+
 def _cli_env(**extra):
     """Environment for a child interpreter that imports this checkout's mlimb."""
     src = str(Path(mlimb.__file__).resolve().parents[1])

@@ -191,6 +191,16 @@ def test_pearson_zero_variance_raises():
         pearson(np.ones(1), np.ones(1))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+def test_pearson_raises_on_non_finite_or_overflowing_values(bad):
+    x = np.arange(5.0)
+    x[2] = bad
+    with pytest.raises(ValueError, match="non-finite or overflowing"):
+        pearson(x, np.arange(5.0))
+    report = evaluate_regression(x[:, None], np.arange(5.0)[:, None])
+    assert report.pearson_r is None and report.pearson_r2 is None
+
+
 def test_r2_is_square_of_r():
     rng = np.random.default_rng(17)
     x, y = rng.normal(size=30), rng.normal(size=30)
@@ -235,6 +245,12 @@ def test_multilabel_report_rejects_what_prf_rejects():
         evaluate_multilabel(scores, np.zeros((2, 3), dtype=bool))
     with pytest.raises(ValueError, match="samples averaging over an empty"):
         evaluate_multilabel(np.zeros((0, 2)), np.zeros((0, 2), dtype=bool))
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_multilabel_report_rejects_a_non_finite_threshold(threshold):
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        evaluate_multilabel(np.full((2, 2), 0.75), np.ones((2, 2), dtype=bool), threshold)
 
 
 def test_regression_report_and_undefined_pearson():

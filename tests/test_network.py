@@ -181,6 +181,42 @@ def test_glorot_init_bounds_and_zero_biases():
     assert np.abs(w).max() > 0.25 * limit  # actually fills the range
 
 
+def test_tensors_are_views_into_one_parameter_vector():
+    params = init_parameters(small_config(), 0)
+    flat = np.concatenate([tensor.ravel() for _, tensor in params.named_tensors()])
+    assert np.array_equal(flat, params.vector)
+    params.layer_weights[0][0, 0] = 5.0
+    params.head_bias[:] = [3.0, 4.0]
+    assert params.vector[0] == 5.0
+    assert params.vector[-2:].tolist() == [3.0, 4.0]
+    for other in (params.copy(), params.zeros_like()):
+        assert not np.shares_memory(other.vector, params.vector)
+        for (_, a), (_, b) in zip(other.named_tensors(), params.named_tensors()):
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(params.copy().vector, params.vector)
+    assert not params.zeros_like().vector.any()
+
+
+def test_replacing_the_config_carves_views_of_the_same_vector():
+    params = init_parameters(small_config(), 0)
+    graph_only = dataclasses.replace(params, config=small_config(input_mode="graph"))
+    assert graph_only.vector is params.vector
+    graph_only.fp_bias[:] = 7.0
+    graph_only.layer_biases[1][:] = 8.0
+    assert (params.fp_bias == 7.0).all() and (params.layer_biases[1] == 8.0).all()
+    with pytest.raises(ValueError, match="parameter vector must be float64 of shape"):
+        dataclasses.replace(params, config=small_config(output_dim=3))
+
+
+def test_parameter_vector_of_wrong_size_or_dtype_is_rejected():
+    cfg = small_config()
+    size = init_parameters(cfg, 0).vector.size
+    for vector in (np.zeros(size - 1), np.zeros(size + 1), np.zeros(size, dtype=np.float32),
+                   np.zeros((size, 1))):
+        with pytest.raises(ValueError, match=rf"must be float64 of shape \({size},\)"):
+            ModelParameters(cfg, vector)
+
+
 # ---------------------------------------------------------------------------
 # Heads and losses
 # ---------------------------------------------------------------------------
@@ -515,6 +551,28 @@ def test_training_stops_at_first_non_finite_loss(batch_size):
                                    batch_size=batch_size))
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
+def test_train_config_rejects_a_non_finite_or_non_positive_learning_rate(rate):
+    with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+        TrainConfig(task="multilabel", learning_rate=rate)
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.5])
+def test_training_never_returns_non_finite_parameters(momentum):
+    # The loss is finite at the initial parameters, so only the one update
+    # can overflow, and the loss check never sees it.
+    rng = np.random.default_rng(8)
+    ds = random_dataset(rng, max_instances=12, graph_prob=0.0, reg_width=2)
+    ds = ds.with_instances([dataclasses.replace(i, regression_targets=i.regression_targets * 1e6)
+                            for i in ds.instances])
+    cfg = small_config(fingerprint_width=ds.fingerprint_width, output_dim=2,
+                       head_mode="linear_regression", input_mode="fingerprint")
+    with pytest.raises(ValueError, match=r"^training diverged: \d+ parameters are non-finite "
+                                         r"after epoch 1; try a lower --lr than 1e\+305$"):
+        train(ds, cfg, TrainConfig(task="multiregression", epochs=1, learning_rate=1e305,
+                                   momentum=momentum))
+
+
 def test_target_matrices():
     rng = np.random.default_rng(37)
     d = random_dataset(rng, max_instances=6, max_labels=3, reg_width=2)
@@ -663,6 +721,36 @@ def test_checkpoint_rejects_tampering(tmp_path):
     dest.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_checkpoint(dest)
+
+    good = json.loads(dest.read_text())
+    good["tensors"]["head_bias"]["data"] = [0.0, 0.0]
+    config = good["config"]
+    tensors = good["tensors"]
+    for tampered, message in [
+        ([good], "not a model checkpoint: format None"),
+        ({**good, "config": None}, "needs a config object and a tensors object"),
+        ({k: v for k, v in good.items() if k != "tensors"}, "needs a config object"),
+        ({**good, "config": {k: v for k, v in config.items() if k != "hidden_dims"}},
+         r"missing fields \['hidden_dims'\] and unknown fields \[\]"),
+        ({**good, "config": {**config, "dropout": 0.5}}, r"unknown fields \['dropout'\]"),
+        ({**good, "config": {**config, "hidden_dims": 4}}, "checkpoint config is invalid"),
+        ({**good, "config": {**config, "activation": "gelu"}}, "unknown activation"),
+        ({**good, "tensors": {k: v for k, v in tensors.items() if k != "fp_bias"}},
+         "tensor 'fp_bias' is missing"),
+        ({**good, "tensors": {**tensors, "fp_bias": {"shape": [3]}}},
+         "tensor 'fp_bias' is missing or lacks its shape or data"),
+        ({**good, "tensors": {**tensors, "fp_bias": {"shape": [3], "data": ["a", 1, 2]}}},
+         "tensor 'fp_bias' is malformed"),
+        ({**good, "tensors": {**tensors, "fp_bias": {"shape": [1, 3], "data": [0, 1, 2]}}},
+         r"tensor 'fp_bias' has shape \(1, 3\), expected \(3,\)"),
+        ({**good, "tensors": {**tensors, "fp_bias": {"shape": [3], "data": [0, math.nan, 2]}}},
+         "checkpoint holds 1 non-finite parameter values"),
+    ]:
+        dest.write_text(json.dumps(tampered))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(dest)
+    dest.write_text(json.dumps(good))
+    load_checkpoint(dest)
 
 
 def test_loss_curve_csv_layout():
