@@ -40,8 +40,15 @@ from .data import (
 from .evaluation import evaluate_multilabel, evaluate_regression, scatter_csv
 from .metrics import imbalance_report, profile_csv
 from .network import (
+    ACTIVATIONS,
+    ADJACENCY_MODES,
+    INPUT_MODES,
+    READOUT_MODES,
+    TASK_HEADS,
+    TASKS,
     NetworkConfig,
     TrainConfig,
+    _check_targets,
     label_matrix,
     load_checkpoint,
     loss_curve_csv,
@@ -51,7 +58,7 @@ from .network import (
     save_checkpoint,
     train,
 )
-from .resampling import ResampleConfig, oversample
+from .resampling import METHODS, ResampleConfig, oversample
 from .synth import SynthConfig, generate
 
 __all__ = ["main", "build_parser"]
@@ -266,7 +273,6 @@ def _network_config(args: argparse.Namespace, dataset: MultiLabelDataset) -> Net
         if dataset.regression_width == 0:
             raise ValueError("multiregression task on a dataset without regression targets")
         output_dim = dataset.regression_width
-    head = "sigmoid_multilabel" if args.task == "multilabel" else "linear_regression"
     return NetworkConfig(
         node_feature_dim=dataset.node_feature_dim,
         fingerprint_width=dataset.fingerprint_width,
@@ -275,7 +281,7 @@ def _network_config(args: argparse.Namespace, dataset: MultiLabelDataset) -> Net
         fuse_dim=args.fuse_dim,
         activation=args.activation,
         readout_mode=args.readout,
-        head_mode=head,
+        head_mode=TASK_HEADS[args.task],
         adjacency_mode=args.adjacency,
         input_mode=args.inputs,
     )
@@ -315,21 +321,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         dataset = load_dataset(args.data, args.vocab)
         params = load_checkpoint(args.model)
     with phases("compute"):
-        task = "multiregression" if params.config.head_mode == "linear_regression" else "multilabel"
-        if task == "multilabel":
-            if params.config.output_dim != dataset.label_count:
-                raise ValueError(
-                    f"model predicts {params.config.output_dim} labels, "
-                    f"dataset has {dataset.label_count}"
-                )
-            targets = label_matrix(dataset)
-        else:
-            targets = regression_matrix(dataset)
-            if params.config.output_dim != dataset.regression_width:
-                raise ValueError(
-                    f"model predicts {params.config.output_dim} regression targets, "
-                    f"dataset has {dataset.regression_width}"
-                )
+        task = params.config.task
+        _check_targets(dataset, params.config, task)
+        targets = label_matrix(dataset) if task == "multilabel" else regression_matrix(dataset)
         # An overflowing model is reported below as one line, not as warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             scores = predict(dataset.instances, params)
@@ -382,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oversample", help="rebalance a dataset by oversampling")
     add_data(p)
-    p.add_argument("--method", required=True, choices=("proposed", "mlsmote"))
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--p", type=float, required=True, help="oversampling fraction in [0,1]")
     p.add_argument("--r", type=int, default=2, help="replication count (proposed)")
     p.add_argument("--k", type=int, default=5, help="neighbor count (mlsmote)")
@@ -422,19 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a hybrid/graph/fingerprint model")
     add_data(p)
-    p.add_argument("--task", required=True, choices=("multilabel", "multiregression"))
-    p.add_argument("--inputs", default="hybrid", choices=("graph", "fingerprint", "hybrid"))
+    p.add_argument("--task", required=True, choices=TASKS)
+    p.add_argument("--inputs", default="hybrid", choices=INPUT_MODES)
     p.add_argument("--epochs", type=int, default=400)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--momentum", type=float, default=0.0)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--hidden", default="64,64", help="comma-separated hidden widths")
     p.add_argument("--fuse-dim", type=int, default=64)
-    p.add_argument("--activation", default="tanh", choices=("tanh", "relu", "identity", "sigmoid"))
-    p.add_argument("--readout", default="max_plus_mean",
-                   choices=("max_plus_mean", "max_plus_min", "concat_mean_max"))
-    p.add_argument("--adjacency", default="normalized",
-                   choices=("literal", "self_loops", "normalized"))
+    p.add_argument("--activation", default="tanh", choices=tuple(ACTIVATIONS))
+    p.add_argument("--readout", default="max_plus_mean", choices=READOUT_MODES)
+    p.add_argument("--adjacency", default="normalized", choices=ADJACENCY_MODES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model-out", required=True, help="checkpoint file to write")
     p.set_defaults(func=cmd_train)

@@ -104,15 +104,29 @@ def _prf(p: np.ndarray, t: np.ndarray, tp: np.ndarray, averaging: str) -> tuple[
     return math.fsum(precisions) / n, math.fsum(recalls) / n, math.fsum(f1s) / n
 
 
-def mae(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Mean absolute error over all entries."""
+def _regression_pair(predictions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(predictions, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if p.shape != t.shape:
         raise ValueError(f"shape mismatch: predictions {p.shape} vs targets {t.shape}")
     if p.size == 0:
         raise ValueError("MAE of empty input is undefined")
-    return float(np.abs(p - t).mean())
+    return p, t
+
+
+def mae(predictions: np.ndarray, targets: np.ndarray) -> float:
+    """Mean absolute error over all entries.
+
+    Raises on mismatched shapes, empty input, and a non-finite or
+    overflowing value.
+    """
+    p, t = _regression_pair(predictions, targets)
+    # Non-finite or overflowing values raise below, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = float(np.abs(p - t).mean())
+    if not math.isfinite(error):
+        raise ValueError("MAE undefined: non-finite or overflowing values")
+    return error
 
 
 def pearson(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
@@ -148,8 +162,10 @@ class EvalReport:
 
     Fields that do not apply to the evaluated task are None (for example
     mae/pearson on a pure classification run, or the P/R/F1 groups on a
-    regression run). pearson fields are also None when the correlation is
-    undefined (constant predictions or targets).
+    regression run). mae and the pearson fields are also None when they are
+    undefined: on non-finite or overflowing values, and for pearson on
+    constant predictions or targets. So ``to_json`` never writes NaN; it
+    raises on a report built by hand with one.
     """
 
     precision: dict[str, float] | None
@@ -172,7 +188,7 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_document(), separators=(",", ":"))
+        return json.dumps(self.to_document(), separators=(",", ":"), allow_nan=False)
 
 
 def evaluate_multilabel(scores: np.ndarray, targets: np.ndarray, threshold: float = 0.5) -> EvalReport:
@@ -202,10 +218,17 @@ def evaluate_multilabel(scores: np.ndarray, targets: np.ndarray, threshold: floa
 
 
 def evaluate_regression(predictions: np.ndarray, targets: np.ndarray) -> EvalReport:
-    """MAE plus pooled Pearson r and r squared (None when undefined)."""
-    error = mae(predictions, targets)
+    """MAE plus pooled Pearson r and r squared, each None when undefined.
+
+    Mismatched shapes and empty input raise ValueError.
+    """
+    p, t = _regression_pair(predictions, targets)
     try:
-        r, r2 = pearson(predictions, targets)
+        error = mae(p, t)
+    except ValueError:
+        error = None
+    try:
+        r, r2 = pearson(p, t)
     except ValueError:
         r, r2 = None, None
     return EvalReport(

@@ -7,7 +7,7 @@ Forward structure, all shapes row-major (instances/nodes in rows):
     h_G   = readout(H^(K))          per-graph pooling (permutation invariant)
     F*    = F W_p + c               dense fingerprint path
     Z     = (h_G + F*) W_q + d      additive fusion
-    y     = head(Z W_r + e)         sigmoid / identity / softmax head
+    y     = head(Z W_r + e)         sigmoid (multilabel) or identity (multiregression)
 
 The adjacency operator A_hat is configurable: the literal adjacency, with
 self-loops, or symmetric degree-normalized with self-loops (default, the
@@ -38,6 +38,7 @@ import ctypes
 import functools
 import json
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
@@ -54,6 +55,7 @@ __all__ = [
     "HEAD_MODES",
     "ADJACENCY_MODES",
     "INPUT_MODES",
+    "TASK_HEADS",
     "TASKS",
     "NetworkConfig",
     "ModelParameters",
@@ -83,10 +85,13 @@ __all__ = [
 ]
 
 READOUT_MODES = ("max_plus_mean", "max_plus_min", "concat_mean_max")
-HEAD_MODES = ("sigmoid_multilabel", "linear_regression", "softmax")
+# The one head each task trains: the sigmoid head's clamped cross-entropy
+# and the identity head's squared error are the only gradients backward has.
+TASK_HEADS = {"multilabel": "sigmoid_multilabel", "multiregression": "linear_regression"}
+TASKS = tuple(TASK_HEADS)
+HEAD_MODES = tuple(TASK_HEADS.values())
 ADJACENCY_MODES = ("literal", "self_loops", "normalized")
 INPUT_MODES = ("hybrid", "graph", "fingerprint")
-TASKS = ("multilabel", "multiregression")
 BCE_EPS = 1e-7
 
 
@@ -159,13 +164,12 @@ class NetworkConfig:
     input_mode: str = "hybrid"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.node_feature_dim < 1 or self.fingerprint_width < 1 or self.output_dim < 1:
-            raise ValueError("node_feature_dim, fingerprint_width, output_dim must be positive")
-        if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden_dims must be a non-empty tuple of positive widths")
-        if self.fuse_dim < 1:
-            raise ValueError("fuse_dim must be positive")
+        for name in ("node_feature_dim", "fingerprint_width", "output_dim", "fuse_dim"):
+            object.__setattr__(self, name, _dimension(name, getattr(self, name)))
+        hidden = tuple(_dimension("hidden_dims", h) for h in self.hidden_dims)
+        if not hidden:
+            raise ValueError("hidden_dims must hold at least one width")
+        object.__setattr__(self, "hidden_dims", hidden)
         for name, value, allowed in (
             ("activation", self.activation, tuple(ACTIVATIONS)),
             ("readout_mode", self.readout_mode, READOUT_MODES),
@@ -175,6 +179,11 @@ class NetworkConfig:
         ):
             if value not in allowed:
                 raise ValueError(f"unknown {name} {value!r}; expected one of {allowed}")
+
+    @property
+    def task(self) -> str:
+        """The task the head trains for: its entry in TASK_HEADS."""
+        return TASKS[HEAD_MODES.index(self.head_mode)]
 
     @property
     def layer_count(self) -> int:
@@ -190,6 +199,17 @@ class NetworkConfig:
         # fingerprint path must match.
         factor = 2 if self.readout_mode == "concat_mean_max" else 1
         return factor * self.embedding_dim
+
+
+def _dimension(name: str, value: object) -> int:
+    """A positive int; numpy integers pass, floats are refused, not truncated."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
 
 
 def _layout(config: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -334,10 +354,6 @@ def _head(logits: np.ndarray, mode: str) -> np.ndarray:
     """The configured head, computed in place: overwrites and returns logits."""
     if mode == "sigmoid_multilabel":
         return _sigmoid(logits, out=logits)
-    if mode == "softmax":
-        logits -= logits.max(axis=-1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=-1, keepdims=True)
     return logits
 
 
@@ -569,44 +585,39 @@ def loss(y_pred: np.ndarray, targets: np.ndarray, task: str) -> float:
     return -float(np.mean(w))
 
 
-def _loss_grad(y: np.ndarray, t: np.ndarray, task: str) -> np.ndarray:
-    n = y.size
-    if task == "multiregression":
-        return 2.0 * (y - t) / n
-    yc = np.clip(y, BCE_EPS, 1.0 - BCE_EPS)
-    inside = (y > BCE_EPS) & (y < 1.0 - BCE_EPS)
-    g = (-(t / yc) + (1.0 - t) / (1.0 - yc)) / n
-    return np.where(inside, g, 0.0)
-
-
-def _head_grad(dy: np.ndarray, y: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "sigmoid_multilabel":
-        return dy * y * (1.0 - y)
-    if mode == "linear_regression":
-        return dy
-    return y * (dy - (dy * y).sum(axis=-1, keepdims=True))
+def _require_task(config: NetworkConfig, task: str) -> None:
+    if task != config.task:
+        raise ValueError(
+            f"head_mode {config.head_mode!r} trains task {config.task!r}, not {task!r}"
+        )
 
 
 def backward(
     trace: ForwardTrace, targets: np.ndarray, params: ModelParameters, task: str
 ) -> ModelParameters:
-    """Gradients of loss(forward(batch), targets) for every parameter tensor."""
+    """Gradients of loss(forward(batch), targets) for every parameter tensor.
+
+    Raises ValueError when the config's head does not serve ``task``.
+    """
     cfg = params.config
+    _require_task(cfg, task)
     _, dact = ACTIVATIONS[cfg.activation]
     grads = params.zeros_like()
     batch = trace.batch
 
-    y, t = trace.y_pred, np.asarray(targets)
-    if task == "multilabel" and cfg.head_mode == "sigmoid_multilabel":
+    y = trace.y_pred
+    dlogits = np.subtract(y, targets)
+    if task == "multilabel":
         # Through the sigmoid the clamped BCE gradient collapses to
         # (y - t) / n where the clamp is inactive, and 0 where it is active.
-        dlogits = np.subtract(y, t)
         dlogits /= y.size
         clamped = y <= BCE_EPS
         clamped |= y >= 1.0 - BCE_EPS
         dlogits[clamped] = 0.0
     else:
-        dlogits = _head_grad(_loss_grad(y, t, task), y, cfg.head_mode)
+        # Through the identity head the squared error gives 2 (y - t) / n.
+        dlogits *= 2.0
+        dlogits /= y.size
 
     grads.head_weight[:] = trace.z.T @ dlogits
     grads.head_bias[:] = dlogits.sum(axis=0)
@@ -679,18 +690,20 @@ def label_matrix(dataset: MultiLabelDataset, instances: list[Instance] | None = 
 
 
 def regression_matrix(dataset: MultiLabelDataset, instances: list[Instance] | None = None) -> np.ndarray:
-    """Stacked regression targets; every instance must carry them."""
+    """Stacked regression targets. Raises ValueError, naming the first
+    offending instance, when one lacks its targets or holds a non-finite one."""
     rows = dataset.instances if instances is None else instances
     if dataset.regression_width == 0:
         raise ValueError("dataset declares no regression targets")
-    _require_regression_targets(rows)
-    return np.stack([inst.regression_targets for inst in rows])
-
-
-def _require_regression_targets(instances: list[Instance]) -> None:
-    for inst in instances:
+    for inst in rows:
         if inst.regression_targets is None:
             raise ValueError(f"instance {inst.id!r} has no regression targets")
+    out = np.stack([inst.regression_targets for inst in rows])
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        first = rows[int(finite.argmin())]
+        raise ValueError(f"instance {first.id!r} has a non-finite regression target")
+    return out
 
 
 @dataclass(frozen=True)
@@ -716,18 +729,23 @@ class TrainConfig:
 
 
 def _check_targets(dataset: MultiLabelDataset, net: NetworkConfig, task: str) -> None:
-    """Fail before training when the dataset cannot supply the task's targets."""
+    """Fail, in one line, before training or evaluating when the head does
+    not serve the task or the dataset cannot supply its targets."""
+    _require_task(net, task)
     if task == "multilabel":
         if net.output_dim != dataset.label_count:
             raise ValueError(
-                f"output_dim {net.output_dim} does not match label count {dataset.label_count}"
+                f"model predicts {net.output_dim} labels, dataset has {dataset.label_count}"
             )
         return
+    if dataset.regression_width == 0:
+        raise ValueError("dataset declares no regression targets")
     if net.output_dim != dataset.regression_width:
         raise ValueError(
-            f"output_dim {net.output_dim} does not match regression width {dataset.regression_width}"
+            f"model predicts {net.output_dim} regression targets, "
+            f"dataset has {dataset.regression_width}"
         )
-    _require_regression_targets(dataset.instances)
+    regression_matrix(dataset)
 
 
 # (get, set) thread-count symbols of OpenBLAS builds; numpy's bundled build
@@ -794,10 +812,11 @@ def train(
 
     Targets are built per batch, so a minibatch run holds batch_size x
     output_dim of them, never the whole dataset's. Raises ValueError before
-    the first update when the dataset cannot supply the task's targets or a
-    graph input mode meets instances without a graph, at the first
-    non-finite loss, naming the epoch, and when the last update leaves a
-    parameter non-finite, so no caller saves a non-finite checkpoint.
+    the first update when the head does not serve the task, the dataset
+    cannot supply the task's targets or a graph input mode meets instances
+    without a graph; at the first non-finite loss, naming the epoch; and
+    when the last update leaves a parameter non-finite, so no caller saves a
+    non-finite checkpoint.
     OpenBLAS runs on one thread meanwhile, so the result does not depend on
     the core count.
     """

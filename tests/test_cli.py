@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -391,6 +392,37 @@ def test_train_and_eval_refuse_non_finite_values(tmp_path, capsys):
     assert code == 2
     assert stderr == ("config_error: 60 of 60 predictions are non-finite; "
                       "retrain the model with a lower --lr\n")
+    assert not (tmp_path / "r").exists()
+
+
+def test_train_and_eval_refuse_a_non_finite_regression_target(tmp_path, capsys):
+    base = tmp_path / "regdata"
+    code, _, _ = run(capsys, "synth", "--n-instances", "40", "--n-labels", "4",
+                     "--fp-width", "16", "--graph-nodes", "none", "--reg-width", "2",
+                     "--seed", "3", "--out", str(base))
+    assert code == 0
+    data = base / "dataset.jsonl"
+
+    def train_to(model):
+        return run(capsys, "train", "--data", str(data), "--task", "multiregression",
+                   "--inputs", "fingerprint", "--epochs", "1", "--hidden", "4",
+                   "--fuse-dim", "3", "--model-out", str(model))
+
+    model = tmp_path / "reg.json"
+    assert train_to(model)[0] == 0
+    header, first, *rest = data.read_text().splitlines()
+    record = json.loads(first)
+    record["reg"] = [math.nan, 0.5]
+    data.write_text("\n".join([header, json.dumps(record), *rest]) + "\n")
+    message = f"config_error: instance {record['id']!r} has a non-finite regression target\n"
+
+    code, _, stderr = train_to(tmp_path / "bad.json")
+    assert (code, stderr) == (2, message)
+    assert not (tmp_path / "bad.json").exists()
+    report = tmp_path / "r" / "deep" / "report.json"
+    code, _, stderr = run(capsys, "eval", "--data", str(data), "--model", str(model),
+                          "--report", str(report))
+    assert (code, stderr) == (2, message)
     assert not (tmp_path / "r").exists()
 
 

@@ -1,5 +1,7 @@
 """Classification and regression metrics against naive enumerating oracles."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -163,6 +165,24 @@ def test_mae_constant_offset():
     assert mae(t, t) == 0.0
     with pytest.raises(ValueError):
         mae(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308])
+def test_mae_raises_on_non_finite_or_overflowing_values(bad):
+    with pytest.raises(ValueError, match="^MAE undefined: non-finite or overflowing values$"):
+        mae(np.array([[bad], [1.0]]), np.array([[-1e308], [1.0]]))
+    with pytest.raises(ValueError, match="non-finite or overflowing"):
+        mae(np.array([[0.0], [1.0]]), np.array([[bad], [-1e308]]))
+
+
+def test_regression_report_never_holds_nan():
+    report = evaluate_regression([[math.nan], [1], [2]], [[0], [1], [3]])
+    assert report.mae is None and report.pearson_r is None
+    assert json.loads(report.to_json())["mae"] is None
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dataclasses.replace(report, mae=math.nan).to_json()
+    with pytest.raises(ValueError, match="shape mismatch"):
+        evaluate_regression(np.zeros((3, 1)), np.zeros((3, 2)))
 
 
 def test_pearson_perfect_and_inverted():

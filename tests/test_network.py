@@ -9,11 +9,13 @@ import gc
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from mlimb import network
 from mlimb.data import Fingerprint, Instance, MolecularGraph
 from mlimb.evaluation import evaluate_multilabel
 from mlimb.network import (
@@ -160,6 +162,19 @@ def test_fingerprint_dense_selector_rows():
 def test_config_validation_and_fusion_width():
     with pytest.raises(ValueError):
         small_config(hidden_dims=())
+    for field_name, value, message in [
+        ("hidden_dims", (4.7,), "hidden_dims must be an integer, got 4.7"),
+        ("hidden_dims", (4, 0), "hidden_dims must be positive, got 0"),
+        ("node_feature_dim", 3.5, "node_feature_dim must be an integer, got 3.5"),
+        ("fingerprint_width", "8", "fingerprint_width must be an integer, got '8'"),
+        ("output_dim", 0, "output_dim must be positive, got 0"),
+        ("fuse_dim", 3.0, "fuse_dim must be an integer, got 3.0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**{field_name: value})
+    numpy_ints = small_config(node_feature_dim=np.int64(3), hidden_dims=(np.int32(4), 3))
+    assert numpy_ints == small_config()
+    assert type(numpy_ints.node_feature_dim) is int and type(numpy_ints.hidden_dims[0]) is int
     with pytest.raises(ValueError):
         small_config(readout_mode="sum")
     with pytest.raises(ValueError):
@@ -235,15 +250,6 @@ def test_zero_parameters_give_half_probability_and_ln2_loss():
     )
 
 
-def test_softmax_rows_sum_to_one():
-    cfg = small_config(head_mode="softmax", output_dim=4)
-    params = init_parameters(cfg, 3)
-    rng = np.random.default_rng(5)
-    preds = predict(small_instances(rng, 6, cfg), params)
-    assert np.allclose(preds.sum(axis=1), 1.0)
-    assert (preds > 0).all()
-
-
 def test_mse_means_over_all_entries():
     y = np.array([[1.0, 2.0], [3.0, 4.0]])
     t = np.array([[0.0, 2.0], [3.0, 2.0]])
@@ -304,8 +310,8 @@ def test_backward_takes_bool_targets_as_their_0_1_values(head):
     batch = build_batch(small_instances(rng, 6, cfg), cfg)
     targets = rng.random((6, 5)) < 0.4
     trace = forward(batch, params)
-    from_bool = backward(trace, targets, params, "multilabel")
-    from_float = backward(trace, targets.astype(np.float64), params, "multilabel")
+    from_bool = backward(trace, targets, params, cfg.task)
+    from_float = backward(trace, targets.astype(np.float64), params, cfg.task)
     for (name, a), (_, b) in zip(from_bool.named_tensors(), from_float.named_tensors()):
         assert np.array_equal(a, b), name
 
@@ -341,7 +347,6 @@ def test_zero_loss_means_zero_gradients():
         ("sigmoid_multilabel", "multilabel", "max_plus_mean"),
         ("sigmoid_multilabel", "multilabel", "concat_mean_max"),
         ("linear_regression", "multiregression", "max_plus_min"),
-        ("softmax", "multilabel", "max_plus_mean"),
     ],
 )
 def test_gradients_match_finite_differences(head, task, readout_mode):
@@ -593,8 +598,43 @@ def test_output_dim_must_match_targets():
     cfg = NetworkConfig(node_feature_dim=d.node_feature_dim,
                         fingerprint_width=d.fingerprint_width,
                         output_dim=d.label_count + 1, hidden_dims=(4,), fuse_dim=3)
-    with pytest.raises(ValueError, match="output_dim"):
+    with pytest.raises(ValueError, match="^model predicts 5 labels, dataset has 4$"):
         train(d, cfg, TrainConfig(task="multilabel", epochs=1))
+
+
+def test_each_head_serves_exactly_one_task():
+    assert HEAD_MODES == ("sigmoid_multilabel", "linear_regression")
+    assert [small_config(head_mode=head).task for head in HEAD_MODES] == [
+        "multilabel", "multiregression"]
+
+
+MISMATCHED = pytest.mark.parametrize("head, served, task", [
+    ("sigmoid_multilabel", "multilabel", "multiregression"),
+    ("linear_regression", "multiregression", "multilabel"),
+])
+
+
+@MISMATCHED
+def test_train_refuses_a_head_that_does_not_serve_the_task(monkeypatch, head, served, task):
+    rng = np.random.default_rng(43)
+    d = random_dataset(rng, max_instances=12, max_labels=3, graph_prob=0.0, reg_width=2)
+    width = d.label_count if task == "multilabel" else d.regression_width
+    cfg = small_config(fingerprint_width=d.fingerprint_width, output_dim=width,
+                       head_mode=head, input_mode="fingerprint")
+    monkeypatch.setattr(network, "init_parameters", pytest.fail)  # nothing may train
+    with pytest.raises(ValueError, match=f"^head_mode '{head}' trains task '{served}', "
+                                         f"not '{task}'$"):
+        train(d, cfg, TrainConfig(task=task, epochs=3))
+
+
+@MISMATCHED
+def test_backward_refuses_a_task_its_head_does_not_serve(head, served, task):
+    cfg = small_config(head_mode=head)
+    params = init_parameters(cfg, 5)
+    batch = build_batch(small_instances(np.random.default_rng(5), 3, cfg), cfg)
+    with pytest.raises(ValueError, match=f"^head_mode '{head}' trains task '{served}', "
+                                         f"not '{task}'$"):
+        backward(forward(batch, params), np.zeros((3, 2)), params, task)
 
 
 # Recorded from the implementation that built every target row up front.
@@ -735,6 +775,9 @@ def test_checkpoint_rejects_tampering(tmp_path):
         ({**good, "config": {**config, "dropout": 0.5}}, r"unknown fields \['dropout'\]"),
         ({**good, "config": {**config, "hidden_dims": 4}}, "checkpoint config is invalid"),
         ({**good, "config": {**config, "activation": "gelu"}}, "unknown activation"),
+        ({**good, "config": {**config, "head_mode": "softmax"}},
+         r"^checkpoint config is invalid: unknown head_mode 'softmax'; expected one of "
+         r"\('sigmoid_multilabel', 'linear_regression'\)$"),
         ({**good, "tensors": {k: v for k, v in tensors.items() if k != "fp_bias"}},
          "tensor 'fp_bias' is missing"),
         ({**good, "tensors": {**tensors, "fp_bias": {"shape": [3]}}},
