@@ -270,9 +270,9 @@ def _network_config(args: argparse.Namespace, dataset: MultiLabelDataset) -> Net
     if args.task == "multilabel":
         output_dim = dataset.label_count
     else:
-        if dataset.regression_width == 0:
-            raise ValueError("multiregression task on a dataset without regression targets")
-        output_dim = dataset.regression_width
+        # A dataset without regression targets still gets a valid config;
+        # train's target gate then rejects it, in eval's words.
+        output_dim = max(dataset.regression_width, 1)
     return NetworkConfig(
         node_feature_dim=dataset.node_feature_dim,
         fingerprint_width=dataset.fingerprint_width,
@@ -458,8 +458,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("parse_error", exc)
     except ValidationError as exc:
         return _fail("validation_error", exc)
-    except FileNotFoundError as exc:
-        return _fail("io_error", exc)
     except OSError as exc:
         return _fail("io_error", exc)
     except ValueError as exc:

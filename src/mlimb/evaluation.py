@@ -37,10 +37,6 @@ def binarize(scores: np.ndarray, threshold: float) -> np.ndarray:
     return (np.asarray(scores, dtype=np.float64) >= threshold).astype(np.uint8)
 
 
-def _ratio(num: float, den: float) -> float:
-    return num / den if den > 0 else 0.0
-
-
 def _check_binary_pair(predictions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(predictions)
     t = np.asarray(targets)
@@ -62,46 +58,31 @@ def prf(predictions: np.ndarray, targets: np.ndarray, averaging: str) -> tuple[f
     return _prf(p, t, p & t, averaging)
 
 
+# The axis each averaging counts along: all cells, each label, each instance.
+_COUNT_AXES = {"micro": None, "macro": 0, "samples": 1}
+
+
 def _prf(p: np.ndarray, t: np.ndarray, tp: np.ndarray, averaging: str) -> tuple[float, float, float]:
-    """prf on checked bool matrices, with tp = p & t computed by the caller."""
-    if averaging == "micro":
-        tp_total = int(np.count_nonzero(tp))
-        precision = _ratio(tp_total, int(np.count_nonzero(p)))
-        recall = _ratio(tp_total, int(np.count_nonzero(t)))
-        f1 = _ratio(2 * precision * recall, precision + recall)
-        return precision, recall, f1
+    """prf on checked bool matrices, with tp = p & t computed by the caller.
 
+    One formula serves every averaging: count true, predicted and target
+    positives per item (the whole matrix, a label or an instance), score
+    each item, and average the items' scores with correctly rounded sums.
+    """
+    axis = _COUNT_AXES[averaging]
+    tp_n, pred_n, targ_n = (np.atleast_1d(np.count_nonzero(a, axis=axis)) for a in (tp, p, t))
     if averaging == "macro":
-        pred_pos = np.count_nonzero(p, axis=0)
-        targ_pos = np.count_nonzero(t, axis=0)
-        tp_label = np.count_nonzero(tp, axis=0)
-        keep = (pred_pos + targ_pos) > 0
-        if not keep.any():
-            return 0.0, 0.0, 0.0
-        precisions, recalls, f1s = [], [], []
-        for l in np.nonzero(keep)[0]:
-            pl = _ratio(int(tp_label[l]), int(pred_pos[l]))
-            rl = _ratio(int(tp_label[l]), int(targ_pos[l]))
-            precisions.append(pl)
-            recalls.append(rl)
-            f1s.append(_ratio(2 * pl * rl, pl + rl))
-        m = len(precisions)
-        return math.fsum(precisions) / m, math.fsum(recalls) / m, math.fsum(f1s) / m
-
-    n = p.shape[0]
-    if n == 0:
-        raise ValueError("samples averaging over an empty prediction matrix")
-    pred_pos = np.count_nonzero(p, axis=1)
-    targ_pos = np.count_nonzero(t, axis=1)
-    tp_inst = np.count_nonzero(tp, axis=1)
-    precisions, recalls, f1s = [], [], []
-    for i in range(n):
-        pi = _ratio(int(tp_inst[i]), int(pred_pos[i]))
-        ri = _ratio(int(tp_inst[i]), int(targ_pos[i]))
-        precisions.append(pi)
-        recalls.append(ri)
-        f1s.append(_ratio(2 * pi * ri, pi + ri))
-    return math.fsum(precisions) / n, math.fsum(recalls) / n, math.fsum(f1s) / n
+        keep = (pred_n + targ_n) > 0
+        tp_n, pred_n, targ_n = tp_n[keep], pred_n[keep], targ_n[keep]
+    m = tp_n.size
+    if m == 0:
+        if averaging == "samples":
+            raise ValueError("samples averaging over an empty prediction matrix")
+        return 0.0, 0.0, 0.0
+    precision, recall = (np.divide(tp_n, d, out=np.zeros(m), where=d > 0) for d in (pred_n, targ_n))
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(m), where=both > 0)
+    return math.fsum(precision) / m, math.fsum(recall) / m, math.fsum(f1) / m
 
 
 def _regression_pair(predictions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

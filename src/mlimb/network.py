@@ -29,7 +29,11 @@ dense targets from its own rows, and prediction runs in row blocks written
 into one output array. Multilabel targets are bool matrices, and a step
 allocates few batch x labels arrays: the head overwrites the logits buffer,
 and the clamped cross-entropy fills one buffer with log(y) or log(1 - y) by
-target, which for 0/1 targets is the two-log form to the bit.
+target, which for 0/1 targets is the two-log form to the bit. Per graph
+layer, a training step keeps two node tensors, the propagated input
+A_hat H^(k-1) and the activation H^(k): each activation overwrites its
+pre-activation in place, and backward writes the activation's derivative
+from H^(k).
 """
 
 from __future__ import annotations
@@ -95,29 +99,9 @@ INPUT_MODES = ("hybrid", "graph", "fingerprint")
 BCE_EPS = 1e-7
 
 
-def _tanh(p: np.ndarray) -> np.ndarray:
-    return np.tanh(p)
-
-
-def _dtanh(p: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _dtanh(h: np.ndarray) -> np.ndarray:
     d = h * h
     return np.subtract(1.0, d, out=d)
-
-
-def _relu(p: np.ndarray) -> np.ndarray:
-    return np.maximum(p, 0.0)
-
-
-def _drelu(p: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return (p > 0.0).astype(np.float64)
-
-
-def _identity(p: np.ndarray) -> np.ndarray:
-    return p
-
-
-def _didentity(p: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return np.ones_like(p)
 
 
 def _sigmoid(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -134,17 +118,20 @@ def _sigmoid(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _dsigmoid(p: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _dsigmoid(h: np.ndarray) -> np.ndarray:
     d = 1.0 - h
     d *= h
     return d
 
 
+# Each activation overwrites its input and returns it; each derivative is
+# written from the activation's output alone (relu's h > 0 is p > 0), so
+# the forward pass keeps no pre-activations.
 ACTIVATIONS = {
-    "tanh": (_tanh, _dtanh),
-    "relu": (_relu, _drelu),
-    "identity": (_identity, _didentity),
-    "sigmoid": (_sigmoid, _dsigmoid),
+    "tanh": (lambda p: np.tanh(p, out=p), _dtanh),
+    "relu": (lambda p: np.maximum(p, 0.0, out=p), lambda h: (h > 0.0).astype(np.float64)),
+    "identity": (lambda p: p, np.ones_like),
+    "sigmoid": (lambda p: _sigmoid(p, out=p), _dsigmoid),
 }
 
 
@@ -488,16 +475,18 @@ def build_batch(instances: list[Instance], config: NetworkConfig) -> GraphBatch:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs, kept from one forward pass."""
+    """Everything the backward pass needs, kept from one forward pass.
+
+    Per graph layer that is the propagated input A_hat @ H^(k-1), which the
+    weight gradient reads, and the activation H^(k), from which the
+    activation's derivative is written.
+    """
 
     batch: GraphBatch
     hidden: list[np.ndarray] = field(default_factory=list)  # [H^(0)=X, ..., H^(K)], (B, Nmax, .)
-    pre: list[np.ndarray] = field(default_factory=list)  # (B*Nmax, .)
     propagated: list[np.ndarray] = field(default_factory=list)  # A_hat @ H^(k-1), (B, Nmax, .)
-    h_g: np.ndarray | None = None
     max_rows: np.ndarray | None = None  # (B, D): first node attaining each column's max
     min_rows: np.ndarray | None = None
-    f_star: np.ndarray | None = None
     fused: np.ndarray | None = None
     z: np.ndarray | None = None
     y_pred: np.ndarray | None = None
@@ -520,7 +509,6 @@ def forward(batch: GraphBatch, params: ModelParameters) -> ForwardTrace:
             p += bias
             h = act(p).reshape(b, width, -1)
             trace.propagated.append(m)
-            trace.pre.append(p)
             trace.hidden.append(h)
         # Padding rows hold act(bias); the readouts mask them out. argmax and
         # argmin return the first extreme node, the rows backward routes to.
@@ -532,24 +520,24 @@ def forward(batch: GraphBatch, params: ModelParameters) -> ForwardTrace:
             np.copyto(masked, np.inf, where=padding)
             trace.min_rows = masked.argmin(axis=1)
             minv = np.take_along_axis(h, trace.min_rows[:, None, :], axis=1)[:, 0, :]
-            trace.h_g = maxv + minv
+            h_g = maxv + minv
         else:
             np.copyto(masked, 0.0, where=padding)
             meanv = masked.sum(axis=1) / batch.sizes[:, None]
             if cfg.readout_mode == "max_plus_mean":
-                trace.h_g = maxv + meanv
+                h_g = maxv + meanv
             else:
-                trace.h_g = np.concatenate([meanv, maxv], axis=1)
+                h_g = np.concatenate([meanv, maxv], axis=1)
     else:
-        trace.h_g = np.zeros((b, fusion))
+        h_g = np.zeros((b, fusion))
 
     if cfg.input_mode in ("hybrid", "fingerprint"):
-        trace.f_star = batch.fingerprints @ params.fp_weight
-        trace.f_star += params.fp_bias
+        f_star = batch.fingerprints @ params.fp_weight
+        f_star += params.fp_bias
     else:
-        trace.f_star = np.zeros((b, fusion))
+        f_star = np.zeros((b, fusion))
 
-    trace.fused = trace.h_g + trace.f_star
+    trace.fused = h_g + f_star
     trace.z = trace.fused @ params.fuse_weight
     trace.z += params.fuse_bias
     logits = trace.z @ params.head_weight
@@ -656,7 +644,7 @@ def backward(
         # the gradient of its pre-activation in place.
         dh = dh.reshape(b * width, dim)
         for k in range(cfg.layer_count - 1, -1, -1):
-            dh *= dact(trace.pre[k], trace.hidden[k + 1].reshape(dh.shape))
+            dh *= dact(trace.hidden[k + 1].reshape(dh.shape))
             grads.layer_weights[k][:] = trace.propagated[k].reshape(b * width, -1).T @ dh
             grads.layer_biases[k][:] = dh.sum(axis=0)
             if k > 0:

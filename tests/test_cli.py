@@ -238,7 +238,8 @@ def test_multiregression_without_targets_fails(synth_dir, tmp_path, capsys):
     code, _, stderr = run(capsys, "train", "--data", str(synth_dir / "dataset.jsonl"),
                           "--task", "multiregression", "--epochs", "1",
                           "--model-out", str(tmp_path / "m.json"))
-    assert code == 2 and stderr.startswith("config_error:")
+    assert code == 2 and stderr == "config_error: dataset declares no regression targets\n"
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_eval_label_count_mismatch(synth_dir, tmp_path, capsys):

@@ -19,6 +19,7 @@ from mlimb import network
 from mlimb.data import Fingerprint, Instance, MolecularGraph
 from mlimb.evaluation import evaluate_multilabel
 from mlimb.network import (
+    ACTIVATIONS,
     BCE_EPS,
     HEAD_MODES,
     ModelParameters,
@@ -341,6 +342,7 @@ def test_zero_loss_means_zero_gradients():
 # Gradient checks
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("activation", tuple(ACTIVATIONS))
 @pytest.mark.parametrize(
     "head,task,readout_mode",
     [
@@ -349,17 +351,21 @@ def test_zero_loss_means_zero_gradients():
         ("linear_regression", "multiregression", "max_plus_min"),
     ],
 )
-def test_gradients_match_finite_differences(head, task, readout_mode):
-    cfg = small_config(head_mode=head, readout_mode=readout_mode)
+def test_gradients_match_finite_differences(head, task, readout_mode, activation):
+    cfg = small_config(head_mode=head, readout_mode=readout_mode, activation=activation)
     rng = np.random.default_rng(11)
     params = init_parameters(cfg, rng)
     instances = small_instances(rng, 3, cfg)
     batch = build_batch(instances, cfg)
+    inputs = [batch.nodes.copy(), batch.operator.copy(), batch.fingerprints.copy()]
     if task == "multilabel":
         targets = rng.integers(0, 2, size=(3, cfg.output_dim)).astype(np.float64)
     else:
         targets = rng.normal(size=(3, cfg.output_dim))
     _, analytic = loss_and_gradients(params, batch, targets, task)
+    # The activations write in place, but never into the batch.
+    for before, after in zip(inputs, (batch.nodes, batch.operator, batch.fingerprints)):
+        assert np.array_equal(before, after)
     numeric = numerical_gradients(params, batch, targets, task)
     assert max_relative_error(analytic, numeric) < 1e-4
 
@@ -729,6 +735,30 @@ def test_training_step_memory_is_a_few_output_sized_arrays(wide_step):
     params, batch, targets, dense = wide_step
     step = lambda: loss_and_gradients(params, batch, targets, "multilabel")
     assert traced_peak(step) < 5 * dense
+
+
+@pytest.fixture(scope="module")
+def node_step():
+    """A hybrid batch of 400 graphs of 12 nodes each; with 32-wide layers a
+    (400, 12, 32) float64 node tensor is 1.2 MB, and the labels, fingerprints
+    and fusion arrays are small next to it."""
+    d = generate(SynthConfig(n_instances=400, n_labels=8, fingerprint_width=64,
+                             graph_nodes_range=(12, 12), seed=2))
+    return d, label_matrix(d), 400 * 12 * 32 * 8
+
+
+@pytest.mark.parametrize("activation", tuple(ACTIVATIONS))
+def test_training_step_keeps_no_pre_activations(node_step, activation):
+    # Two layers keep two propagated inputs and two activations; the readout
+    # copy, backward's gradients and the derivative buffer come and go. A
+    # step that also kept every pre-activation needs about 10 node tensors.
+    d, targets, node_tensor = node_step
+    cfg = NetworkConfig(node_feature_dim=d.node_feature_dim,
+                        fingerprint_width=d.fingerprint_width, output_dim=d.label_count,
+                        hidden_dims=(32, 32), fuse_dim=32, activation=activation)
+    params, batch = init_parameters(cfg, 0), build_batch(d.instances, cfg)
+    step = lambda: loss_and_gradients(params, batch, targets, "multilabel")
+    assert traced_peak(step) < 9 * node_tensor
 
 
 # ---------------------------------------------------------------------------
