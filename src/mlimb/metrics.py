@@ -34,7 +34,6 @@ import csv
 import io
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -44,7 +43,6 @@ from .data import Instance, MultiLabelDataset
 
 __all__ = [
     "label_counts",
-    "label_set_counts",
     "irlbl",
     "mean_ir",
     "cardinality",
@@ -64,12 +62,6 @@ def label_counts(dataset: MultiLabelDataset) -> np.ndarray:
     weighted = np.bincount(labels, weights=dataset.set_counts[owners],
                            minlength=dataset.label_count)
     return weighted.astype(np.int64)
-
-
-def label_set_counts(dataset: MultiLabelDataset) -> Counter[tuple[int, ...]]:
-    """Number of instances carrying each distinct label set, in order of
-    first appearance."""
-    return Counter(dict(zip(dataset.label_sets, dataset.set_counts.tolist())))
 
 
 def irlbl(counts: np.ndarray) -> np.ndarray:

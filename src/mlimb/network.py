@@ -51,7 +51,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .data import Instance, MolecularGraph, MultiLabelDataset
+from .data import Instance, MultiLabelDataset
 
 __all__ = [
     "ACTIVATIONS",
@@ -64,13 +64,6 @@ __all__ = [
     "NetworkConfig",
     "ModelParameters",
     "init_parameters",
-    "adjacency_operator",
-    "graph_layer_forward",
-    "readout",
-    "fingerprint_dense",
-    "fuse_and_predict",
-    "graph_embedding",
-    "predict_instance",
     "GraphBatch",
     "build_batch",
     "ForwardTrace",
@@ -83,6 +76,7 @@ __all__ = [
     "TrainConfig",
     "train",
     "predict",
+    "predict_instance",
     "save_checkpoint",
     "load_checkpoint",
     "loss_curve_csv",
@@ -285,102 +279,6 @@ def init_parameters(config: NetworkConfig, seed_or_rng: int | np.random.Generato
 
 
 # ---------------------------------------------------------------------------
-# Single-graph operations
-# ---------------------------------------------------------------------------
-
-def adjacency_operator(graph: MolecularGraph, mode: str) -> np.ndarray:
-    """Dense adjacency operator of one graph under the chosen mode."""
-    if mode not in ADJACENCY_MODES:
-        raise ValueError(f"unknown adjacency_mode {mode!r}")
-    n = graph.node_count
-    a = np.zeros((n, n), dtype=np.float64)
-    for u, v in graph.edges:
-        a[u, v] += 1.0
-        a[v, u] += 1.0
-    if mode == "literal":
-        return a
-    a += np.eye(n)
-    if mode == "self_loops":
-        return a
-    inv_sqrt_deg = 1.0 / np.sqrt(a.sum(axis=1))
-    return a * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
-
-
-def graph_layer_forward(
-    h_prev: np.ndarray, operator: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str
-) -> np.ndarray:
-    """One propagation step act(operator @ h_prev @ w + b)."""
-    act, _ = ACTIVATIONS[activation]
-    if h_prev.shape[1] != w.shape[0]:
-        raise ValueError(f"hidden width {h_prev.shape[1]} does not match weight rows {w.shape[0]}")
-    return act(operator @ h_prev @ w + b)
-
-
-def readout(h_final: np.ndarray, mode: str) -> np.ndarray:
-    """Pool node rows into one graph embedding."""
-    if mode not in READOUT_MODES:
-        raise ValueError(f"unknown readout_mode {mode!r}")
-    if h_final.ndim != 2 or h_final.shape[0] == 0:
-        raise ValueError("readout needs a non-empty node matrix")
-    if mode == "max_plus_mean":
-        return h_final.max(axis=0) + h_final.mean(axis=0)
-    if mode == "max_plus_min":
-        return h_final.max(axis=0) + h_final.min(axis=0)
-    return np.concatenate([h_final.mean(axis=0), h_final.max(axis=0)])
-
-
-def fingerprint_dense(f: np.ndarray, w_p: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Affine map of the 0/1 fingerprint vector."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape[-1] != w_p.shape[0]:
-        raise ValueError(f"fingerprint width {f.shape[-1]} does not match weight rows {w_p.shape[0]}")
-    return f @ w_p + c
-
-
-def _head(logits: np.ndarray, mode: str) -> np.ndarray:
-    """The configured head, computed in place: overwrites and returns logits."""
-    if mode == "sigmoid_multilabel":
-        return _sigmoid(logits, out=logits)
-    return logits
-
-
-def fuse_and_predict(h_g: np.ndarray, f_star: np.ndarray, params: ModelParameters) -> np.ndarray:
-    """Fusion Z = (h_G + F*) W_q + d, then the configured head on Z W_r + e."""
-    if h_g.shape != f_star.shape:
-        raise ValueError(f"embedding width {h_g.shape} does not match dense fingerprint {f_star.shape}")
-    z = (h_g + f_star) @ params.fuse_weight + params.fuse_bias
-    logits = z @ params.head_weight + params.head_bias
-    return _head(logits, params.config.head_mode)
-
-
-def graph_embedding(graph: MolecularGraph, params: ModelParameters) -> np.ndarray:
-    """Stacked layers plus readout for a single graph."""
-    cfg = params.config
-    operator = adjacency_operator(graph, cfg.adjacency_mode)
-    h = graph.node_features
-    for w, b in zip(params.layer_weights, params.layer_biases):
-        h = graph_layer_forward(h, operator, w, b, cfg.activation)
-    return readout(h, cfg.readout_mode)
-
-
-def predict_instance(params: ModelParameters, instance: Instance) -> np.ndarray:
-    """Single-instance forward pass honoring the configured input mode."""
-    cfg = params.config
-    fusion = cfg.fusion_input_dim
-    if cfg.input_mode in ("hybrid", "graph"):
-        if instance.graph is None:
-            raise ValueError(f"instance {instance.id!r} has no graph but input_mode={cfg.input_mode!r}")
-        h_g = graph_embedding(instance.graph, params)
-    else:
-        h_g = np.zeros(fusion)
-    if cfg.input_mode in ("hybrid", "fingerprint"):
-        f_star = fingerprint_dense(instance.fingerprint.bits, params.fp_weight, params.fp_bias)
-    else:
-        f_star = np.zeros(fusion)
-    return fuse_and_predict(h_g, f_star, params)
-
-
-# ---------------------------------------------------------------------------
 # Batched engine
 # ---------------------------------------------------------------------------
 
@@ -542,7 +440,10 @@ def forward(batch: GraphBatch, params: ModelParameters) -> ForwardTrace:
     trace.z += params.fuse_bias
     logits = trace.z @ params.head_weight
     logits += params.head_bias
-    trace.y_pred = _head(logits, cfg.head_mode)
+    # The sigmoid head overwrites the logits; the identity head is the logits.
+    if cfg.head_mode == "sigmoid_multilabel":
+        _sigmoid(logits, out=logits)
+    trace.y_pred = logits
     return trace
 
 
@@ -893,7 +794,10 @@ _PREDICT_BLOCK_ROWS = 256
 def predict(instances: list[Instance], params: ModelParameters) -> np.ndarray:
     """Forward pass in row blocks written into one output; rows follow
     instance order, and fewer than 512 rows run as a single batch. OpenBLAS
-    runs on one thread meanwhile, as in ``train``."""
+    runs on one thread meanwhile, as in ``train``.
+
+    Raises ValueError, in one line, when a prediction is not finite.
+    """
     # Checked over all rows, so the error counts the whole input and comes
     # before any block runs.
     _require_graphs(instances, params.config)
@@ -901,10 +805,21 @@ def predict(instances: list[Instance], params: ModelParameters) -> np.ndarray:
     blocks = max(1, n // _PREDICT_BLOCK_ROWS)
     edges = [n * k // blocks for k in range(blocks + 1)]
     out = np.empty((n, params.config.output_dim))
-    with _single_thread_blas():
+    # An overflowing model is reported below as one error, not as warnings.
+    with _single_thread_blas(), np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in zip(edges, edges[1:]):
             out[lo:hi] = forward(build_batch(instances[lo:hi], params.config), params).y_pred
+    bad = out.size - int(np.count_nonzero(np.isfinite(out)))
+    if bad:
+        raise ValueError(
+            f"{bad} of {out.size} predictions are non-finite; retrain the model with a lower --lr"
+        )
     return out
+
+
+def predict_instance(params: ModelParameters, instance: Instance) -> np.ndarray:
+    """The prediction row of one instance: ``predict`` on a batch of one."""
+    return predict([instance], params)[0]
 
 
 # ---------------------------------------------------------------------------

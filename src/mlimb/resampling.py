@@ -44,18 +44,14 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Fingerprint, Instance, MultiLabelDataset
+from .data import Fingerprint, MultiLabelDataset
 from .metrics import irlbl, label_counts, mean_ir
 
 __all__ = [
     "ResampleConfig",
-    "MinorityScore",
     "ResampleOutcome",
     "minority_labels",
-    "minority_score",
-    "rank_candidates",
     "oversample_proposed",
-    "knn_hamming",
     "mlsmote",
     "oversample",
 ]
@@ -88,12 +84,6 @@ class ResampleConfig:
             raise ValueError(f"r must be a positive integer, got {self.r}")
         if self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
-
-
-@dataclass(frozen=True)
-class MinorityScore:
-    instance_index: int
-    score: float
 
 
 @dataclass(frozen=True)
@@ -139,18 +129,6 @@ def minority_labels(irlbl_table: np.ndarray, mean_ir_value: float) -> frozenset[
     return frozenset(int(l) for l in np.nonzero(mask)[0])
 
 
-def minority_score(instance: Instance, minority_set: frozenset[int]) -> float | None:
-    """Fraction of the instance's active labels that are minority labels.
-
-    Instances with no active labels are unscored (None) and never enter the
-    candidate ranking.
-    """
-    if not instance.labels:
-        return None
-    hits = sum(1 for l in instance.labels if l in minority_set)
-    return hits / len(instance.labels)
-
-
 def _ranked_indices(
     dataset: MultiLabelDataset, minority_set: frozenset[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,15 +145,6 @@ def _ranked_indices(
     order = np.argsort(-scores, kind="stable")
     order = order[scorable[dataset.set_ids[order]]]
     return order, scores[order]
-
-
-def rank_candidates(dataset: MultiLabelDataset, minority_set: frozenset[int]) -> list[MinorityScore]:
-    """Scored instances in selection order: score descending, index ascending."""
-    order, scores = _ranked_indices(dataset, minority_set)
-    return [
-        MinorityScore(instance_index=int(i), score=float(s))
-        for i, s in zip(order, scores)
-    ]
 
 
 NO_LABELS = "no labeled instances; dataset returned unchanged"
@@ -298,18 +267,6 @@ def _neighbours(bits: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
         distance[np.arange(len(block)), block] = np.inf  # never its own neighbour
         out[start:start + len(block)] = np.argsort(distance, axis=1, kind="stable")[:, :take]
     return out
-
-
-def knn_hamming(bits: np.ndarray, row: int, k: int) -> list[int]:
-    """Rows of the 0/1 matrix ``bits`` nearest to ``bits[row]``, excluding
-    ``row`` itself.
-
-    Hamming distance; ties broken by ascending row; k past the number of
-    other rows returns all of them.
-    """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    return _neighbours(bits, np.array([row]), k)[0].tolist()
 
 
 def _vote(values: np.ndarray, groups: np.ndarray) -> np.ndarray:

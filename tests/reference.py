@@ -1,0 +1,139 @@
+"""Per-instance reference paths that the tests compare production code against.
+
+The package ships one implementation of each computation: the batched
+network engine (``mlimb.network.forward``/``predict``), the label-set-table
+ranking of ``proposed`` and the blocked neighbour search of ``mlsmote``.
+This module spells the same computations one graph or one instance at a
+time, in the plainest numpy, so a test can check the fast path against an
+independent derivation:
+
+- the per-graph forward pass, ``adjacency_operator`` → ``graph_layer_forward``
+  → ``readout`` → ``fingerprint_dense`` → ``fuse_and_predict``, composed by
+  ``graph_embedding`` and ``predict_instance``;
+- ``minority_score``, the per-instance score ``proposed`` ranks by;
+- ``knn_hamming``, the one-row case of ``resampling._neighbours``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from mlimb.data import Instance, MolecularGraph
+from mlimb.network import ACTIVATIONS, ADJACENCY_MODES, READOUT_MODES, ModelParameters, _sigmoid
+from mlimb.resampling import _neighbours
+
+
+def adjacency_operator(graph: MolecularGraph, mode: str) -> np.ndarray:
+    """Dense adjacency operator of one graph under the chosen mode."""
+    if mode not in ADJACENCY_MODES:
+        raise ValueError(f"unknown adjacency_mode {mode!r}")
+    n = graph.node_count
+    a = np.zeros((n, n), dtype=np.float64)
+    for u, v in graph.edges:
+        a[u, v] += 1.0
+        a[v, u] += 1.0
+    if mode == "literal":
+        return a
+    a += np.eye(n)
+    if mode == "self_loops":
+        return a
+    inv_sqrt_deg = 1.0 / np.sqrt(a.sum(axis=1))
+    return a * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+
+
+def graph_layer_forward(
+    h_prev: np.ndarray, operator: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str
+) -> np.ndarray:
+    """One propagation step act(operator @ h_prev @ w + b)."""
+    act, _ = ACTIVATIONS[activation]
+    if h_prev.shape[1] != w.shape[0]:
+        raise ValueError(f"hidden width {h_prev.shape[1]} does not match weight rows {w.shape[0]}")
+    return act(operator @ h_prev @ w + b)
+
+
+def readout(h_final: np.ndarray, mode: str) -> np.ndarray:
+    """Pool node rows into one graph embedding."""
+    if mode not in READOUT_MODES:
+        raise ValueError(f"unknown readout_mode {mode!r}")
+    if h_final.ndim != 2 or h_final.shape[0] == 0:
+        raise ValueError("readout needs a non-empty node matrix")
+    if mode == "max_plus_mean":
+        return h_final.max(axis=0) + h_final.mean(axis=0)
+    if mode == "max_plus_min":
+        return h_final.max(axis=0) + h_final.min(axis=0)
+    return np.concatenate([h_final.mean(axis=0), h_final.max(axis=0)])
+
+
+def fingerprint_dense(f: np.ndarray, w_p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Affine map of the 0/1 fingerprint vector."""
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape[-1] != w_p.shape[0]:
+        raise ValueError(f"fingerprint width {f.shape[-1]} does not match weight rows {w_p.shape[0]}")
+    return f @ w_p + c
+
+
+def _head(logits: np.ndarray, mode: str) -> np.ndarray:
+    """The configured head, computed in place: overwrites and returns logits."""
+    if mode == "sigmoid_multilabel":
+        return _sigmoid(logits, out=logits)
+    return logits
+
+
+def fuse_and_predict(h_g: np.ndarray, f_star: np.ndarray, params: ModelParameters) -> np.ndarray:
+    """Fusion Z = (h_G + F*) W_q + d, then the configured head on Z W_r + e."""
+    if h_g.shape != f_star.shape:
+        raise ValueError(f"embedding width {h_g.shape} does not match dense fingerprint {f_star.shape}")
+    z = (h_g + f_star) @ params.fuse_weight + params.fuse_bias
+    logits = z @ params.head_weight + params.head_bias
+    return _head(logits, params.config.head_mode)
+
+
+def graph_embedding(graph: MolecularGraph, params: ModelParameters) -> np.ndarray:
+    """Stacked layers plus readout for a single graph."""
+    cfg = params.config
+    operator = adjacency_operator(graph, cfg.adjacency_mode)
+    h = graph.node_features
+    for w, b in zip(params.layer_weights, params.layer_biases):
+        h = graph_layer_forward(h, operator, w, b, cfg.activation)
+    return readout(h, cfg.readout_mode)
+
+
+def predict_instance(params: ModelParameters, instance: Instance) -> np.ndarray:
+    """Single-instance forward pass honoring the configured input mode."""
+    cfg = params.config
+    fusion = cfg.fusion_input_dim
+    if cfg.input_mode in ("hybrid", "graph"):
+        if instance.graph is None:
+            raise ValueError(f"instance {instance.id!r} has no graph but input_mode={cfg.input_mode!r}")
+        h_g = graph_embedding(instance.graph, params)
+    else:
+        h_g = np.zeros(fusion)
+    if cfg.input_mode in ("hybrid", "fingerprint"):
+        f_star = fingerprint_dense(instance.fingerprint.bits, params.fp_weight, params.fp_bias)
+    else:
+        f_star = np.zeros(fusion)
+    return fuse_and_predict(h_g, f_star, params)
+
+
+def minority_score(instance: Instance, minority_set: frozenset[int]) -> float | None:
+    """Fraction of the instance's active labels that are minority labels.
+
+    Instances with no active labels are unscored (None) and never enter the
+    candidate ranking.
+    """
+    if not instance.labels:
+        return None
+    hits = sum(1 for l in instance.labels if l in minority_set)
+    return hits / len(instance.labels)
+
+
+def knn_hamming(bits: np.ndarray, row: int, k: int) -> list[int]:
+    """Rows of the 0/1 matrix ``bits`` nearest to ``bits[row]``, excluding
+    ``row`` itself.
+
+    Hamming distance; ties broken by ascending row; k past the number of
+    other rows returns all of them.
+    """
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    return _neighbours(bits, np.array([row]), k)[0].tolist()

@@ -234,11 +234,12 @@ def rebuilt(dataset: MultiLabelDataset, rows) -> MultiLabelDataset:
 
 def assert_same_dataset(got: MultiLabelDataset, expected: MultiLabelDataset) -> None:
     from mlimb.cooccurrence import cooccurrence
-    from mlimb.metrics import imbalance_report, label_counts, label_set_counts, positive_pair_count
+    from mlimb.metrics import imbalance_report, label_counts, positive_pair_count
 
     assert got == expected
     assert got.instances == expected.instances
-    assert list(label_set_counts(got).items()) == list(label_set_counts(expected).items())
+    assert got.label_sets == expected.label_sets
+    assert got.set_counts.tolist() == expected.set_counts.tolist()
     assert np.array_equal(label_counts(got), label_counts(expected))
     assert positive_pair_count(got) == positive_pair_count(expected)
     if len(got) and label_counts(got).any():

@@ -1,7 +1,8 @@
 """Forward/backward passes of the fused graph+fingerprint network.
 
 Gradients are checked against central finite differences; the batched
-engine is checked against the plain single-instance path.
+engine is checked against the plain per-graph forward pass in
+``tests.reference``.
 """
 
 import dataclasses
@@ -22,16 +23,13 @@ from mlimb.network import (
     ACTIVATIONS,
     BCE_EPS,
     HEAD_MODES,
+    INPUT_MODES,
     ModelParameters,
     NetworkConfig,
     TrainConfig,
-    adjacency_operator,
     backward,
     build_batch,
-    fingerprint_dense,
     forward,
-    fuse_and_predict,
-    graph_layer_forward,
     init_parameters,
     label_matrix,
     load_checkpoint,
@@ -39,8 +37,6 @@ from mlimb.network import (
     loss_and_gradients,
     loss_curve_csv,
     predict,
-    predict_instance,
-    readout,
     regression_matrix,
     save_checkpoint,
     train,
@@ -49,6 +45,14 @@ from mlimb.network import (
 )
 from mlimb.synth import SynthConfig, generate
 from tests.conftest import random_dataset, random_graph
+from tests.reference import (
+    adjacency_operator,
+    fingerprint_dense,
+    fuse_and_predict,
+    graph_layer_forward,
+    predict_instance,
+    readout,
+)
 
 
 def path_graph(feats):
@@ -409,7 +413,11 @@ def test_fingerprint_mode_ignores_graphs_entirely():
     assert np.array_equal(predict(with_graphs, params), predict(stripped, params))
 
 
-def test_batched_forward_matches_single_instance_path():
+@pytest.mark.parametrize("head_mode", HEAD_MODES)
+@pytest.mark.parametrize("input_mode", INPUT_MODES)
+@pytest.mark.parametrize("activation", list(ACTIVATIONS))
+def test_batched_forward_matches_single_instance_path(activation, input_mode, head_mode):
+    modes = dict(activation=activation, input_mode=input_mode, head_mode=head_mode)
     rng = np.random.default_rng(17)
     for _ in range(8):
         d = random_dataset(rng, max_instances=12, max_labels=5, graph_prob=1.0)
@@ -421,13 +429,14 @@ def test_batched_forward_matches_single_instance_path():
             fuse_dim=3,
             readout_mode=str(rng.choice(["max_plus_mean", "max_plus_min", "concat_mean_max"])),
             adjacency_mode=str(rng.choice(["literal", "self_loops", "normalized"])),
+            **modes,
         )
         params = init_parameters(cfg, int(rng.integers(1000)))
         batched = predict(d.instances, params)
         for row, inst in zip(batched, d.instances):
             assert np.allclose(row, predict_instance(params, inst), atol=1e-12)
     # More rows than one prediction block.
-    cfg = small_config(readout_mode="max_plus_min")
+    cfg = small_config(readout_mode="max_plus_min", **modes)
     params = init_parameters(cfg, 5)
     instances = small_instances(rng, 600, cfg)
     for row, inst in zip(predict(instances, params), instances):
@@ -462,7 +471,7 @@ def test_missing_graph_rejected_in_graph_modes():
     with pytest.raises(ValueError, match="no graph"):
         build_batch(instances, cfg)
     with pytest.raises(ValueError, match="no graph"):
-        predict_instance(init_parameters(cfg, 0), instances[0])
+        network.predict_instance(init_parameters(cfg, 0), instances[0])
 
 
 def test_batch_rejects_wrong_widths():
@@ -582,6 +591,19 @@ def test_training_never_returns_non_finite_parameters(momentum):
                                          r"after epoch 1; try a lower --lr than 1e\+305$"):
         train(ds, cfg, TrainConfig(task="multiregression", epochs=1, learning_rate=1e305,
                                    momentum=momentum))
+
+
+def test_predict_refuses_non_finite_predictions_in_one_line():
+    # One step at this rate leaves finite weights whose predictions overflow.
+    ds = generate(SynthConfig(n_instances=30, n_labels=4, fingerprint_width=16,
+                              graph_nodes_range=None, regression_width=2, seed=3))
+    cfg = NetworkConfig(node_feature_dim=ds.node_feature_dim, fingerprint_width=16,
+                        output_dim=2, hidden_dims=(4,), fuse_dim=3,
+                        head_mode="linear_regression", input_mode="fingerprint")
+    params, _ = train(ds, cfg, TrainConfig(task="multiregression", epochs=1, learning_rate=1e300))
+    with pytest.raises(ValueError, match=r"^60 of 60 predictions are non-finite; "
+                                         r"retrain the model with a lower --lr$"):
+        predict(ds.instances, params)
 
 
 def test_target_matrices():

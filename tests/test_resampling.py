@@ -11,20 +11,19 @@ from mlimb.data import Fingerprint, Instance, LabelVocabulary, MultiLabelDataset
 from mlimb.metrics import cardinality, irlbl, label_counts, mean_ir
 from mlimb.resampling import (
     ResampleConfig,
-    knn_hamming,
     minority_labels,
-    minority_score,
     mlsmote,
     oversample,
     oversample_proposed,
-    rank_candidates,
     _BLOCK_ROWS,
     _bag_votes,
     _neighbours,
+    _ranked_indices,
     _vote,
 )
 from mlimb.synth import SynthConfig, generate
 from tests.conftest import random_dataset
+from tests.reference import knn_hamming, minority_score
 
 
 def make_dataset(label_sets, n_labels, width=8, fps=None):
@@ -106,8 +105,18 @@ def test_minority_score_cases():
 
 def test_rank_excludes_unlabeled_and_breaks_ties_by_index():
     d = make_dataset([(0,), (), (0,), (1,)], 2)
-    ranked = rank_candidates(d, frozenset({1}))
-    assert [ms.instance_index for ms in ranked] == [3, 0, 2]
+    assert _ranked_indices(d, frozenset({1}))[0].tolist() == [3, 0, 2]
+
+
+def test_ranked_scores_match_the_per_instance_score():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        d = random_dataset(rng, max_instances=30, max_labels=6)
+        minority = frozenset(int(l) for l in rng.choice(d.label_count, 2))
+        order, scores = _ranked_indices(d, minority)
+        scored = [(i, minority_score(inst, minority)) for i, inst in enumerate(d.instances)]
+        expected = sorted(((i, s) for i, s in scored if s is not None), key=lambda p: (-p[1], p[0]))
+        assert list(zip(order.tolist(), scores.tolist())) == expected
 
 
 # ---------------------------------------------------------------------------
