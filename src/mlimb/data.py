@@ -117,6 +117,14 @@ class Fingerprint:
             raise ValidationError("fingerprint bits must be 0 or 1")
         object.__setattr__(self, "bits", arr)
 
+    @classmethod
+    def _trusted(cls, bits: np.ndarray) -> "Fingerprint":
+        """Fingerprint kept as given: ``bits`` is already a contiguous 1-D
+        uint8 array of 0/1 values."""
+        fingerprint = object.__new__(cls)
+        object.__setattr__(fingerprint, "bits", bits)
+        return fingerprint
+
     @property
     def width(self) -> int:
         return int(self.bits.size)
@@ -171,6 +179,15 @@ class MolecularGraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         self.edges = edges
+
+    @classmethod
+    def _trusted(cls, node_features: np.ndarray, edges: tuple[tuple[int, int], ...]
+                 ) -> "MolecularGraph":
+        """Graph kept as given: a non-empty float64 matrix and a tuple of
+        int pairs, each in range and no self-edge."""
+        graph = object.__new__(cls)
+        graph.node_features, graph.edges = node_features, edges
+        return graph
 
     @property
     def node_count(self) -> int:

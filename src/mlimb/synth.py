@@ -11,14 +11,27 @@ Construction order (fixed so the random stream is reproducible): label
 counts via largest-remainder allocation of round(target_card * n) positives,
 per-label membership draws, co-occurrence boost coin flips, label shift
 matrix, regression weights, then one block of draws per instance
-(fingerprint noise, graph size, node features, extra edges, regression
-noise).
+(fingerprint noise, graph size, node features, tree parents, extra-edge
+count and pairs, regression noise).
+
+Draws are made in bulk wherever the stream allows it, which gives the same
+values as one call per value: one ``choice`` per label; one ``random(k)``
+per boosted pair over the minor label's k instances in ascending order; a
+graph's tree parents as one ``integers`` call with an array of bounds and
+its extra edges as one (k, 2) call. When an instance makes no draw besides
+its fingerprint noise (no graphs and no regression targets), the noise of a
+block of consecutive instances is one ``random((rows, width))`` call.
+Rows are built from values valid by construction, without the per-row
+checks of the public constructors; the dataset still runs its own checks.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -31,6 +44,18 @@ from .data import (
 )
 
 __all__ = ["SynthConfig", "generate", "allocate_counts"]
+
+# Rows are built in blocks of consecutive instances. A block's fingerprint
+# noise, drawn at once, takes about this many bytes of doubles, and its
+# fingerprints are row views of one uint8 array an eighth of that size. Small
+# blocks keep the noise small beside the dataset, and keep glibc's mmap
+# threshold low when a dataset is freed: freeing one array of many megabytes
+# raises it, and the process's later large temporaries then stay on the heap.
+_NOISE_BLOCK_BYTES = 1 << 20
+
+# Bound on the positives allocate_counts shares out: below it, every quota and
+# the sum of their floors fit int64, even after float rounding.
+_MAX_POSITIVES = 2**62
 
 
 @dataclass(frozen=True)
@@ -49,12 +74,24 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_instances", "n_labels", "fingerprint_width", "signal_bits_per_label",
+                     "node_feature_dim", "regression_width", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.graph_nodes_range is not None:
+            object.__setattr__(self, "graph_nodes_range", tuple(
+                _integer("graph_nodes_range", v) for v in self.graph_nodes_range))
+        for name in ("zipf_exponent", "target_card", "cooccurrence_boost"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_instances < 1 or self.n_labels < 1:
             raise ValueError("n_instances and n_labels must be positive")
         if self.zipf_exponent <= 0:
             raise ValueError("zipf_exponent must be > 0")
         if self.target_card <= 0:
             raise ValueError("target_card must be > 0")
+        if not self.target_card * self.n_instances < _MAX_POSITIVES:
+            raise ValueError(f"target_card * n_instances must be below 2**62, "
+                             f"got {self.target_card * self.n_instances:g}")
         if self.fingerprint_width < 1:
             raise ValueError("fingerprint_width must be positive")
         if self.signal_bits_per_label < 0:
@@ -84,6 +121,14 @@ class SynthConfig:
         return {"generator": doc}
 
 
+def _integer(name: str, value: object) -> int:
+    """An int; numpy integers pass, floats are refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def allocate_counts(weights: np.ndarray, total: int, cap: int) -> np.ndarray:
     """Largest-remainder integer allocation of ``total`` over ``weights``.
 
@@ -91,7 +136,13 @@ def allocate_counts(weights: np.ndarray, total: int, cap: int) -> np.ndarray:
     so the rank-frequency curve is non-increasing by construction.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    quota = total * weights / weights.sum()
+    with np.errstate(over="ignore"):
+        mass = weights.sum()
+    if not (np.isfinite(weights).all() and (weights >= 0).all() and 0 < mass < np.inf):
+        raise ValueError("weights must be finite and non-negative, with a positive finite sum")
+    if not total < _MAX_POSITIVES:
+        raise ValueError("cannot allocate 2**62 or more positives: quotas must fit int64")
+    quota = total * weights / mass
     base = np.floor(quota).astype(np.int64)
     frac = quota - base
     order = np.lexsort((np.arange(weights.size), -frac))
@@ -121,28 +172,9 @@ def generate(config: SynthConfig) -> MultiLabelDataset:
     total = int(round(config.target_card * n))
     counts = allocate_counts(weights, total, cap=n)
 
-    # 2. Membership: label l lands on counts[l] distinct instances.
-    label_sets: list[set[int]] = [set() for _ in range(n)]
-    for l in range(L):
-        if counts[l] == 0:
-            continue
-        for i in rng.choice(n, size=int(counts[l]), replace=False):
-            label_sets[int(i)].add(l)
-
-    # 3. Co-occurrence boost: instances of the rarest populated labels also
-    # pick up a paired frequent label, raising minority/majority concurrence.
-    if config.cooccurrence_boost > 0 and L >= 2:
-        populated = [l for l in range(L) if counts[l] > 0]
-        n_pairs = min(8, len(populated) // 2)
-        minors = populated[-n_pairs:] if n_pairs else []
-        majors = populated[:n_pairs]
-        prob = min(1.0, config.cooccurrence_boost)
-        for minor, major in zip(minors, majors):
-            if minor == major:
-                continue
-            for i in range(n):
-                if minor in label_sets[i] and rng.random() < prob:
-                    label_sets[i].add(major)
+    # 2-3. Membership and co-occurrence boost, with each label's bits planted.
+    step = max(1, _NOISE_BLOCK_BYTES // (8 * w))
+    label_sets, blocks = _labels_and_bits(rng, config, counts, step)
 
     # 4. Planted structure shared across instances.
     label_shift = rng.normal(0.0, 1.0, size=(L, config.node_feature_dim))
@@ -150,56 +182,35 @@ def generate(config: SynthConfig) -> MultiLabelDataset:
     if config.regression_width > 0:
         reg_weight = rng.normal(0.0, 1.0, size=(w, config.regression_width))
 
-    s = config.signal_bits_per_label
-    masks = np.zeros((L, w), dtype=np.uint8)
-    for l in range(L):
-        masks[l, l * s : (l + 1) * s] = 1
+    # 5. Per-instance draws, in row order: fingerprint noise, graph, regression
+    # noise. Rows that draw only noise take it one block at a time.
+    p = config.noise_flip_prob
+    graphs: list[MolecularGraph | None] = [None] * n
+    targets: list[np.ndarray | None] = [None] * n
+    if config.graph_nodes_range is None and reg_weight is None:
+        if p > 0:
+            for block in blocks:
+                block ^= rng.random(block.shape) < p
+    else:
+        for i, row in enumerate(chain.from_iterable(blocks)):
+            if p > 0:
+                row ^= rng.random(w) < p
+            if config.graph_nodes_range is not None:
+                graphs[i] = _graph(rng, config, label_shift, label_sets[i])
+            if reg_weight is not None:
+                clean = row.astype(np.float64) @ reg_weight / np.sqrt(w)
+                targets[i] = clean + rng.normal(0.0, 0.1, size=config.regression_width)
 
     id_width = len(str(n - 1))
-    instances: list[Instance] = []
-    for i in range(n):
-        active = sorted(label_sets[i])
-
-        bits = np.zeros(w, dtype=np.uint8)
-        for l in active:
-            bits |= masks[l]
-        if config.noise_flip_prob > 0:
-            flips = rng.random(w) < config.noise_flip_prob
-            bits = bits ^ flips.astype(np.uint8)
-
-        graph = None
-        if config.graph_nodes_range is not None:
-            lo, hi = config.graph_nodes_range
-            n_nodes = int(rng.integers(lo, hi + 1))
-            feats = rng.normal(0.0, 1.0, size=(n_nodes, config.node_feature_dim))
-            if active:
-                feats = feats + label_shift[active].sum(axis=0)
-            edges: list[tuple[int, int]] = [
-                (int(rng.integers(v)), v) for v in range(1, n_nodes)
-            ]
-            present = set(edges)
-            for _ in range(int(rng.integers(0, n_nodes))):
-                u, v = int(rng.integers(n_nodes)), int(rng.integers(n_nodes))
-                a, b = min(u, v), max(u, v)
-                if a != b and (a, b) not in present:
-                    edges.append((a, b))
-                    present.add((a, b))
-            graph = MolecularGraph(node_features=feats, edges=tuple(edges))
-
-        reg = None
-        if reg_weight is not None:
-            clean = bits.astype(np.float64) @ reg_weight / np.sqrt(w)
-            reg = clean + rng.normal(0.0, 0.1, size=config.regression_width)
-
-        instances.append(
-            Instance(
-                id=f"s{i:0{id_width}d}",
-                fingerprint=Fingerprint(bits),
-                labels=tuple(active),
-                graph=graph,
-                regression_targets=reg,
-            )
-        )
+    instances = list(map(
+        Instance._trusted,
+        map(f"s{{:0{id_width}d}}".format, range(n)),
+        map(Fingerprint._trusted, chain.from_iterable(blocks)),
+        label_sets,
+        graphs,
+        targets,
+        repeat(None),
+    ))
 
     name_width = max(4, len(str(L - 1)))
     vocabulary = LabelVocabulary(tuple(f"c{l:0{name_width}d}" for l in range(L)))
@@ -211,3 +222,71 @@ def generate(config: SynthConfig) -> MultiLabelDataset:
         regression_width=config.regression_width,
         meta=json.loads(json.dumps(config.to_meta())),
     )
+
+
+def _labels_and_bits(rng: np.random.Generator, config: SynthConfig, counts: np.ndarray,
+                     step: int) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
+    """Each instance's sorted label set, and its fingerprint with the bits of
+    its labels set (label l owns bits l*s .. (l+1)*s - 1), as uint8 blocks of
+    ``step`` rows. The (instance, label) pairs are kept as flat index arrays,
+    never as an n x L matrix."""
+    n, L = config.n_instances, config.n_labels
+    # 2. Membership: label l lands on counts[l] distinct instances.
+    populated = np.flatnonzero(counts).tolist()
+    members = [rng.choice(n, size=c, replace=False) if c else np.empty(0, dtype=np.int64)
+               for c in counts.tolist()]
+    row_chunks = members.copy()
+    label_chunks = [np.full(m.size, l) for l, m in enumerate(members)]
+
+    # 3. Co-occurrence boost: instances of the rarest populated labels also
+    # pick up a paired frequent label, raising minority/majority concurrence.
+    # Minors and majors are disjoint, so a minor's instances are its members,
+    # and each flips one coin, in instance order.
+    if config.cooccurrence_boost > 0 and L >= 2:
+        n_pairs = min(8, len(populated) // 2)
+        minors = populated[-n_pairs:] if n_pairs else []
+        majors = populated[:n_pairs]
+        prob = min(1.0, config.cooccurrence_boost)
+        for minor, major in zip(minors, majors):
+            hits = np.sort(members[minor])
+            gained = hits[rng.random(hits.size) < prob]
+            row_chunks.append(gained)
+            label_chunks.append(np.full(gained.size, major))
+
+    # Sorted by instance, then label; a boosted label already present is dropped.
+    keys = np.sort(np.concatenate(row_chunks) * L + np.concatenate(label_chunks))
+    rows, labels = np.divmod(keys[np.diff(keys, prepend=-1) > 0], L)
+    flat, bounds = labels.tolist(), np.searchsorted(rows, np.arange(n + 1)).tolist()
+    label_sets = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    s = config.signal_bits_per_label
+    owned = labels[:, None] * s + np.arange(s)
+    blocks = []
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        block = np.zeros((stop - start, config.fingerprint_width), dtype=np.uint8)
+        pairs = slice(bounds[start], bounds[stop])
+        block[rows[pairs, None] - start, owned[pairs]] = 1
+        blocks.append(block)
+    return label_sets, blocks
+
+
+def _graph(rng: np.random.Generator, config: SynthConfig, label_shift: np.ndarray,
+           labels: tuple[int, ...]) -> MolecularGraph:
+    """One instance's graph: size, node features shifted by its labels, a
+    random tree (each node v > 0 joins a parent below it) and up to
+    size - 1 extra edges, repeats and self-pairs dropped."""
+    lo, hi = config.graph_nodes_range
+    n_nodes = int(rng.integers(lo, hi + 1))
+    feats = rng.normal(0.0, 1.0, size=(n_nodes, config.node_feature_dim))
+    if labels:
+        feats = feats + label_shift[list(labels)].sum(axis=0)
+    edges = list(zip(rng.integers(np.arange(1, n_nodes)).tolist(), range(1, n_nodes)))
+    present = set(edges)
+    extra = int(rng.integers(0, n_nodes))
+    for u, v in rng.integers(n_nodes, size=(extra, 2)).tolist():
+        a, b = min(u, v), max(u, v)
+        if a != b and (a, b) not in present:
+            edges.append((a, b))
+            present.add((a, b))
+    return MolecularGraph._trusted(feats, tuple(edges))

@@ -234,6 +234,26 @@ def test_bad_config_value(synth_dir, tmp_path, capsys):
     assert code == 2 and stderr.startswith("config_error:")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--zipf", "nan", "zipf_exponent must be finite, got nan"),
+    ("--card", "inf", "target_card must be finite, got inf"),
+    ("--card", "1e300", "target_card * n_instances must be below 2**62, got 4e+301"),
+    ("--boost", "nan", "cooccurrence_boost must be finite, got nan"),
+], ids=["zipf-nan", "card-inf", "card-1e300", "boost-nan"])
+def test_synth_refuses_non_finite_or_overflowing_rates(flag, value, message, tmp_path, capsys,
+                                                       monkeypatch):
+    # The config refuses these before anything is generated; a NaN Zipf
+    # exponent used to send the count allocation into an endless loop.
+    def generate(config):
+        raise AssertionError(f"generate reached with {config}")
+
+    monkeypatch.setattr("mlimb.cli.generate", generate)
+    out = tmp_path / "corpus"
+    code, stdout, stderr = run(capsys, *SYNTH, flag, value, "--out", str(out))
+    assert (code, stdout, stderr) == (2, "", f"config_error: {message}\n")
+    assert not out.exists()
+
+
 def test_multiregression_without_targets_fails(synth_dir, tmp_path, capsys):
     code, _, stderr = run(capsys, "train", "--data", str(synth_dir / "dataset.jsonl"),
                           "--task", "multiregression", "--epochs", "1",
