@@ -30,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, starmap
-from operator import attrgetter
+from operator import attrgetter, index
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -284,6 +284,16 @@ def _check_new_ids(new_ids: Iterable[str], taken: frozenset[str]) -> None:
         if inst_id in taken or inst_id in seen:
             raise ValidationError(f"instance {inst_id!r}: duplicate instance id")
         seen.add(inst_id)
+
+
+def _check_seed(seed: object) -> None:
+    """Refuse, naming the value, a seed numpy's generators would not take."""
+    try:
+        valid = index(seed) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:

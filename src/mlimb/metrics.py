@@ -9,23 +9,36 @@ Definitions. With counts(l) = number of instances whose label set contains l:
     SCUMBLE_i  = 1 - GM(IRLbl over Y_i) / AM(IRLbl over Y_i), 0 when |Y_i| <= 1
     profile    = 100 * counts / |D|, sorted descending
 
-Exactness notes. Means use math.fsum (correctly rounded exact sums), and Card
-is kept alongside its integer numerator: the float product card * |D| does not
-recover the pair count exactly in IEEE arithmetic, so the report carries
-``positive_pairs`` as an integer. These choices also make every statistic
-bit-for-bit invariant under duplicating the whole dataset, since correctly
-rounded results of 2a/2b and a/b coincide.
+Exactness notes. Every mean is an exact sum rounded once to float, then
+divided: the same value math.fsum gives, since both round the exact sum
+correctly. The summed floats (IRLbl values and their logarithms within a
+label set, SCUMBLE scores within a label or over the dataset) are integer
+multiples of one power of two, so ldexp and floor split each exactly into
+int64 limbs. np.bincount sums each limb per group, exactly while the sums
+stay below 2**53; the limb width leaves room for the largest group, and the
+number of limbs follows from the exponent span of the summed values. After
+the carries are normalised the limbs are added as floats from the top down:
+the first inexact addition is the one rounding, and a sticky flag from the
+limbs below breaks a tie. The sums are sized for IRLbl tables with entries
+in [1, 2**53], which holds every IRLbl a dataset can give; scumble_label and
+scumble_instance refuse other tables in one line. Logarithms come from
+math.log once per label and exponentials from math.exp once per label set,
+not from numpy's vectorised versions, which may differ from libm in the
+last bit. Card is kept alongside its integer numerator: the float product
+card * |D| does not recover the pair count exactly in IEEE arithmetic, so
+the report carries ``positive_pairs`` as an integer. These choices also
+make every statistic bit-for-bit invariant under duplicating the whole
+dataset, since correctly rounded results of 2a/2b and a/b coincide.
 
 Grouping by label set. Every statistic here depends on an instance only
 through its label set, so all of them read the dataset's table of distinct
-sets and their multiplicities (``set_counts``) instead of walking instances.
-Counts are multiplicity-weighted sums over the table, exact in integers.
-Each distinct set's SCUMBLE is computed once and enters the sums once per
-instance that carries it, via itertools.repeat. fsum returns the correctly
-rounded value of the exact sum of its inputs whatever their order, so these
-sums equal the per-instance ones to the bit. The product
-score * multiplicity would round, which is why the score is repeated rather
-than multiplied.
+sets (``set_members``, one (set, label) pair per member) and their
+multiplicities (``set_counts``) instead of walking instances. Counts are
+multiplicity-weighted sums over the table, exact in integers. Each distinct
+set's SCUMBLE is computed once, and the per-label and overall means weight
+it by its multiplicity inside the exact integer sums, so they equal the
+per-instance sums to the bit. ``scumble_instance`` is the same scorer
+applied to one set.
 """
 
 from __future__ import annotations
@@ -35,7 +48,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -98,24 +110,135 @@ def cardinality(dataset: MultiLabelDataset) -> float:
     return positive_pair_count(dataset) / len(dataset)
 
 
-def _set_scumble(labels: tuple[int, ...], irlbl_table: np.ndarray | list[float]) -> float | None:
-    """SCUMBLE of one label set; None when one of several labels has an
-    undefined IRLbl. Indexing a list is much cheaper than indexing an array,
-    so callers scoring many sets pass the table as a list."""
-    if len(labels) <= 1:
-        return 0.0
-    values = [irlbl_table[l] for l in labels]
-    if any(map(math.isnan, values)):
-        return None
-    if values.count(values[0]) == len(values):
-        return 0.0
-    am = math.fsum(values) / len(values)
-    gm = math.exp(math.fsum(map(math.log, values)) / len(values))
-    return max(0.0, 1.0 - gm / am)
+# IRLbl = max count / count lies in [1, |D|]; the exact sums below are sized
+# for any table in [1, 2**53].
+_MAX_IRLBL = 2.0 ** 53
+
+
+def _irlbl_table(irlbl_table: np.ndarray, label_count: int | None = None) -> np.ndarray:
+    """The table as float64, refused in one line unless it is one-dimensional,
+    has ``label_count`` entries when given, and each entry is NaN (undefined)
+    or lies in [1, 2**53]."""
+    table = np.asarray(irlbl_table, dtype=np.float64)
+    if table.ndim != 1:
+        raise ValueError(f"IRLbl table must be one-dimensional, got shape {table.shape}")
+    if label_count is not None and table.size != label_count:
+        raise ValueError(f"IRLbl table has {table.size} entries for {label_count} labels")
+    outside = ~(np.isnan(table) | ((table >= 1.0) & (table <= _MAX_IRLBL)))
+    if outside.any():
+        l = int(np.argmax(outside))
+        raise ValueError(f"IRLbl of label {l} is {float(table[l])!r}, outside [1, 2**53]")
+    return table
+
+
+def _exact_sums(table: np.ndarray, picks: np.ndarray, groups: np.ndarray, size: int,
+                weights: np.ndarray | None = None) -> np.ndarray:
+    """Per group g < ``size``, the correctly rounded sum of
+    ``weights[i] * table[picks[i]]`` over the i with ``groups[i] == g``.
+
+    ``table`` holds finite non-negative floats whose exponents span well
+    under 1000 bits, and ``weights`` (default 1) non-negative integers with
+    group totals below 2**52. Every entry is an integer multiple of the table's
+    lowest set bit, ``2**unit``, so ldexp and floor split it exactly into
+    limbs of ``limb_bits`` bits. np.bincount sums each limb per group in
+    float64, exactly: the limb width leaves room for the largest group weight
+    below 2**53. After the carries are normalised the limbs do not overlap,
+    and adding them as floats from the top down is exact up to the first
+    inexact addition, which is the one rounding; a nonzero limb below it
+    breaks a tie upwards, as in math.fsum.
+    """
+    group_weight = np.bincount(groups, weights=weights, minlength=size)
+    limb_bits = 53 - int(group_weight.max(initial=0)).bit_length()
+    nonzero = table[table > 0]
+    if nonzero.size == 0:
+        return np.zeros(size)
+    fraction, exponent = np.frexp(nonzero)
+    digits = np.ldexp(fraction, 53).astype(np.int64)
+    trailing = np.frexp((digits & -digits).astype(np.float64))[1] - 1
+    unit = int((exponent - 53 + trailing).min())
+    # Every entry is below 2**span units.
+    span = int(exponent.max()) - unit
+    rest = np.ldexp(table, -unit)
+    sums = []
+    for _ in range(-(-span // limb_bits)):
+        upper = np.floor(np.ldexp(rest, -limb_bits))
+        limb = (rest - np.ldexp(upper, limb_bits))[picks]
+        if weights is not None:
+            limb *= weights
+        sums.append(np.bincount(groups, weights=limb, minlength=size).astype(np.int64))
+        rest = upper
+    for low, high in zip(sums, sums[1:]):
+        high += low >> limb_bits
+        low &= (1 << limb_bits) - 1
+    total, error = np.zeros(size), np.zeros(size)
+    below = np.zeros(size, dtype=bool)
+    for k in reversed(range(len(sums))):
+        part = np.ldexp(sums[k].astype(np.float64), k * limb_bits)
+        rounded = error != 0
+        below |= rounded & (part > 0)
+        added = total + part
+        error = np.where(rounded, error, part - (added - total))
+        total = np.where(rounded, total, added)
+    up = total + 2.0 * error
+    ties = below & (error > 0) & (up - total == 2.0 * error)
+    return np.ldexp(np.where(ties, up, total), unit)
+
+
+def _set_scores(table: np.ndarray, owners: np.ndarray, labels: np.ndarray,
+                n_sets: int) -> tuple[np.ndarray, np.ndarray]:
+    """SCUMBLE of each of ``n_sets`` label sets given as (set, label) pairs,
+    set by set, and the mask of the sets that hold several labels, one of
+    them with an undefined (NaN) IRLbl; those score 0 here.
+
+    A set with at most one label, or whose labels share one IRLbl value,
+    scores 0. Otherwise AM and the mean logarithm are exact sums divided by
+    the set size; math.log runs once per label and math.exp once per set.
+    """
+    sizes = np.bincount(owners, minlength=n_sets)
+    undefined = np.isnan(table)
+    defined = np.where(undefined, 1.0, table)
+    broken = (np.bincount(owners, weights=undefined[labels], minlength=n_sets) > 0) & (sizes > 1)
+    values = defined[labels]
+    first = (np.cumsum(sizes) - sizes)[owners]
+    varied = np.bincount(owners, weights=values != values[first], minlength=n_sets) > 0
+    scored = np.flatnonzero(varied & ~broken)
+    logs = np.fromiter(map(math.log, defined.tolist()), dtype=np.float64, count=defined.size)
+    am = _exact_sums(defined, labels, owners, n_sets)[scored] / sizes[scored]
+    mean_log = _exact_sums(logs, labels, owners, n_sets)[scored] / sizes[scored]
+    gm = np.fromiter(map(math.exp, mean_log.tolist()), dtype=np.float64, count=scored.size)
+    scores = np.zeros(n_sets)
+    scores[scored] = np.maximum(0.0, 1.0 - gm / am)
+    return scores, broken
 
 
 def _undefined_irlbl(instance_id: str) -> ValueError:
     return ValueError(f"instance {instance_id!r} has an active label with undefined IRLbl")
+
+
+def _dataset_scores(dataset: MultiLabelDataset, table: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """SCUMBLE of the dataset's label sets at the ascending positions ``sets``.
+
+    A set with an undefined IRLbl raises naming the first instance carrying
+    it. The table lists sets by first appearance, so that is the first
+    offending instance of the dataset, as a per-instance pass would report.
+    """
+    owners, labels = dataset.set_members
+    chosen = np.zeros(len(dataset.label_sets), dtype=bool)
+    chosen[sets] = True
+    keep = chosen[owners]
+    position = np.cumsum(chosen) - 1
+    scores, broken = _set_scores(table, position[owners[keep]], labels[keep], sets.size)
+    if broken.any():
+        undefined = sets[np.argmax(broken)]
+        raise _undefined_irlbl(dataset.ids[int(np.argmax(dataset.set_ids == undefined))])
+    return scores
+
+
+def _weighted_mean(scores: np.ndarray, weights: np.ndarray) -> float:
+    """Exact mean of the scores, each counted ``weights`` times."""
+    total = _exact_sums(scores, np.arange(scores.size), np.zeros(scores.size, dtype=np.intp), 1,
+                        weights)
+    return float(total[0] / weights.sum())
 
 
 def scumble_instance(instance: Instance, irlbl_table: np.ndarray) -> float:
@@ -124,46 +247,29 @@ def scumble_instance(instance: Instance, irlbl_table: np.ndarray) -> float:
     1 - GM/AM of the active labels' IRLbl values; 0 when the instance has at
     most one label or all its labels share one IRLbl value. The geometric
     mean runs in log space so IRLbl values in the thousands cannot overflow
-    the product.
+    the product. The table must cover the instance's labels, and each entry
+    must be NaN or lie in [1, 2**53].
     """
-    score = _set_scumble(instance.labels, irlbl_table)
-    if score is None:
+    table = _irlbl_table(irlbl_table)
+    if instance.labels and instance.labels[-1] >= table.size:
+        raise ValueError(f"IRLbl table has {table.size} entries; instance {instance.id!r} "
+                         f"holds label {instance.labels[-1]}")
+    labels = np.asarray(instance.labels, dtype=np.intp)
+    scores, broken = _set_scores(table, np.zeros(labels.size, dtype=np.intp), labels, 1)
+    if broken[0]:
         raise _undefined_irlbl(instance.id)
-    return score
-
-
-def _set_scores(dataset: MultiLabelDataset, irlbl_table: np.ndarray, sets: list[int]) -> list[float]:
-    """SCUMBLE of each of the dataset's label sets at positions ``sets``.
-
-    A set with an undefined IRLbl raises naming the first instance carrying
-    it. The table lists sets by first appearance, so for ascending ``sets``
-    that is the first offending instance of the dataset, as a per-instance
-    pass would report.
-    """
-    values = np.asarray(irlbl_table, dtype=np.float64).tolist()
-    table = dataset.label_sets
-    scores = [_set_scumble(table[s], values) for s in sets]
-    if None in scores:
-        undefined = sets[scores.index(None)]
-        raise _undefined_irlbl(dataset.ids[int(np.argmax(dataset.set_ids == undefined))])
-    return scores
-
-
-def _repeated_mean(scores: list[float], multiplicities: list[int], total: int) -> float:
-    """Exact mean of each score repeated its multiplicity, over ``total`` items."""
-    return math.fsum(chain.from_iterable(map(repeat, scores, multiplicities))) / total
+    return float(scores[0])
 
 
 def scumble_label(dataset: MultiLabelDataset, irlbl_table: np.ndarray, label: int) -> float:
-    """Mean instance SCUMBLE over instances containing the label; 0 if absent."""
+    """Mean instance SCUMBLE over instances containing the label; 0 if absent.
+    The table needs one entry per label, each NaN or in [1, 2**53]."""
+    table = _irlbl_table(irlbl_table, dataset.label_count)
     owners, labels = dataset.set_members
-    held = owners[labels == label].tolist()
-    if not held:
+    held = owners[labels == label]
+    if not held.size:
         return 0.0
-    multiplicities = dataset.set_counts[held].tolist()
-    return _repeated_mean(
-        _set_scores(dataset, irlbl_table, held), multiplicities, sum(multiplicities)
-    )
+    return _weighted_mean(_dataset_scores(dataset, table, held), dataset.set_counts[held])
 
 
 @dataclass(frozen=True)
@@ -214,18 +320,18 @@ def imbalance_report(dataset: MultiLabelDataset) -> ImbalanceReport:
     m_ir = mean_ir(ir)
     pairs = int(counts.sum())
 
-    scores = _set_scores(dataset, ir, list(range(len(dataset.label_sets))))
-    multiplicities = dataset.set_counts.tolist()
-    # The sets holding each label, ascending: owners grouped by label.
+    sets = np.arange(len(dataset.label_sets))
+    scores = _dataset_scores(dataset, ir, sets)
+    multiplicities = dataset.set_counts
+    # Scores lie in [0, 1] on the 2**-53 grid: 1 - GM/AM is exact when
+    # GM/AM >= 1/2 and rounds onto that grid otherwise. So score * 2**53 *
+    # multiplicity is an integer, and the sums below take at most 54 bits
+    # plus those of the count.
     owners, labels = dataset.set_members
-    holders = owners[np.argsort(labels, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(labels, minlength=dataset.label_count)).tolist()
-    scumble_per_label = tuple(
-        _repeated_mean([scores[i] for i in held], [multiplicities[i] for i in held],
-                       int(counts[l])) if held else 0.0
-        for l, held in enumerate(holders[a:b] for a, b in zip([0] + ends, ends))
-    )
-    scumble_mean = _repeated_mean(scores, multiplicities, n)
+    sums = _exact_sums(scores, owners, labels, dataset.label_count, multiplicities[owners])
+    scumble_per_label = np.divide(sums, counts, out=np.zeros(dataset.label_count),
+                                  where=counts > 0)
+    scumble_mean = _weighted_mean(scores, multiplicities)
 
     percents = (100.0 * counts) / n
     profile = tuple(sorted(percents.tolist(), reverse=True))
@@ -237,7 +343,7 @@ def imbalance_report(dataset: MultiLabelDataset) -> ImbalanceReport:
         mean_ir=m_ir,
         card=pairs / n,
         positive_pairs=pairs,
-        scumble_per_label=scumble_per_label,
+        scumble_per_label=tuple(scumble_per_label.tolist()),
         scumble_mean=scumble_mean,
         sample_percent_profile=profile,
     )

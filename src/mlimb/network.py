@@ -51,7 +51,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .data import Instance, MultiLabelDataset
+from .data import Instance, MultiLabelDataset, _check_seed
 
 __all__ = [
     "ACTIVATIONS",
@@ -615,6 +615,7 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be positive when given")
+        _check_seed(self.seed)
 
 
 def _check_targets(dataset: MultiLabelDataset, net: NetworkConfig, task: str) -> None:

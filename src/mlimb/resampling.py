@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Fingerprint, MultiLabelDataset
+from .data import Fingerprint, MultiLabelDataset, _check_seed
 from .metrics import irlbl, label_counts, mean_ir
 
 __all__ = [
@@ -84,6 +84,7 @@ class ResampleConfig:
             raise ValueError(f"r must be a positive integer, got {self.r}")
         if self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

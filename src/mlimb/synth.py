@@ -41,6 +41,7 @@ from .data import (
     LabelVocabulary,
     MolecularGraph,
     MultiLabelDataset,
+    _check_seed,
 )
 
 __all__ = ["SynthConfig", "generate", "allocate_counts"]
@@ -77,6 +78,7 @@ class SynthConfig:
         for name in ("n_instances", "n_labels", "fingerprint_width", "signal_bits_per_label",
                      "node_feature_dim", "regression_width", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        _check_seed(self.seed)
         if self.graph_nodes_range is not None:
             object.__setattr__(self, "graph_nodes_range", tuple(
                 _integer("graph_nodes_range", v) for v in self.graph_nodes_range))

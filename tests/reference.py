@@ -11,10 +11,16 @@ independent derivation:
   → ``readout`` → ``fingerprint_dense`` → ``fuse_and_predict``, composed by
   ``graph_embedding`` and ``predict_instance``;
 - ``minority_score``, the per-instance score ``proposed`` ranks by;
-- ``knn_hamming``, the one-row case of ``resampling._neighbours``.
+- ``knn_hamming``, the one-row case of ``resampling._neighbours``;
+- ``_set_scumble`` and ``_repeated_mean``, SCUMBLE of one label set with
+  ``math.fsum`` sums and the exact mean of scores repeated by multiplicity,
+  against which the integer-limb sums of ``mlimb.metrics`` are checked.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -137,3 +143,24 @@ def knn_hamming(bits: np.ndarray, row: int, k: int) -> list[int]:
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     return _neighbours(bits, np.array([row]), k)[0].tolist()
+
+
+def _set_scumble(labels: tuple[int, ...], irlbl_table: np.ndarray | list[float]) -> float | None:
+    """SCUMBLE of one label set; None when one of several labels has an
+    undefined IRLbl. Indexing a list is much cheaper than indexing an array,
+    so callers scoring many sets pass the table as a list."""
+    if len(labels) <= 1:
+        return 0.0
+    values = [irlbl_table[l] for l in labels]
+    if any(map(math.isnan, values)):
+        return None
+    if values.count(values[0]) == len(values):
+        return 0.0
+    am = math.fsum(values) / len(values)
+    gm = math.exp(math.fsum(map(math.log, values)) / len(values))
+    return max(0.0, 1.0 - gm / am)
+
+
+def _repeated_mean(scores: list[float], multiplicities: list[int], total: int) -> float:
+    """Exact mean of each score repeated its multiplicity, over ``total`` items."""
+    return math.fsum(chain.from_iterable(map(repeat, scores, multiplicities))) / total

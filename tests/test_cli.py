@@ -564,3 +564,21 @@ def test_every_manifest_records_phases_peak_rss_sizes_and_numpy(synth_dir, tmp_p
         assert doc["input_sizes"] == {"instances": rows, "labels": 6}
         assert doc["numpy_version"] == np.__version__
     assert json.loads((synth_dir / "manifest.json").read_text())["phases"]["load"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["synth", "oversample", "cooccur", "train"])
+def test_negative_seed_is_refused_naming_the_flag(command, synth_dir, tmp_path, capsys):
+    data = str(synth_dir / "dataset.jsonl")
+    out = tmp_path / "out"
+    argv = {
+        "synth": [*SYNTH, "--out", str(out)],
+        "oversample": ["oversample", "--data", data, "--method", "proposed", "--p", "0.5",
+                       "--out", str(out)],
+        "cooccur": ["cooccur", "--data", data, "--random-labels", "3", "--out", str(out)],
+        "train": ["train", "--data", data, "--task", "multilabel", "--epochs", "1",
+                  "--hidden", "4", "--fuse-dim", "4", "--model-out", str(out / "model.json")],
+    }[command]
+    code, stdout, stderr = run(capsys, *argv, "--seed", "-1")
+    assert (code, stdout, stderr) == (
+        2, "", "config_error: seed must be a non-negative integer, got -1\n")
+    assert not out.exists()

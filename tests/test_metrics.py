@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlimb.data import Fingerprint, Instance, LabelVocabulary, MultiLabelDataset, split_dataset
@@ -19,9 +19,11 @@ from mlimb.metrics import (
     scumble_instance,
     scumble_label,
 )
+from mlimb.metrics import _exact_sums, _set_scores
 from mlimb.resampling import ResampleConfig, oversample
 from mlimb.synth import SynthConfig, generate
 from tests.conftest import random_dataset
+from tests.reference import _repeated_mean, _set_scumble
 
 
 def dataset_from_label_sets(label_sets, n_labels):
@@ -264,9 +266,10 @@ def test_permuting_instances_keeps_card():
 # ---------------------------------------------------------------------------
 
 def per_instance_report(dataset):
-    """SCUMBLE statistics the plain way: score every instance, sum its list."""
-    table = irlbl(label_counts(dataset))
-    scores = [scumble_instance(inst, table) for inst in dataset.instances]
+    """SCUMBLE statistics the plain way: score every instance with the fsum
+    oracle, sum its list."""
+    table = irlbl(label_counts(dataset)).tolist()
+    scores = [_set_scumble(inst.labels, table) for inst in dataset.instances]
     per_label = [[] for _ in range(dataset.label_count)]
     for inst, score in zip(dataset.instances, scores):
         for l in inst.labels:
@@ -302,8 +305,18 @@ def test_grouped_scumble_equals_per_instance_reference():
         assert report.scumble_per_label == per_label
         assert report.scumble_mean == mean
         table = np.array(report.irlbl)
+        # The fsum oracle grouped by label set: each distinct set's score
+        # repeated by its multiplicity.
+        set_scores = [_set_scumble(s, report.irlbl) for s in d.label_sets]
+        multiplicities = d.set_counts.tolist()
+        assert _repeated_mean(set_scores, multiplicities, len(d)) == mean
         for l in range(d.label_count):
+            held = [i for i, s in enumerate(d.label_sets) if l in s]
             assert scumble_label(d, table, l) == per_label[l]
+            if held:
+                assert _repeated_mean([set_scores[i] for i in held],
+                                      [multiplicities[i] for i in held],
+                                      report.label_counts[l]) == per_label[l]
 
 
 def test_undefined_irlbl_names_the_first_offending_instance():
@@ -329,3 +342,113 @@ def test_undefined_irlbl_names_the_first_offending_instance_after_a_split():
         scumble_label(train, table, 2)
     with pytest.raises(ValueError, match="'i1'"):
         scumble_label(test, table, 2)
+
+
+# ---------------------------------------------------------------------------
+# The IRLbl table's domain
+# ---------------------------------------------------------------------------
+
+TWO_LABELS = dataset_from_label_sets([(0, 1), (0,)], 2)
+PAIR = Instance(id="x", fingerprint=Fingerprint(np.zeros(2, dtype=np.uint8)), labels=(0, 1))
+
+
+@pytest.mark.parametrize("table, message", [
+    ([1.0, math.inf], r"^IRLbl of label 1 is inf, outside \[1, 2\*\*53\]$"),
+    ([1.0, -math.inf], r"^IRLbl of label 1 is -inf, outside \[1, 2\*\*53\]$"),
+    ([1.0, 0.0], r"^IRLbl of label 1 is 0.0, outside \[1, 2\*\*53\]$"),
+    ([1.0, -2.0], r"^IRLbl of label 1 is -2.0, outside \[1, 2\*\*53\]$"),
+    ([1.0, 1e300], r"^IRLbl of label 1 is 1e\+300, outside \[1, 2\*\*53\]$"),
+    ([1.0, 2.0 ** 53 + 2], r"^IRLbl of label 1 is 9007199254740994.0, outside"),
+], ids=["inf", "-inf", "zero", "negative", "1e300", "past-2**53"])
+@pytest.mark.parametrize("scorer", ["scumble_instance", "scumble_label"])
+def test_scumble_refuses_a_table_outside_the_irlbl_domain(scorer, table, message):
+    with pytest.raises(ValueError, match=message):
+        if scorer == "scumble_instance":
+            scumble_instance(PAIR, np.array(table))
+        else:
+            scumble_label(TWO_LABELS, np.array(table), 0)
+
+
+def test_scumble_refuses_a_table_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"^IRLbl table has 1 entries; instance 'x' holds label 1$"):
+        scumble_instance(PAIR, np.array([1.0]))
+    with pytest.raises(ValueError, match=r"^IRLbl table has 1 entries for 2 labels$"):
+        scumble_label(TWO_LABELS, np.array([1.0]), 0)
+    with pytest.raises(ValueError, match=r"^IRLbl table has 3 entries for 2 labels$"):
+        scumble_label(TWO_LABELS, np.array([1.0, 2.0, 3.0]), 0)
+
+
+def test_scumble_accepts_the_ends_of_the_domain_and_keeps_nan_undefined():
+    ends = np.array([1.0, 2.0 ** 53])
+    assert scumble_instance(PAIR, ends) == _set_scumble((0, 1), ends.tolist())
+    assert scumble_label(TWO_LABELS, ends, 1) == _set_scumble((0, 1), ends.tolist())
+    with pytest.raises(ValueError, match="'x' has an active label with undefined IRLbl"):
+        scumble_instance(PAIR, np.array([1.0, math.nan]))
+    with pytest.raises(ValueError, match="'i0' has an active label with undefined IRLbl"):
+        scumble_label(TWO_LABELS, np.array([1.0, math.nan]), 0)
+
+
+# ---------------------------------------------------------------------------
+# The exact integer sums against the fsum oracle and Python integers
+# ---------------------------------------------------------------------------
+
+IRLBL_VALUES = st.one_of(
+    st.sampled_from([1.0, 1.0 + 2.0 ** -52, 2.0, 2.0 ** 53 - 1, 2.0 ** 53]),
+    st.floats(min_value=1.0, max_value=2.0 ** 53),
+    st.integers(min_value=1, max_value=10 ** 6).map(float),
+)
+
+
+def members(label_sets):
+    owners = np.repeat(np.arange(len(label_sets)), [len(s) for s in label_sets])
+    labels = np.array([l for s in label_sets for l in s], dtype=np.intp)
+    return owners, labels
+
+
+@given(st.lists(IRLBL_VALUES, min_size=1, max_size=12),
+       st.lists(st.lists(st.integers(min_value=0, max_value=11), max_size=12),
+                min_size=1, max_size=6))
+@example([1.0 + 2.0 ** -52, 2.0 ** 53], [[0, 1], [1], [], [0]])
+@example([1.0 + 2.0 ** -52, 2.0 ** 53, 1.0, 3.0], [[0, 1, 2, 3], [0, 2], [1, 3]])
+@settings(max_examples=300, deadline=None)
+def test_set_scores_equal_the_fsum_oracle_bit_for_bit(values, raw_sets):
+    label_sets = [tuple(sorted({l % len(values) for l in s})) for s in raw_sets]
+    scores, broken = _set_scores(np.array(values), *members(label_sets), len(label_sets))
+    assert not broken.any()
+    assert scores.tolist() == [_set_scumble(s, values) for s in label_sets]
+
+
+@given(st.lists(IRLBL_VALUES, min_size=1, max_size=6), st.integers(min_value=0, max_value=2**32 - 1))
+@example([1.0 + 2.0 ** -52, 2.0 ** 53], 0)
+@settings(max_examples=25, deadline=None)
+def test_a_set_of_every_label_of_a_4096_label_vocabulary(draws, seed):
+    table = np.random.default_rng(seed).choice(np.array(draws), size=4096)
+    everything = Instance(id="all", fingerprint=Fingerprint(np.zeros(2, dtype=np.uint8)),
+                          labels=tuple(range(4096)))
+    assert scumble_instance(everything, table) == _set_scumble(everything.labels, table.tolist())
+
+
+SUMMANDS = st.one_of(
+    IRLBL_VALUES,
+    IRLBL_VALUES.map(math.log),
+    # SCUMBLE scores: [0, 1] on the 2**-53 grid.
+    st.integers(min_value=0, max_value=2 ** 53).map(lambda k: k * 2.0 ** -53),
+)
+
+
+@given(st.lists(st.tuples(SUMMANDS, st.integers(min_value=0, max_value=2 ** 31),
+                          st.integers(min_value=0, max_value=3)), min_size=1, max_size=40))
+@example([(2.0 ** 53, 1, 0), (1.0, 1, 0), (2.0 ** -60, 1, 0)])
+@example([(2.0 ** 53, 1, 0), (1.0, 1, 0)])
+@settings(max_examples=300, deadline=None)
+def test_weighted_sums_are_the_correctly_rounded_exact_sums(items):
+    values, weights, groups = (list(column) for column in zip(*items))
+    got = _exact_sums(np.array(values), np.arange(len(values)), np.array(groups, dtype=np.intp),
+                      4, np.array(weights, dtype=np.int64))
+    # Every float is an integer number of 2**-1074; Python's int division
+    # rounds the exact quotient once.
+    scale = 2 ** 1074
+    for g in range(4):
+        exact = sum(w * (n * (scale // d)) for (n, d), w, h in
+                    zip(map(float.as_integer_ratio, values), weights, groups) if h == g)
+        assert got[g] == exact / scale

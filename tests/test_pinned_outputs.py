@@ -174,3 +174,49 @@ def test_chain_outputs_pinned():
         digests, distinct = chain_digests(config)
         assert digests == PINNED[name], name
         assert distinct == PINNED_DISTINCT[name], name
+
+
+# The rebalance_sweep statistics at a smaller size: 10k x 200, no graphs, the
+# six proposed/mlsmote variants, and an 8-label subset for chords and the
+# SCUMBLE table. Recorded from the math.fsum implementation that scored each
+# distinct label set in Python and counted co-occurrence pair by pair.
+SWEEP_CORPUS = SynthConfig(n_instances=10_000, n_labels=200, fingerprint_width=256,
+                           graph_nodes_range=None, cooccurrence_boost=0.3, seed=1)
+SWEEP_RUNS = [(method, p) for method in ("proposed", "mlsmote") for p in (0.25, 0.5, 1.0)]
+
+PINNED_SWEEP = {
+    "chord_mlsmote_p0.25": "71a2c04c14212d5a5d5200e37944a15de1fb49fb46754d2caa4597e5b68dd3da",
+    "chord_mlsmote_p0.5": "a423fb523bd2d57617f4751a5b660ab9ec40349b55967451bd8713f5b67d245e",
+    "chord_mlsmote_p1.0": "bea66abda8e8950089e9c3f545a45b9f0a9eb264f39b9fcd03f8435a19308f34",
+    "chord_original": "8183109ea6943e39c4c2dd61788d2c078ac4f631f584675232770830ccdf567e",
+    "chord_proposed_p0.25": "498ef4387df15213e356c69ef02beecb4cf701450982f42f4a60c0d547a6db37",
+    "chord_proposed_p0.5": "67c3a96c764ae03f7b89f0c05fd589164e70213c596d6f5c74fc034dbd25b496",
+    "chord_proposed_p1.0": "3af68edc104d7fc076b0b786041e616c787ef86ad3fe19b5be95317c8c4f975f",
+    "mlsmote_p0.25/report": "a40e714c62565219958876f3fa66e81a43569e81506d6ccce22704d91f276939",
+    "mlsmote_p0.5/report": "be837ab871565723159935efe964faa79d295bf2db9379dae691d270d2d042b5",
+    "mlsmote_p1.0/report": "21cfc07adec3c243e33adcaf7f4dc2d625be98aba9f7b982a9fa636e748fc798",
+    "original/report": "ecbc903e6a3bd9fc78059bb922ca8f0ef85dd57d7bd4acb2304c57dbce4b4455",
+    "proposed_p0.25/report": "e8027f17251ec4fa8a28f80754f7d93bd624e00a490a1778a48df6d328a18d96",
+    "proposed_p0.5/report": "f4733f90e1ed271b8e1af791982b6644915bdbe8d4db25ebac21092e60677d2f",
+    "proposed_p1.0/report": "7c1ffac0862d2452210bdba1f4b6ec79533f1c4e993659ef2c59fc4a49e776d8",
+    "scumble_table": "fd4173bea0403cbb6162a7cc770a3fe04d1e93ce1a3ab83a195fdae53dd8cc05",
+}
+
+
+def test_sweep_statistics_pinned():
+    corpus = generate(SWEEP_CORPUS)
+    subset = cooccurrence.random_label_subset(corpus.vocabulary, 8, SWEEP_CORPUS.seed)
+    digests = {"original/report": _sha(metrics.imbalance_report(corpus).to_json())}
+    snapshots = {}
+    for method, p in SWEEP_RUNS:
+        run = f"{method}_p{p}"
+        config = resampling.ResampleConfig(method=method, p=p, r=2, k=5, seed=1)
+        snapshots[run] = resampling.oversample(corpus, config).dataset
+        digests[f"{run}/report"] = _sha(metrics.imbalance_report(snapshots[run]).to_json())
+    table = cooccurrence.compare_snapshots(corpus, snapshots, subset)
+    digests["scumble_table"] = _sha(table.to_json())
+    for name, ds in [("original", corpus), *snapshots.items()]:
+        summary = cooccurrence.cooccurrence(ds, subset, snapshot_name=name)
+        digests[f"chord_{name}"] = _sha(
+            _canonical(cooccurrence.chord_document(summary, corpus.vocabulary)))
+    assert digests == PINNED_SWEEP
