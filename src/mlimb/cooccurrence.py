@@ -9,8 +9,10 @@ number of resampled variants sharing its vocabulary.
 Counts come from the dataset's table of distinct label sets: X has one 0/1
 row per set holding a subset label and one column per subset label, and W is
 X with each row multiplied by how many instances carry its set. Arc sizes
-are W's column sums and the joint counts the product W^T X. Both are integer
-sums below 2**53, which float64 arithmetic computes exactly in any order.
+are W's column sums and the joint counts the product W^T X, both summed over
+blocks of rows, so memory is bounded by a block and not by sets x subset
+labels. They are integer sums below 2**53, which float64 arithmetic computes
+exactly in any order.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ class CooccurrenceSummary:
     links: tuple[tuple[int, int, int], ...]
 
 
+# Values per block of X and of W: a block takes _BLOCK_VALUES // subset size
+# label sets, so each of the two holds at most this many 8-byte values.
+_BLOCK_VALUES = 1 << 16
+
+
 def _check_subset(label_subset: tuple[int, ...] | list[int], label_count: int) -> tuple[int, ...]:
     subset = tuple(int(l) for l in label_subset)
     if not subset:
@@ -72,15 +79,29 @@ def cooccurrence(
     owners, labels = dataset.set_members
     columns = column[labels]
     inside = columns >= 0
-    # X's columns follow ascending label order, so its upper triangle holds
-    # the a < b links. The product runs in float64, through BLAS, exactly:
+    owners, columns = owners[inside], columns[inside]
+    # X has one row per set holding a subset label (the sets of ``owners``,
+    # which runs set by set) and W is X weighted by the set counts. Their
+    # columns follow ascending label order, so W^T X's upper triangle holds
+    # the a < b links. The products run in float64, through BLAS, exactly:
     # numpy's int64 matmul has no BLAS and takes seconds at 200 labels.
-    sets, rows = np.unique(owners[inside], return_inverse=True)
-    x = np.zeros((sets.size, ordered.size))
-    x[rows, columns[inside]] = 1.0
-    w = x * dataset.set_counts[sets][:, None]
-    arcs = w.sum(axis=0).astype(np.int64)
-    joint = (w.T @ x).astype(np.int64)
+    # X and W are taken a block of rows at a time.
+    opens = np.diff(owners, prepend=-1) != 0  # a set's first member
+    rows = np.cumsum(opens) - 1
+    weights = dataset.set_counts[owners[opens]].astype(np.float64)
+    arcs = np.zeros(ordered.size)
+    joint = np.zeros((ordered.size, ordered.size))
+    block = max(1, _BLOCK_VALUES // ordered.size)
+    starts = range(0, weights.size, block)
+    bounds = np.searchsorted(rows, [*starts, weights.size]).tolist()
+    for start, lo, hi in zip(starts, bounds, bounds[1:]):
+        x = np.zeros((min(block, weights.size - start), ordered.size))
+        x[rows[lo:hi] - start, columns[lo:hi]] = 1.0
+        w = x * weights[start:start + len(x), None]
+        arcs += w.sum(axis=0)
+        joint += w.T @ x
+    arcs = arcs.astype(np.int64)
+    joint = joint.astype(np.int64)
     a, b = np.nonzero(np.triu(joint, k=1))
     return CooccurrenceSummary(
         snapshot_name=snapshot_name,

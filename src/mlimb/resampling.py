@@ -17,17 +17,22 @@ Two methods share one interface:
     half of the group. Budget floor(p*|D|); a budget past one round of seed
     visits replays the round.
 
-    Cost model: a bag's neighbor search is one GEMM of the bag's bits
-    against themselves, taken in blocks of ``_BLOCK_ROWS`` seed rows. Time
-    stays quadratic in bag size: bag^2 * width multiply-adds, then a stable
-    argsort of every row of distances. Memory is bounded by block x bag
-    for the distances, on top of the bag's own bits (held as float64 for
-    the GEMM) and labels. Bags come from the label-set table, and the votes
-    are one gather-and-sum per bag.
+    Cost model: the bags come from one pass over the label-set table, and
+    a round is built in blocks of whole bags holding about
+    ``_BLOCK_VISITS`` seed visits. A block stacks the bits of its distinct
+    rows once. A bag's neighbour search is one float64 GEMM of its seeds'
+    bits against the bag's, taken in blocks of ``_BLOCK_ROWS`` seed rows,
+    then a selection of the k smallest (distance, row) keys of each seed:
+    bag^2 * width multiply-adds plus O(bag^2) selection, where a full sort
+    cost O(bag^2 log bag). The bit and label votes are gather-sums over the
+    block's seed-and-neighbour groups, the labels read from a 0/1 set x
+    label table restricted to the block. Memory is bounded by the block's
+    bits, groups and votes, plus ``_BLOCK_ROWS`` x bag distances and keys.
 
 Results are built from the input's columns (see ``mlimb.data``): copies and
 replays are index gathers sharing every object with their source, and only
-mlsmote's synthetics are validated. Only id minting is still per-row Python.
+mlsmote's synthetics are validated. Id minting and mlsmote's lookup of
+distinct synthetics are still per-row Python.
 
 Copies and synthetics get fresh ids (source id plus a ``::p<j>`` / ``::s<j>``
 suffix, j the source's next serial whose id the dataset does not hold) and
@@ -39,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -239,9 +243,13 @@ def oversample_proposed(dataset: MultiLabelDataset, config: ResampleConfig) -> R
     )
 
 
-# Seed rows per distance block: the block's distances and their argsort
-# take _BLOCK_ROWS x bag size 8-byte values each.
+# Seed rows per distance block: the block's distances and their selection
+# keys take _BLOCK_ROWS x bag size 8-byte values each.
 _BLOCK_ROWS = 256
+# Seed visits per block of whole bags (a bag with more visits is a block of
+# its own): the block's bits, neighbour groups and votes take about
+# _BLOCK_VISITS x (width + labels + k) values.
+_BLOCK_VISITS = 1024
 
 
 def _neighbours(bits: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
@@ -249,62 +257,141 @@ def _neighbours(bits: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     nearest to it by Hamming distance, itself excluded, ties broken by
     ascending row; one line per query row, nearest first.
 
-    Distances come from one GEMM per block of query rows,
-    pop_i + pop_j - 2 b_i.b_j. Every product and partial sum is an integer
-    below 2**53, so the distances are exact whatever the summation order,
-    and a stable argsort of each row is the exhaustive (distance, row) sort.
+    Distances come from one GEMM per block of query rows: the Hamming
+    distance is pop_i + pop_j - 2 b_i.b_j. Every product and partial sum is
+    an integer below 2**53, so they are exact whatever the summation order.
+    Row i is ordered by the int64 key (pop_j - 2 b_i.b_j) * m + j, its
+    distances less pop_i spread by m and tie-broken by column: the k
+    smallest keys, partitioned out and then sorted, are the first k of an
+    exhaustive (distance, row) sort.
     """
     m = bits.shape[0]
     take = max(min(k, m - 1), 0)
     out = np.empty((len(rows), take), dtype=np.intp)
     dense = bits.astype(np.float64)
-    pop = dense.sum(axis=1)
+    offset = dense.sum(axis=1) * m + np.arange(m)
+    # Consecutive query rows are read as a view of ``dense``: a gathered copy
+    # is one more large allocation, faulted in afresh on every call.
+    consecutive = len(rows) > 0 and np.array_equal(rows, np.arange(rows[0], rows[0] + len(rows)))
     for start in range(0, len(rows) if take else 0, _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
-        distance = dense[block] @ dense.T
-        distance *= -2.0
-        distance += pop
-        distance += pop[block, None]
-        distance[np.arange(len(block)), block] = np.inf  # never its own neighbour
-        out[start:start + len(block)] = np.argsort(distance, axis=1, kind="stable")[:, :take]
+        product = (dense[block[0]:block[-1] + 1] if consecutive else dense[block]) @ dense.T
+        product *= -2.0 * m
+        product += offset
+        key = product.astype(np.int64)
+        key[np.arange(len(block)), block] = np.iinfo(np.int64).max  # never its own neighbour
+        nearest = np.partition(key, take - 1, axis=1)[:, :take]
+        nearest.sort(axis=1)
+        out[start:start + len(block)] = nearest % m
     return out
 
 
-def _vote(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Strict-majority vote of the 0/1 rows of ``values`` over each line of
-    ``groups`` (row indices): 1 where more than half the group holds 1."""
-    size = groups.shape[1]
-    tally = np.zeros((len(groups), values.shape[1]), dtype=np.min_scalar_type(size))
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[i] .. starts[i] + lengths[i] - 1."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
+def _minority_bags(dataset: MultiLabelDataset, ordered: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of each label of ``ordered``, bag after bag and ascending in
+    a bag, and the bag sizes; read from the label-set table in one pass."""
+    owners, labels = dataset.set_members
+    rank = np.full(dataset.label_count, -1, dtype=np.intp)
+    rank[ordered] = np.arange(len(ordered))
+    ranks = rank[labels]
+    held = ranks >= 0
+    sets, ranks = owners[held], ranks[held]
+    counts = dataset.set_counts
+    by_set = np.argsort(dataset.set_ids, kind="stable")
+    rows = by_set[_ranges((np.cumsum(counts) - counts)[sets], counts[sets])]
+    key = np.sort(np.repeat(ranks, counts[sets]) * len(dataset) + rows)
+    return key % len(dataset), np.bincount(key // len(dataset), minlength=len(ordered))
+
+
+def _label_table(dataset: MultiLabelDataset, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels held by any of the ascending ``sets``, ascending, and the 0/1
+    set x label table of which set holds which, with a zero row appended."""
+    owners, labels = dataset.set_members
+    first = np.searchsorted(owners, sets)
+    lengths = np.searchsorted(owners, sets, side="right") - first
+    held = labels[_ranges(first, lengths)]
+    column = np.zeros(dataset.label_count, dtype=np.intp)
+    column[held] = 1
+    present = np.flatnonzero(column)
+    column[present] = np.arange(present.size)
+    table = np.zeros((sets.size + 1, present.size), dtype=np.uint8)
+    table[np.repeat(np.arange(sets.size), lengths), column[held]] = 1
+    return present, table
+
+
+def _tally(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Per line of ``groups`` (row indices), the sum of those rows of the 0/1
+    matrix ``values``."""
+    tally = np.zeros((len(groups), values.shape[1]), dtype=np.min_scalar_type(groups.shape[1]))
     for column in groups.T:
         tally += values[column]
-    return (tally > size // 2).astype(np.uint8)
+    return tally
 
 
-def _label_indicator(dataset: MultiLabelDataset, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Labels carried by any of the dataset's ``rows``, ascending, and the 0/1
-    matrix of which row holds which of them, built once per distinct set."""
-    sets, where = np.unique(dataset.set_ids[rows], return_inverse=True)
-    table = [dataset.label_sets[s] for s in sets.tolist()]
-    flat = np.fromiter(chain.from_iterable(table), dtype=np.int64)
-    present, column = np.unique(flat, return_inverse=True)
-    indicator = np.zeros((len(table), present.size), dtype=np.uint8)
-    indicator[np.repeat(np.arange(len(table)), [len(t) for t in table]), column] = 1
-    return present, indicator[where]
+def _row_keys(matrix: np.ndarray) -> list[bytes]:
+    """One bytes key per row of the 0/1 matrix, equal iff the rows are."""
+    packed = np.packbits(matrix, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
 
 
-def _bag_votes(
-    dataset: MultiLabelDataset, bag: np.ndarray, seeds: np.ndarray, k: int
+def _whole_bag_blocks(visits: np.ndarray) -> list[tuple[int, int]]:
+    """Runs first:last of the visited bags (those with a visit), each taking
+    whole bags while their visits total at most _BLOCK_VISITS; a bag with
+    more visits is a run of its own."""
+    runs: list[tuple[int, int]] = []
+    total = 0
+    for bag, seeds in enumerate(visits.tolist()):
+        if not seeds:
+            break
+        if not runs or total + seeds > _BLOCK_VISITS:
+            runs.append((bag, bag))
+            total = 0
+        runs[-1] = (runs[-1][0], bag + 1)
+        total += seeds
+    return runs
+
+
+def _block_votes(
+    dataset: MultiLabelDataset, rows: np.ndarray, sizes: list[int], visits: list[int], k: int
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Voted fingerprint rows and label sets of each seed position of one bag
-    (dataset rows), each seed voting with its k nearest bag neighbors."""
-    bits = np.stack([fp.bits for fp in map(dataset.fingerprints.__getitem__, bag.tolist())])
-    present, indicator = _label_indicator(dataset, bag)
-    groups = np.column_stack([seeds, _neighbours(bits, seeds, k)])
-    rows, columns = np.nonzero(_vote(indicator, groups))
-    flat = present[columns].tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=len(seeds))).tolist()
-    label_sets = [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
-    return _vote(bits, groups), label_sets
+    """Voted fingerprint rows and label sets of the seed visits of a block of
+    whole bags: ``rows`` holds the bags one after another, the first
+    ``visits[b]`` rows of bag b are its seeds, and each seed votes with its
+    k nearest bag neighbours by strict majority."""
+    distinct, local = np.unique(rows, return_inverse=True)
+    sentinel = np.zeros(dataset.fingerprint_width, dtype=np.uint8)
+    fingerprints = dataset.fingerprints
+    picked = [fingerprints[r].bits for r in distinct.tolist()]
+    bits = np.frombuffer(b"".join([*picked, sentinel]), dtype=np.uint8).reshape(-1, sentinel.size)
+    sets, row_set = np.unique(dataset.set_ids[distinct], return_inverse=True)
+    present, table = _label_table(dataset, sets)
+    row_set = np.append(row_set, sets.size)  # the sentinel row holds no label
+
+    # One line per visit: the seed, its neighbours, and sentinel padding where
+    # a bag has fewer than k other rows; a majority is more than half of
+    # the group's real rows.
+    groups = np.full((sum(visits), 1 + min(k, max(sizes) - 1)), distinct.size)
+    half = np.empty(len(groups), dtype=np.intp)
+    start = line = 0
+    for size, seeds in zip(sizes, visits):
+        bag = local[start:start + size]
+        near = bag[_neighbours(bits[bag], np.arange(seeds), k)]
+        groups[line:line + seeds, 0] = bag[:seeds]
+        groups[line:line + seeds, 1:1 + near.shape[1]] = near
+        half[line:line + seeds] = (1 + near.shape[1]) // 2
+        start += size
+        line += seeds
+    voted_bits = (_tally(bits, groups) > half[:, None]).view(np.uint8)
+    voted = _tally(table, row_set[groups]) > half[:, None]
+    keys = _row_keys(voted)
+    line_of = dict(zip(keys, range(len(keys))))  # equal keys, equal rows
+    label_set = {key: tuple(present[voted[line]].tolist()) for key, line in line_of.items()}
+    return voted_bits, list(map(label_set.__getitem__, keys))
 
 
 def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutcome:
@@ -332,9 +419,11 @@ def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutco
         )
 
     ordered_minority = sorted(minority, key=lambda l: (-table[l], l))
-    bags = {l: dataset.rows_with_label(l) for l in ordered_minority}
-    usable = [l for l in ordered_minority if len(bags[l]) >= 2]
-    round_size = sum(len(bags[l]) for l in usable)
+    rows, sizes = _minority_bags(dataset, ordered_minority)
+    usable = sizes >= 2
+    rows = rows[np.repeat(usable, sizes)]
+    sizes = sizes[usable]
+    round_size = int(sizes.sum())
 
     if not round_size:
         warnings = ["every minority bag has fewer than 2 members; nothing synthesized",
@@ -345,43 +434,44 @@ def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutco
     else:
         warnings = []
 
-    ids = dataset.ids
-    mint = _id_minter(dataset, "s")
-    per_label = dict.fromkeys(ordered_minority, 0)
-    origins: list[str] = []  # the seed id of each synthetic of the round
+    # Each bag's seeds are its first rows, up to what is left of the budget.
+    ends = np.cumsum(sizes)
+    visits = np.clip(budget - (ends - sizes), 0, sizes)
+    seeds = rows[_ranges(ends - sizes, visits)]
     fingerprints: list[Fingerprint] = []
     label_sets: list[tuple[int, ...]] = []
-    round_labels: list[int] = []  # the bag label of each synthetic of the round
     made: dict[tuple[bytes, tuple[int, ...]], Fingerprint] = {}  # one per distinct synthetic
-    for l in usable:
-        seeds = np.arange(min(len(bags[l]), budget - len(origins)))
-        if not seeds.size:
-            break
-        bag = bags[l]
-        voted_bits, voted_labels = _bag_votes(dataset, bag, seeds, config.k)
-        for seed, bits, voted in zip(bag[seeds].tolist(), voted_bits, voted_labels):
-            key = (bits.tobytes(), voted)
-            if key not in made:
-                made[key] = Fingerprint(bits)
-            origins.append(ids[seed])
-            fingerprints.append(made[key])
-            label_sets.append(voted)
-        round_labels += [l] * len(seeds)
+    for first, last in _whole_bag_blocks(visits):
+        block = rows[ends[first] - sizes[first]:ends[last - 1]]
+        voted_bits, voted_labels = _block_votes(
+            dataset, block, sizes[first:last].tolist(), visits[first:last].tolist(), config.k)
+        keys = list(zip(_row_keys(voted_bits), voted_labels))
+        for key, line in dict(zip(keys, range(len(keys)))).items():  # equal keys, equal rows
+            if key not in made:  # a synthetic owns a copy of its row, not a view of the votes
+                made[key] = Fingerprint._trusted(voted_bits[line].copy())
+        fingerprints += map(made.__getitem__, keys)
+        label_sets += voted_labels
+
+    ids = dataset.ids
+    mint = _id_minter(dataset, "s")
+    origins = list(map(ids.__getitem__, seeds.tolist()))  # the seed of each synthetic of the round
     result = dataset._append(mint(origins), origins, fingerprints, label_sets)
 
     # Replays gather the round's rows again under the seeds' next ids.
     replayed = np.arange(len(origins), budget if round_size else 0) % max(round_size, 1)
     replay_origins = [origins[j] for j in replayed.tolist()]
     result = result._with_copies(len(dataset) + replayed, mint(replay_origins), replay_origins)
-    for j in range(len(result) - len(dataset)):
-        per_label[round_labels[j % round_size]] += 1
+    added = len(result) - len(dataset)
+    bag_of_visit = np.repeat(np.flatnonzero(usable), sizes)
+    counts = np.bincount(bag_of_visit[np.arange(added) % max(round_size, 1)],
+                         minlength=len(ordered_minority))
 
     return ResampleOutcome(
         dataset=result,
         method="mlsmote",
-        added_count=len(result) - len(dataset),
+        added_count=added,
         minority_label_count=len(minority),
-        per_label_synthetic_counts=per_label,
+        per_label_synthetic_counts=dict(zip(ordered_minority, counts.tolist())),
         distinct_synthetics=len(made),
         warnings=tuple(warnings),
     )

@@ -12,6 +12,11 @@ independent derivation:
   ``graph_embedding`` and ``predict_instance``;
 - ``minority_score``, the per-instance score ``proposed`` ranks by;
 - ``knn_hamming``, the one-row case of ``resampling._neighbours``;
+- ``mlsmote_round``, mlsmote's first round one bag at a time: per bag a
+  ``rows_with_label`` scan, a stack of the bag's fingerprints, its own label
+  indicator (``_label_indicator``) and majority votes (``_bag_votes``,
+  ``_vote``), against which the blocked round of ``mlimb.resampling`` is
+  checked;
 - ``_set_scumble`` and ``_repeated_mean``, SCUMBLE of one label set with
   ``math.fsum`` sums and the exact mean of scores repeated by multiplicity,
   against which the integer-limb sums of ``mlimb.metrics`` are checked.
@@ -24,9 +29,10 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from mlimb.data import Instance, MolecularGraph
+from mlimb.data import Instance, MolecularGraph, MultiLabelDataset
+from mlimb.metrics import irlbl, label_counts, mean_ir
 from mlimb.network import ACTIVATIONS, ADJACENCY_MODES, READOUT_MODES, ModelParameters, _sigmoid
-from mlimb.resampling import _neighbours
+from mlimb.resampling import ResampleConfig, _neighbours, minority_labels
 
 
 def adjacency_operator(graph: MolecularGraph, mode: str) -> np.ndarray:
@@ -143,6 +149,69 @@ def knn_hamming(bits: np.ndarray, row: int, k: int) -> list[int]:
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     return _neighbours(bits, np.array([row]), k)[0].tolist()
+
+
+def _vote(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Strict-majority vote of the 0/1 rows of ``values`` over each line of
+    ``groups`` (row indices): 1 where more than half the group holds 1."""
+    size = groups.shape[1]
+    tally = np.zeros((len(groups), values.shape[1]), dtype=np.min_scalar_type(size))
+    for column in groups.T:
+        tally += values[column]
+    return (tally > size // 2).astype(np.uint8)
+
+
+def _label_indicator(dataset: MultiLabelDataset, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels carried by any of the dataset's ``rows``, ascending, and the 0/1
+    matrix of which row holds which of them, built once per distinct set."""
+    sets, where = np.unique(dataset.set_ids[rows], return_inverse=True)
+    table = [dataset.label_sets[s] for s in sets.tolist()]
+    flat = np.fromiter(chain.from_iterable(table), dtype=np.int64)
+    present, column = np.unique(flat, return_inverse=True)
+    indicator = np.zeros((len(table), present.size), dtype=np.uint8)
+    indicator[np.repeat(np.arange(len(table)), [len(t) for t in table]), column] = 1
+    return present, indicator[where]
+
+
+def _bag_votes(
+    dataset: MultiLabelDataset, bag: np.ndarray, seeds: np.ndarray, k: int
+) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Voted fingerprint rows and label sets of each seed position of one bag
+    (dataset rows), each seed voting with its k nearest bag neighbors."""
+    bits = np.stack([fp.bits for fp in map(dataset.fingerprints.__getitem__, bag.tolist())])
+    present, indicator = _label_indicator(dataset, bag)
+    groups = np.column_stack([seeds, _neighbours(bits, seeds, k)])
+    rows, columns = np.nonzero(_vote(indicator, groups))
+    flat = present[columns].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(seeds))).tolist()
+    label_sets = [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
+    return _vote(bits, groups), label_sets
+
+
+def mlsmote_round(
+    dataset: MultiLabelDataset, config: ResampleConfig
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...], int]]:
+    """The seed visits of mlsmote's first round under the budget
+    floor(p*|D|), in order: (seed row, voted bits, voted labels, bag label).
+
+    Bags are the minority labels' rows in descending IRLbl order (label as
+    the tie-break), bags of fewer than 2 rows skipped; a bag's seeds are its
+    first rows, up to what is left of the budget. The dataset must hold a
+    label.
+    """
+    table = irlbl(label_counts(dataset))
+    minority = minority_labels(table, mean_ir(table))
+    budget = int(math.floor(config.p * len(dataset)))
+    visits: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = []
+    for l in sorted(minority, key=lambda l: (-table[l], l)):
+        bag = dataset.rows_with_label(l)
+        seeds = np.arange(min(len(bag), budget - len(visits)))
+        if len(bag) < 2 or not seeds.size:
+            continue
+        voted_bits, voted_labels = _bag_votes(dataset, bag, seeds, config.k)
+        visits += zip(bag[seeds].tolist(), map(tuple, voted_bits.tolist()), voted_labels,
+                      [l] * len(seeds))
+    return visits
 
 
 def _set_scumble(labels: tuple[int, ...], irlbl_table: np.ndarray | list[float]) -> float | None:

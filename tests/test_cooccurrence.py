@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mlimb import cooccurrence as cooccurrence_module
 from mlimb.cooccurrence import (
     chord_document,
     compare_snapshots,
@@ -13,7 +15,8 @@ from mlimb.cooccurrence import (
     random_label_subset,
 )
 from mlimb.data import LabelVocabulary
-from mlimb.resampling import ResampleConfig, oversample
+from mlimb.resampling import ResampleConfig, mlsmote, oversample
+from mlimb.synth import SynthConfig, generate
 from tests.conftest import random_dataset
 from tests.test_resampling import make_dataset
 
@@ -135,3 +138,36 @@ def test_grouped_counts_equal_per_instance_reference():
             subset = tuple(int(l) for l in rng.permutation(d.label_count)[:5])
             summary = cooccurrence(out, subset)
             assert (summary.arc_sizes, summary.links) == per_instance_cooccurrence(out, subset)
+
+
+def test_blocked_counts_equal_per_instance_reference(monkeypatch):
+    # Blocks of one to a few label sets: every block edge is crossed.
+    rng = np.random.default_rng(29)
+    for block_values in (1, 5, 16):
+        monkeypatch.setattr(cooccurrence_module, "_BLOCK_VALUES", block_values)
+        for _ in range(6):
+            d = random_dataset(rng, ensure_labeled=True, max_labels=7, graph_prob=0.0)
+            out = oversample(d, ResampleConfig(method="proposed", p=1.0, r=2)).dataset
+            subset = tuple(int(l) for l in rng.permutation(d.label_count)[:4])
+            summary = cooccurrence(out, subset)
+            assert (summary.arc_sizes, summary.links) == per_instance_cooccurrence(out, subset)
+
+
+def test_peak_memory_does_not_grow_with_the_subset():
+    # The mlsmote p=1 output of the rebalance sweep corpus: 80k rows over
+    # 12.4k label sets. Dense X and W over every set took 41.7 MB at 200
+    # labels against 0.7 MB at 8. Blocked, the 200-label call adds at most
+    # its two blocks (1 MB), its 200 x 200 products (1.3 MB) and per-member
+    # index arrays.
+    corpus = generate(SynthConfig(n_instances=40_000, n_labels=200, fingerprint_width=256,
+                                  graph_nodes_range=None, cooccurrence_boost=0.3, seed=1))
+    out = mlsmote(corpus, ResampleConfig(method="mlsmote", p=1.0, k=5)).dataset
+    peaks = {}
+    for n in (8, 200):
+        subset = random_label_subset(corpus.vocabulary, n, seed=1)
+        cooccurrence(out, subset)  # the dataset's cached label-set columns are built here
+        tracemalloc.start()
+        cooccurrence(out, subset)
+        peaks[n] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[200] <= peaks[8] + 4_000_000, peaks

@@ -220,3 +220,33 @@ def test_sweep_statistics_pinned():
         digests[f"chord_{name}"] = _sha(
             _canonical(cooccurrence.chord_document(summary, corpus.vocabulary)))
     assert digests == PINNED_SWEEP
+
+
+# mlsmote rows at the sweep shape, where one round (1764 seed visits) spans
+# several blocks of whole bags and bags span several distance blocks.
+# Recorded from the implementation that searched and voted one bag at a
+# time, each bag with its own label scan and full stable argsort.
+PINNED_SWEEP_ROWS = {
+    "mlsmote_p0.25/dataset": "93b010b32605707b6e89f9e9599990dff15ddb65774f02d1a1db056bacf58d2d",
+    "mlsmote_p0.25/diagnostics": "5d17262f4462b96c8091062365474783bd9e44b362591a68cc7a847703f745ce",
+    "mlsmote_p1.0/dataset": "924b16795c550eb08e8cd6700fd92e66dd0fcfa1efb62adc2979f9e95b25e2ad",
+    "mlsmote_p1.0/diagnostics": "0a23c0503a44198873934a02ff6e3b3c4705087190f6fe1f833ba7cb823bde4c",
+}
+PINNED_SWEEP_DISTINCT = {"mlsmote_p0.25": 227, "mlsmote_p1.0": 227}
+
+
+def test_sweep_mlsmote_rows_pinned():
+    corpus = generate(SWEEP_CORPUS)
+    digests, distinct = {}, {}
+    for p in (0.25, 1.0):
+        run = f"mlsmote_p{p}"
+        config = resampling.ResampleConfig(method="mlsmote", p=p, r=2, k=5, seed=1)
+        outcome = resampling.oversample(corpus, config)
+        buffer = io.StringIO()
+        write_dataset(outcome.dataset, buffer)
+        digests[f"{run}/dataset"] = _sha(buffer.getvalue())
+        diagnostics = outcome.diagnostics_document(config)
+        distinct[run] = diagnostics.pop("distinct_synthetics")
+        digests[f"{run}/diagnostics"] = _sha(_canonical(diagnostics))
+    assert digests == PINNED_SWEEP_ROWS
+    assert distinct == PINNED_SWEEP_DISTINCT

@@ -3,10 +3,14 @@
 import hashlib
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mlimb import resampling
 from mlimb.data import Fingerprint, Instance, LabelVocabulary, MultiLabelDataset, write_dataset
 from mlimb.metrics import cardinality, irlbl, label_counts, mean_ir
 from mlimb.resampling import (
@@ -16,14 +20,13 @@ from mlimb.resampling import (
     oversample,
     oversample_proposed,
     _BLOCK_ROWS,
-    _bag_votes,
+    _BLOCK_VISITS,
     _neighbours,
     _ranked_indices,
-    _vote,
 )
 from mlimb.synth import SynthConfig, generate
 from tests.conftest import random_dataset
-from tests.reference import knn_hamming, minority_score
+from tests.reference import _bag_votes, _vote, knn_hamming, minority_score, mlsmote_round
 
 
 def make_dataset(label_sets, n_labels, width=8, fps=None):
@@ -386,6 +389,125 @@ def test_replay_warning_exactly_past_one_round():
     assert replay.origin == first.origin == "i0"
     assert replay.fingerprint == first.fingerprint and replay.labels == first.labels
     assert past.per_label_synthetic_counts == {0: 4}
+
+
+def assert_round_matches_oracle(dataset, config):
+    """mlsmote's synthetics, their distinct count and the per-label counts
+    against the per-bag round of ``tests.reference``, replays included."""
+    out = mlsmote(dataset, config)
+    visits = mlsmote_round(dataset, config)
+    table = irlbl(label_counts(dataset))
+    minority = minority_labels(table, mean_ir(table))
+    n = len(dataset)
+    synthetics = out.dataset.instances[n:]
+    assert len(synthetics) == (math.floor(config.p * n) if visits else 0)
+    expected_counts = dict.fromkeys(minority, 0)
+    for j, row in enumerate(synthetics):
+        seed, bits, labels, label = visits[j % len(visits)]
+        assert row.origin == dataset.ids[seed], j
+        assert tuple(row.fingerprint.bits.tolist()) == bits, j
+        assert row.labels == labels, j
+        expected_counts[label] += 1
+    assert out.distinct_synthetics == len({(bits, labels) for _, bits, labels, _ in visits})
+    assert out.per_label_synthetic_counts == expected_counts
+    return visits
+
+
+@st.composite
+def small_corpora(draw):
+    # Each label holds a drawn number of distinct rows, at least n // 6: the
+    # minority labels are those below the harmonic mean count, so no single
+    # near-empty label makes every other bag a majority bag.
+    n = draw(st.integers(min_value=2, max_value=40))
+    n_labels = draw(st.integers(min_value=2, max_value=8))
+    width = draw(st.integers(min_value=1, max_value=8))  # narrow rows: ties and duplicates
+    label_sets = [[] for _ in range(n)]
+    for label in range(n_labels):
+        size = draw(st.integers(min_value=max(1, n // 6), max_value=n))
+        for row in draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True)):
+            label_sets[row].append(label)
+    fps = draw(st.lists(st.lists(st.integers(0, 1), min_size=width, max_size=width),
+                        min_size=n, max_size=n))
+    return make_dataset(label_sets, n_labels, fps=fps)
+
+
+def four_bag_corpus():
+    """30 rows whose minority bags, in visiting order, hold 3, 5, 6 and 6
+    rows (labels 1-4); labels 0, 5 and 6 are majority labels."""
+    rng = np.random.default_rng(16)
+    label_sets = [[0] for _ in range(30)]
+    for label, size in ((1, 3), (2, 5), (3, 6), (4, 6), (5, 28), (6, 28)):
+        for row in rng.choice(30, size, replace=False):
+            label_sets[row].append(int(label))
+    return make_dataset([sorted(s) for s in label_sets], 7,
+                        fps=rng.integers(0, 2, size=(30, 4)).tolist())
+
+
+@settings(max_examples=150, deadline=None)
+# With k = 3, blocks of 8 visits and distance blocks of 2 rows: the 3-row
+# bag (fewer than k + 1 rows) shares a block with the 5-row bag, the 6-row
+# bags make a second block, and the budget of 16 ends inside the last bag.
+@example(dataset=four_bag_corpus(), k=3, budget_share=Fraction(16, 30), block_rows=2,
+         block_visits=8)
+@given(
+    dataset=small_corpora(),
+    k=st.integers(min_value=1, max_value=12),
+    budget_share=st.fractions(min_value=0, max_value=1),
+    block_rows=st.integers(min_value=1, max_value=6),
+    block_visits=st.integers(min_value=1, max_value=24),
+)
+def test_blocked_round_matches_per_bag_oracle(dataset, k, budget_share, block_rows, block_visits):
+    # Shrunk block sizes put bags larger than a distance block, rounds over
+    # several blocks of whole bags, and bags of fewer than k + 1 rows beside
+    # larger ones into small corpora; the budget ends anywhere, mid-bag too.
+    # The full-size test below checks the same cases at the real sizes.
+    budget = max(1, math.floor(budget_share * len(dataset)))
+    config = ResampleConfig(method="mlsmote", p=budget / len(dataset), k=k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resampling, "_BLOCK_ROWS", block_rows)
+        patch.setattr(resampling, "_BLOCK_VISITS", block_visits)
+        out = mlsmote(dataset, config)
+    expected = mlsmote(dataset, config)
+    assert out.dataset == expected.dataset
+    assert out.diagnostics_document(config) == expected.diagnostics_document(config)
+    assert_round_matches_oracle(dataset, config)
+
+
+def test_blocked_round_matches_per_bag_oracle_at_full_block_sizes():
+    # Minority bags of 150, 250, 450 and 500 rows, visited in that order:
+    # with k = 200 the 150-row bag has fewer than k + 1 rows and shares its
+    # block with the 250- and 450-row bags, the 500-row bag makes a second
+    # block, and both large bags span two distance blocks.
+    rng = np.random.default_rng(8)
+    n = 4000
+    label_sets = [{0} for _ in range(n)]
+    for label in range(5, 10):
+        for row in rng.choice(n, 3600, replace=False):
+            label_sets[row].add(label)
+    for label, size in zip((1, 2, 3, 4), (150, 250, 450, 500)):
+        for row in rng.choice(n, size, replace=False):
+            label_sets[row].add(label)
+    fps = rng.integers(0, 2, size=(n, 16)).tolist()
+    d = make_dataset([sorted(s) for s in label_sets], 10, fps=fps)
+    table = irlbl(label_counts(d))
+    assert minority_labels(table, mean_ir(table)) == {1, 2, 3, 4}
+    assert 500 > 450 > _BLOCK_ROWS and 150 + 250 + 450 <= _BLOCK_VISITS < 150 + 250 + 450 + 500
+    mid_bag = 150 + 250 + 100
+    visits = assert_round_matches_oracle(d, ResampleConfig(method="mlsmote", p=mid_bag / n, k=200))
+    assert len(visits) == mid_bag
+    visits = assert_round_matches_oracle(d, ResampleConfig(method="mlsmote", p=1.0, k=200))
+    assert len(visits) == 1350
+
+
+def test_synthetics_own_their_bits():
+    # A synthetic's fingerprint is a row of its own, so the outcome keeps no
+    # block of votes alive.
+    d = generate(SynthConfig(n_instances=300, n_labels=20, fingerprint_width=32,
+                             graph_nodes_range=None, cooccurrence_boost=0.3, seed=4))
+    out = mlsmote(d, ResampleConfig(method="mlsmote", p=1.0, k=3))
+    synthetics = out.dataset.fingerprints[len(d):]
+    assert synthetics
+    assert all(fp.bits.base is None for fp in synthetics)
 
 
 def test_mlsmote_output_pinned_across_rounds():
