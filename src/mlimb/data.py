@@ -10,6 +10,13 @@ row only through its label set read the table and the per-set
 multiplicities (``set_counts``), so their cost follows the number of
 distinct sets, not of rows.
 
+An oversampling result is its input followed by new rows that index arrays
+describe: the source row of each copy, or the synthetic each new row
+repeats and the row it came from. Its label-set table and set ids are
+built at once; its ids, origins and object columns are built, and the new
+ids checked, when one of them is first read. So statistics over a result
+build no row object.
+
 ``instances`` is a read-only view of the same rows as ``Instance`` objects.
 A dataset built from an ``Instance`` list keeps that list; one built from
 another dataset's columns (a split or an oversampling result) makes it on
@@ -29,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, starmap
+from itertools import chain, count, repeat, starmap
 from operator import attrgetter, index
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -339,7 +346,7 @@ class MultiLabelDataset:
         set_ids = index.ids_of(labels)
         self._store((ids, origins, fingerprints, graphs, targets), tuple(index), set_ids)
         self._id_set = held
-        self._check_rows(ids, labels, fingerprints, graphs, targets)
+        self._check_rows(ids.__getitem__, labels, fingerprints, graphs, targets)
 
     def _store(self, columns, label_sets, set_ids) -> None:
         """Keep the object columns (None for a dataset that extends another,
@@ -353,35 +360,36 @@ class MultiLabelDataset:
         self._set_counts: np.ndarray | None = None
         self._set_members: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _check_rows(self, ids, label_sets, fingerprints, graphs, targets) -> None:
+    def _check_rows(self, id_of, label_sets, fingerprints, graphs, targets) -> None:
         """Dataset-level checks, other than unique ids, of the given rows in
-        order."""
+        order; ``id_of(i)`` is the id of row i, asked for only to name a
+        failing row."""
         label_count = len(self.vocabulary)
         width, node_dim, reg_width = (
             self.fingerprint_width, self.node_feature_dim, self.regression_width)
-        for inst_id, labels, fingerprint, graph, reg in zip(
-            ids, label_sets, fingerprints, graphs, targets
+        for row, labels, fingerprint, graph, reg in zip(
+            count(), label_sets, fingerprints, graphs, targets
         ):
             if labels and labels[-1] >= label_count:
                 raise ValidationError(
-                    f"instance {inst_id!r}: label index {labels[-1]} outside vocabulary of size {label_count}"
+                    f"instance {id_of(row)!r}: label index {labels[-1]} outside vocabulary of size {label_count}"
                 )
             if fingerprint.bits.size != width:
                 raise ValidationError(
-                    f"instance {inst_id!r}: fingerprint width {fingerprint.width} != declared {width}"
+                    f"instance {id_of(row)!r}: fingerprint width {fingerprint.width} != declared {width}"
                 )
             if graph is not None and graph.feature_dim != node_dim:
                 raise ValidationError(
-                    f"instance {inst_id!r}: node feature dim {graph.feature_dim} != declared {node_dim}"
+                    f"instance {id_of(row)!r}: node feature dim {graph.feature_dim} != declared {node_dim}"
                 )
             if reg is not None:
                 if reg_width == 0:
                     raise ValidationError(
-                        f"instance {inst_id!r}: regression targets present but regression_width is 0"
+                        f"instance {id_of(row)!r}: regression targets present but regression_width is 0"
                     )
                 if reg.size != reg_width:
                     raise ValidationError(
-                        f"instance {inst_id!r}: regression width {reg.size} != declared {reg_width}"
+                        f"instance {id_of(row)!r}: regression width {reg.size} != declared {reg_width}"
                     )
 
     def _derived(self, columns, label_sets, set_ids) -> "MultiLabelDataset":
@@ -396,13 +404,15 @@ class MultiLabelDataset:
         out._store(columns, label_sets, set_ids)
         return out
 
-    def _extended(self, extension, label_sets, set_ids) -> "MultiLabelDataset":
-        """This dataset followed by the rows of ``extension`` (one tuple per
-        object column). The result joins this dataset's object columns with
-        the extension when a column is first read, so statistics, which read
-        only the label sets, never copy them."""
+    def _extended(self, new_rows, label_sets, set_ids) -> "MultiLabelDataset":
+        """This dataset followed by new rows: ``label_sets`` and ``set_ids``
+        cover every row, and ``new_rows()`` makes the new rows' object
+        columns (one tuple per name of ``_COLUMNS``). It is called when an
+        object column is first read; each column then joins this dataset's
+        with the new rows', so statistics, which read only the label sets,
+        build no row object at all."""
         out = self._derived(None, label_sets, set_ids)
-        out._base, out._extension = self, extension
+        out._base, out._new_rows = self, new_rows
         return out
 
     def _take(self, rows: np.ndarray) -> "MultiLabelDataset":
@@ -422,47 +432,86 @@ class MultiLabelDataset:
             renumber[inverse],
         )
 
-    def _with_copies(self, rows: np.ndarray, ids: list[str], origins: list[str]
-                     ) -> "MultiLabelDataset":
-        """This dataset followed by copies of its rows ``rows`` under the new
-        ``ids`` and ``origins``. Copies share every object with their source
-        and are not revalidated: the caller guarantees the ids are new."""
-        pick = np.asarray(rows, dtype=np.intp).tolist()
-        return self._extended(
-            (tuple(ids), tuple(origins), *(tuple(map(column.__getitem__, pick)) for column in (
-                self._fingerprints, self._graphs, self._targets))),
-            self._label_sets,
-            np.concatenate([self._set_ids, self._set_ids[pick]]),
-        )
-
-    def _append(self, ids: list[str], origins: list[str], fingerprints: list[Fingerprint],
-                label_sets: list[tuple[int, ...]]) -> "MultiLabelDataset":
-        """This dataset followed by new rows without graph or regression
-        targets; label sets must be sorted and free of repeats. Only the new
-        rows are validated."""
+    def _new_ids(self, sources: np.ndarray, mint) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Ids and origins of new rows made from this dataset's rows
+        ``sources``: the origins are the sources' ids, and ``mint`` makes the
+        new ids from them. The ids are checked to be new."""
+        ids = self.ids
+        origins = tuple(map(ids.__getitem__, sources.tolist()))
+        new_ids = tuple(mint(origins))
         taken = self.id_set
-        if not taken.isdisjoint(ids) or len(set(ids)) != len(ids):
-            _check_new_ids(ids, taken)
+        if not taken.isdisjoint(new_ids) or len(set(new_ids)) != len(new_ids):
+            _check_new_ids(new_ids, taken)
+        return new_ids, origins
+
+    def _with_copies(self, rows: np.ndarray, mint) -> "MultiLabelDataset":
+        """This dataset followed by copies of its rows ``rows``, each with its
+        source's id as origin and an id that ``mint`` makes from the origins
+        (a list of ids in, one new id each out). Copies share every object
+        with their source and are not revalidated; ids, origins and objects
+        are gathered when first read (see ``_extended``)."""
+        rows = np.asarray(rows, dtype=np.intp)
+
+        def new_rows():
+            pick = rows.tolist()
+            gathered = (tuple(map(column.__getitem__, pick))
+                        for column in (self._fingerprints, self._graphs, self._targets))
+            return (*self._new_ids(rows, mint), *gathered)
+
+        return self._extended(new_rows, self._label_sets,
+                              np.concatenate([self._set_ids, self._set_ids[rows]]))
+
+    def _append(self, fingerprints: list[Fingerprint], label_sets: list[tuple[int, ...]],
+                sources: np.ndarray, repeats: np.ndarray, mint) -> "MultiLabelDataset":
+        """This dataset followed by new rows without graph or regression
+        targets: row i has ``fingerprints[i]`` and ``label_sets[i]`` (sorted
+        and free of repeats) and the id of row ``sources[i]`` of this dataset
+        as origin; then, for each j in turn, row ``repeats[j]`` of them again.
+        ``mint`` makes the new rows' ids from their origins (a list of
+        ids in, one new id each out), all in one call.
+
+        Only the given rows are validated, now; a failing row's id is minted
+        for the message alone. Ids, origins and the object columns are built
+        when first read (see ``_extended``), the ids checked to be new then."""
+        picks = np.concatenate([np.arange(len(fingerprints)), repeats]).astype(np.intp)
+        row_sources = np.asarray(sources, dtype=np.intp)[picks]
+        self._check_rows(lambda row: self._new_ids(row_sources, mint)[0][row],
+                         label_sets, fingerprints, repeat(None), repeat(None))
         index = _SetIndex(zip(self._label_sets, range(len(self._label_sets))))
         set_ids = index.ids_of(label_sets)
-        extension = (tuple(ids), tuple(origins), tuple(fingerprints),
-                     (None,) * len(ids), (None,) * len(ids))
-        out = self._extended(extension, tuple(index), np.concatenate([self._set_ids, set_ids]))
-        out._check_rows(extension[0], label_sets, *extension[2:])
-        return out
+
+        def new_rows():
+            none = (None,) * picks.size
+            return (*self._new_ids(row_sources, mint),
+                    tuple(map(fingerprints.__getitem__, picks.tolist())), none, none)
+
+        return self._extended(new_rows, tuple(index),
+                              np.concatenate([self._set_ids, set_ids[picks]]))
 
     def __getattr__(self, name: str):
         # Reached only for attributes never set. A dataset made by
-        # ``_extended`` joins an object column when it is first read, and one
-        # made from columns builds its row view on first access; both are kept.
-        if name in _COLUMNS and "_extension" in self.__dict__:
+        # ``_extended`` builds its new rows' columns when an object column is
+        # first read and joins that column, and one made from columns builds
+        # its row view on first access; all are kept.
+        if name in _COLUMNS and "_base" in self.__dict__:
             value = getattr(self._base, name) + self._extension[_COLUMNS.index(name)]
+        elif name == "_extension" and "_base" in self.__dict__:
+            value = self._new_rows()
         elif name == "instances":
             value = list(starmap(Instance._trusted, self._row_fields()))
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         setattr(self, name, value)
         return value
+
+    def __getstate__(self) -> dict:
+        # A pickle holds the rows, not the recipe that builds them, which may
+        # be a local function.
+        if "_base" in self.__dict__:
+            for name in _COLUMNS:
+                getattr(self, name)
+        return {key: value for key, value in self.__dict__.items()
+                if key not in ("_base", "_new_rows", "_extension")}
 
     def __len__(self) -> int:
         return self._set_ids.size
@@ -514,13 +563,6 @@ class MultiLabelDataset:
             labels = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=owners.size)
             self._set_members = (_readonly(owners), _readonly(labels))
         return self._set_members
-
-    def rows_with_label(self, label: int) -> np.ndarray:
-        """Positions of the rows whose label set holds ``label``, ascending."""
-        owners, labels = self.set_members
-        holds = np.zeros(len(self._label_sets), dtype=bool)
-        holds[owners[labels == label]] = True
-        return np.flatnonzero(holds[self._set_ids])
 
     def _row_fields(self) -> Iterable[tuple]:
         """(id, fingerprint, labels, graph, regression targets, origin) of each row."""

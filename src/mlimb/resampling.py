@@ -30,9 +30,12 @@ Two methods share one interface:
     bits, groups and votes, plus ``_BLOCK_ROWS`` x bag distances and keys.
 
 Results are built from the input's columns (see ``mlimb.data``): copies and
-replays are index gathers sharing every object with their source, and only
-mlsmote's synthetics are validated. Id minting and mlsmote's lookup of
-distinct synthetics are still per-row Python.
+replays are index arrays into the input's rows or the round's synthetics,
+sharing every object with their source, and only mlsmote's synthetics are
+validated, when they are made. A result's ids, origins and object columns
+are built only when first read, its ids minted in one call over all of its
+new rows in order; statistics, which read the label-set table, never make
+them. mlsmote's lookup of distinct synthetics is per-synthetic Python.
 
 Copies and synthetics get fresh ids (source id plus a ``::p<j>`` / ``::s<j>``
 suffix, j the source's next serial whose id the dataset does not hold) and
@@ -180,14 +183,16 @@ def _unchanged(
 
 
 def _id_minter(dataset: MultiLabelDataset, tag: str) -> Callable[[list[str]], list[str]]:
-    """Mints one id per source id of a list: ``<src>::<tag><j>`` with a
-    per-source serial j counting from 1 across calls, skipping ids the
-    dataset already holds. Two sources never mint the same id, since the
-    suffix after the last ``::`` holds no colon."""
-    taken = dataset.id_set
-    serials: dict[str, int] = {}
+    """Mints one id per source id of a list, in one call over all of a
+    result's new rows: ``<src>::<tag><j>`` with a per-source serial j
+    counting from 1 along the list, skipping ids the dataset already holds.
+    Each call starts afresh, so the same list always mints the same ids. Two
+    sources never mint the same id, since the suffix after the last ``::``
+    holds no colon."""
 
     def mint(sources: list[str]) -> list[str]:
+        taken = dataset.id_set
+        serials: dict[str, int] = {}
         minted = []
         for src_id in sources:
             j = serials.get(src_id, 0) + 1
@@ -229,15 +234,12 @@ def oversample_proposed(dataset: MultiLabelDataset, config: ResampleConfig) -> R
         warnings.append(f"{zero_score} selected instances had zero minority score")
 
     ids = dataset.ids
-    copied = np.repeat(selected, config.r)
-    sources = [ids[i] for i in copied.tolist()]
-    mint = _id_minter(dataset, "p")
     return ResampleOutcome(
-        dataset=dataset._with_copies(copied, mint(sources), sources),
+        dataset=dataset._with_copies(np.repeat(selected, config.r), _id_minter(dataset, "p")),
         method="proposed",
-        added_count=len(sources),
+        added_count=take * config.r,
         minority_label_count=len(minority),
-        selected_ids=tuple(sources[::config.r]),
+        selected_ids=tuple(map(ids.__getitem__, selected.tolist())),
         zero_score_selected=zero_score,
         warnings=tuple(warnings),
     )
@@ -452,15 +454,10 @@ def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutco
         fingerprints += map(made.__getitem__, keys)
         label_sets += voted_labels
 
-    ids = dataset.ids
-    mint = _id_minter(dataset, "s")
-    origins = list(map(ids.__getitem__, seeds.tolist()))  # the seed of each synthetic of the round
-    result = dataset._append(mint(origins), origins, fingerprints, label_sets)
-
-    # Replays gather the round's rows again under the seeds' next ids.
-    replayed = np.arange(len(origins), budget if round_size else 0) % max(round_size, 1)
-    replay_origins = [origins[j] for j in replayed.tolist()]
-    result = result._with_copies(len(dataset) + replayed, mint(replay_origins), replay_origins)
+    # The round's synthetics, each with its seed as origin, then the replays:
+    # the round's rows again, under the seeds' next ids.
+    replayed = np.arange(len(seeds), budget if round_size else 0) % max(round_size, 1)
+    result = dataset._append(fingerprints, label_sets, seeds, replayed, _id_minter(dataset, "s"))
     added = len(result) - len(dataset)
     bag_of_visit = np.repeat(np.flatnonzero(usable), sizes)
     counts = np.bincount(bag_of_visit[np.arange(added) % max(round_size, 1)],

@@ -13,10 +13,10 @@ independent derivation:
 - ``minority_score``, the per-instance score ``proposed`` ranks by;
 - ``knn_hamming``, the one-row case of ``resampling._neighbours``;
 - ``mlsmote_round``, mlsmote's first round one bag at a time: per bag a
-  ``rows_with_label`` scan, a stack of the bag's fingerprints, its own label
-  indicator (``_label_indicator``) and majority votes (``_bag_votes``,
-  ``_vote``), against which the blocked round of ``mlimb.resampling`` is
-  checked;
+  scan of the label-set table for the label's rows (``rows_with_label``),
+  a stack of the bag's fingerprints, its own label indicator
+  (``_label_indicator``) and majority votes (``_bag_votes``, ``_vote``),
+  against which the blocked round of ``mlimb.resampling`` is checked;
 - ``_set_scumble`` and ``_repeated_mean``, SCUMBLE of one label set with
   ``math.fsum`` sums and the exact mean of scores repeated by multiplicity,
   against which the integer-limb sums of ``mlimb.metrics`` are checked.
@@ -173,6 +173,14 @@ def _label_indicator(dataset: MultiLabelDataset, rows: np.ndarray) -> tuple[np.n
     return present, indicator[where]
 
 
+def rows_with_label(dataset: MultiLabelDataset, label: int) -> np.ndarray:
+    """Positions of the rows whose label set holds ``label``, ascending."""
+    owners, labels = dataset.set_members
+    holds = np.zeros(len(dataset.label_sets), dtype=bool)
+    holds[owners[labels == label]] = True
+    return np.flatnonzero(holds[dataset.set_ids])
+
+
 def _bag_votes(
     dataset: MultiLabelDataset, bag: np.ndarray, seeds: np.ndarray, k: int
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
@@ -204,7 +212,7 @@ def mlsmote_round(
     budget = int(math.floor(config.p * len(dataset)))
     visits: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = []
     for l in sorted(minority, key=lambda l: (-table[l], l)):
-        bag = dataset.rows_with_label(l)
+        bag = rows_with_label(dataset, l)
         seeds = np.arange(min(len(bag), budget - len(visits)))
         if len(bag) < 2 or not seeds.size:
             continue

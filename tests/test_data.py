@@ -268,11 +268,13 @@ def test_gathered_rows_equal_constructed_rows():
                      regression_targets=src.regression_targets, origin=origin)
             for new_id, origin, src in zip(ids, origins, (dataset.instances[i] for i in copied))
         ])
-        assert_same_dataset(dataset._with_copies(copied, ids, origins), expected)
+        mint = lambda sources: [f"{src_id}::c{j}" for j, src_id in enumerate(sources)]
+        assert_same_dataset(dataset._with_copies(copied, mint), expected)
 
 
 def test_appended_rows_equal_constructed_rows():
     rng = np.random.default_rng(71)
+    mint = lambda sources: [f"new{j}" for j in range(len(sources))]
     for _ in range(60):
         dataset = random_dataset(rng, max_instances=20, max_labels=6)
         new = [
@@ -282,9 +284,14 @@ def test_appended_rows_equal_constructed_rows():
                      origin=dataset.ids[0])
             for j in range(int(rng.integers(0, 8)))
         ]
-        appended = dataset._append([i.id for i in new], [i.origin for i in new],
-                                   [i.fingerprint for i in new], [i.labels for i in new])
-        assert_same_dataset(appended, dataset.with_instances(list(dataset.instances) + new))
+        repeats = rng.integers(0, max(len(new), 1), size=int(rng.integers(0, 8)) if new else 0)
+        repeated = [Instance(id=f"new{len(new) + j}", fingerprint=new[r].fingerprint,
+                             labels=new[r].labels, origin=new[r].origin)
+                    for j, r in enumerate(repeats.tolist())]
+        appended = dataset._append([i.fingerprint for i in new], [i.labels for i in new],
+                                   np.zeros(len(new), dtype=np.intp), repeats, mint)
+        assert_same_dataset(appended,
+                            dataset.with_instances(list(dataset.instances) + new + repeated))
 
 
 @pytest.mark.parametrize("case", ["duplicate id", "label outside vocabulary", "width"])
@@ -303,7 +310,9 @@ def test_append_rejects_new_rows_as_the_constructor_does(case):
     with pytest.raises(ValidationError) as public:
         dataset.with_instances(list(dataset.instances) + [row])
     with pytest.raises(ValidationError) as appended:
-        dataset._append([new_id], [None], [fingerprint], [labels])
+        # A duplicate id shows when the ids are built, on first read.
+        dataset._append([fingerprint], [labels], np.zeros(1, dtype=np.intp), np.arange(0),
+                        lambda sources: [new_id]).ids
     assert str(appended.value) == str(public.value)
 
 
@@ -331,6 +340,21 @@ def test_oversampled_copies_share_their_source_objects():
     for j, replay in enumerate(synthetics[3:], start=3):
         assert replay.fingerprint is synthetics[j % 3].fingerprint
         assert replay.origin == synthetics[j % 3].origin
+
+
+def test_oversampled_results_pickle_with_their_rows():
+    import pickle
+
+    from mlimb.resampling import ResampleConfig, oversample
+    from mlimb.synth import SynthConfig, generate
+
+    dataset = generate(SynthConfig(n_instances=120, n_labels=10, seed=5))
+    for method in ("proposed", "mlsmote"):
+        out = oversample(dataset, ResampleConfig(method=method, p=1.0, k=3)).dataset
+        assert "_ids" not in vars(out)  # rows not built yet
+        back = pickle.loads(pickle.dumps(out))
+        assert "_base" not in vars(back)
+        assert_same_dataset(back, out)
 
 
 def test_instances_view_is_built_once_and_kept():

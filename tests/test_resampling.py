@@ -391,6 +391,67 @@ def test_replay_warning_exactly_past_one_round():
     assert past.per_label_synthetic_counts == {0: 4}
 
 
+def test_mint_skips_a_taken_serial_across_the_round_and_its_replays():
+    # a and b are the minority label's bag. mlsmote at p = 1 visits a, b in
+    # its round and a, b, a in the replays; proposed copies a three times.
+    for tag, config in (("s", ResampleConfig(method="mlsmote", p=1.0, k=1)),
+                        ("p", ResampleConfig(method="proposed", p=1.0, r=3))):
+        ids = ["a", "b", f"a::{tag}2", "c", "d"]
+        d = MultiLabelDataset(
+            vocabulary=LabelVocabulary(("l0", "l1")),
+            instances=[Instance(id=i, fingerprint=Fingerprint(np.zeros(4, dtype=np.uint8)),
+                                labels=labels)
+                       for i, labels in zip(ids, [(1,), (1,), (0,), (0,), (0,)])],
+            fingerprint_width=4, node_feature_dim=1,
+        )
+        out = oversample(d, config)
+        new = out.dataset.instances[len(d):]
+        assert [row.id for row in new if row.origin == "a"] == [f"a::{tag}1", f"a::{tag}3",
+                                                                f"a::{tag}4"]
+        if tag == "s":
+            assert [row.id for row in new] == ["a::s1", "b::s1", "a::s3", "b::s2", "a::s4"]
+        else:
+            assert out.selected_ids == ("a",)
+
+
+def test_statistics_build_no_row_objects():
+    from mlimb.cooccurrence import compare_snapshots, cooccurrence
+    from mlimb.data import _COLUMNS
+    from mlimb.metrics import imbalance_report
+
+    d = generate(SynthConfig(n_instances=300, n_labels=20, fingerprint_width=32,
+                             cooccurrence_boost=0.3, seed=4))
+    proposed_config = ResampleConfig(method="proposed", p=0.5, r=2)
+    mlsmote_config = ResampleConfig(method="mlsmote", p=1.0, k=3)
+    replaying = oversample(d, mlsmote_config)
+    assert "later synthetics repeat earlier ones" in replaying.warnings[0]
+    results = {"proposed": oversample(d, proposed_config).dataset, "mlsmote": replaying.dataset}
+    subset = [0, 3, 7, 11]
+    compare_snapshots(d, results, subset)
+    for result in results.values():
+        imbalance_report(result)
+        cooccurrence(result, subset)
+        assert not set(_COLUMNS) & set(vars(result))
+        assert "_extension" not in vars(result) and "instances" not in vars(result)
+
+    # Read now, the rows equal the eager construction through the constructor.
+    visits = mlsmote_round(d, mlsmote_config)
+    rows, serials = list(d.instances), {}
+    for j in range(len(d)):
+        seed, bits, labels, _ = visits[j % len(visits)]
+        source = d.ids[seed]
+        serials[source] = serials.get(source, 0) + 1
+        rows.append(Instance(id=f"{source}::s{serials[source]}", labels=labels, origin=source,
+                             fingerprint=Fingerprint(np.array(bits, dtype=np.uint8))))
+    expected = {"proposed": d.with_instances(brute_force_proposed(d, 0.5, 2)),
+                "mlsmote": d.with_instances(rows)}
+    for name, result in results.items():
+        assert result.ids == expected[name].ids, name
+        assert result._origins == expected[name]._origins, name
+        assert result.instances == expected[name].instances, name
+        assert result == expected[name], name
+
+
 def assert_round_matches_oracle(dataset, config):
     """mlsmote's synthetics, their distinct count and the per-label counts
     against the per-bag round of ``tests.reference``, replays included."""
