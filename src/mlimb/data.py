@@ -1,27 +1,20 @@
 """Dataset model and line-delimited file format for multilabel molecular data.
 
-Storage. A ``MultiLabelDataset`` holds its rows as columns: tuples of ids and
-origins, tuples of references to each row's ``Fingerprint``,
-``MolecularGraph`` (or None) and regression-target array (or None), and one
-table of the distinct label sets, in order of first appearance, with one
-integer set id per row. Rows copied from another dataset share these objects
-with their sources instead of duplicating them. Statistics that depend on a
-row only through its label set read the table and the per-set
-multiplicities (``set_counts``), so their cost follows the number of
-distinct sets, not of rows.
+Storage. A ``MultiLabelDataset`` keeps its rows once, as the list of
+``Instance`` objects in ``instances``, beside one table of the distinct label
+sets, in order of first appearance, with one integer set id per row.
+Statistics that depend on a row only through its label set read the table
+and the per-set multiplicities (``set_counts``), so their cost follows the
+number of distinct sets, not of rows.
 
-An oversampling result is its input followed by new rows that index arrays
-describe: the source row of each copy, or the synthetic each new row
-repeats and the row it came from. Its label-set table and set ids are
-built at once; its ids, origins and object columns are built, and the new
-ids checked, when one of them is first read. So statistics over a result
-build no row object.
-
-``instances`` is a read-only view of the same rows as ``Instance`` objects.
-A dataset built from an ``Instance`` list keeps that list; one built from
-another dataset's columns (a split or an oversampling result) makes it on
-first access. The columns never see a change to the list: build a new
-dataset with ``with_instances`` instead of mutating it.
+A dataset made from another (a split or an oversampling result) builds its
+label-set table and set ids at once, and its row list when ``instances`` is
+first read: a split gathers its source's own ``Instance`` objects; an
+oversampling result is its input's rows followed by new rows that share
+their source's fingerprint, graph and targets, their ids minted and checked
+then. So statistics over a result build no row object. The list is read-only
+by convention: build a new dataset with ``with_instances`` instead of
+mutating it.
 
 File format. A dataset file is one JSON document per line: a header carrying
 the dataset-level dimensions, followed by one record per instance. Label
@@ -36,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat, starmap
+from itertools import chain, count, repeat
 from operator import attrgetter, index
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -279,10 +272,6 @@ class _SetIndex(dict):
         return np.fromiter(map(self.__getitem__, label_sets), dtype=np.intp)
 
 
-# Per-row object columns of a MultiLabelDataset, in the order they are stored.
-_COLUMNS = ("_ids", "_origins", "_fingerprints", "_graphs", "_targets")
-
-
 def _check_new_ids(new_ids: Iterable[str], taken: frozenset[str]) -> None:
     """Raise for the first of ``new_ids`` that repeats an id of ``taken`` or
     an earlier new id."""
@@ -316,8 +305,8 @@ class MultiLabelDataset:
     ``node_feature_dim``, and regression targets (when present) share
     ``regression_width``. ``meta`` holds extra header fields (for example the
     generator configuration echoed by synthetic datasets) and survives
-    round-trips through the file format. Rows are stored as columns (see the
-    module docstring); ``instances`` is their read-only row view.
+    round-trips through the file format. ``instances`` is the only per-row
+    store (see the module docstring).
     """
 
     vocabulary: LabelVocabulary
@@ -335,25 +324,19 @@ class MultiLabelDataset:
         if self.regression_width < 0:
             raise ValidationError("regression_width must be non-negative")
         rows = self.instances
-        ids, origins, fingerprints, graphs, targets, labels = (
-            tuple(map(attrgetter(name), rows))
-            for name in ("id", "origin", "fingerprint", "graph", "regression_targets", "labels")
-        )
+        ids, labels = (tuple(map(attrgetter(name), rows)) for name in ("id", "labels"))
         held = frozenset(ids)
         if len(held) != len(ids):
             _check_new_ids(ids, frozenset())
         index = _SetIndex()
         set_ids = index.ids_of(labels)
-        self._store((ids, origins, fingerprints, graphs, targets), tuple(index), set_ids)
+        self._store(tuple(index), set_ids)
         self._id_set = held
-        self._check_rows(ids.__getitem__, labels, fingerprints, graphs, targets)
+        self._check_rows(ids.__getitem__, labels, *(
+            map(attrgetter(name), rows) for name in ("fingerprint", "graph", "regression_targets")))
 
-    def _store(self, columns, label_sets, set_ids) -> None:
-        """Keep the object columns (None for a dataset that extends another,
-        see ``_extended``), the label-set table and the set ids."""
-        if columns is not None:
-            for name, column in zip(_COLUMNS, columns):
-                setattr(self, name, column)
+    def _store(self, label_sets, set_ids) -> None:
+        """Keep the label-set table and the set ids."""
         self._label_sets: tuple[tuple[int, ...], ...] = label_sets
         self._set_ids = _readonly(set_ids)
         self._id_set: frozenset[str] | None = None
@@ -392,53 +375,44 @@ class MultiLabelDataset:
                         f"instance {id_of(row)!r}: regression width {reg.size} != declared {reg_width}"
                     )
 
-    def _derived(self, columns, label_sets, set_ids) -> "MultiLabelDataset":
-        """Dataset of the given columns with this one's vocabulary, dimensions
-        and meta, made without the public constructor's validation."""
+    def _derived(self, rows, label_sets, set_ids) -> "MultiLabelDataset":
+        """Dataset with this one's vocabulary, dimensions and meta, the given
+        label-set table and set ids, and the row list that ``rows()`` makes
+        when ``instances`` is first read; made without the public
+        constructor's validation."""
         out = object.__new__(MultiLabelDataset)
         out.vocabulary = self.vocabulary
         out.fingerprint_width = self.fingerprint_width
         out.node_feature_dim = self.node_feature_dim
         out.regression_width = self.regression_width
         out.meta = dict(self.meta)
-        out._store(columns, label_sets, set_ids)
-        return out
-
-    def _extended(self, new_rows, label_sets, set_ids) -> "MultiLabelDataset":
-        """This dataset followed by new rows: ``label_sets`` and ``set_ids``
-        cover every row, and ``new_rows()`` makes the new rows' object
-        columns (one tuple per name of ``_COLUMNS``). It is called when an
-        object column is first read; each column then joins this dataset's
-        with the new rows', so statistics, which read only the label sets,
-        build no row object at all."""
-        out = self._derived(None, label_sets, set_ids)
-        out._base, out._new_rows = self, new_rows
+        out._store(label_sets, set_ids)
+        out._rows = rows
         return out
 
     def _take(self, rows: np.ndarray) -> "MultiLabelDataset":
-        """This dataset's rows at positions ``rows``, in that order, sharing
-        their objects; the label-set table keeps the sets they use, renumbered
-        by first appearance."""
+        """This dataset's rows at positions ``rows``, in that order, as the
+        same ``Instance`` objects; the label-set table keeps the sets they
+        use, renumbered by first appearance."""
         rows = np.asarray(rows, dtype=np.intp)
-        pick = rows.tolist()
         used, first, inverse = np.unique(self._set_ids[rows], return_index=True,
                                          return_inverse=True)
         order = np.argsort(first)
         renumber = np.empty(used.size, dtype=np.intp)
         renumber[order] = np.arange(used.size)
         return self._derived(
-            tuple(tuple(map(getattr(self, name).__getitem__, pick)) for name in _COLUMNS),
+            lambda: list(map(self.instances.__getitem__, rows.tolist())),
             tuple(self._label_sets[s] for s in used[order].tolist()),
             renumber[inverse],
         )
 
-    def _new_ids(self, sources: np.ndarray, mint) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    def _new_ids(self, sources: np.ndarray, mint) -> tuple[list[str], list[str]]:
         """Ids and origins of new rows made from this dataset's rows
         ``sources``: the origins are the sources' ids, and ``mint`` makes the
         new ids from them. The ids are checked to be new."""
-        ids = self.ids
-        origins = tuple(map(ids.__getitem__, sources.tolist()))
-        new_ids = tuple(mint(origins))
+        rows = self.instances
+        origins = [rows[s].id for s in sources.tolist()]
+        new_ids = list(mint(origins))
         taken = self.id_set
         if not taken.isdisjoint(new_ids) or len(set(new_ids)) != len(new_ids):
             _check_new_ids(new_ids, taken)
@@ -448,18 +422,21 @@ class MultiLabelDataset:
         """This dataset followed by copies of its rows ``rows``, each with its
         source's id as origin and an id that ``mint`` makes from the origins
         (a list of ids in, one new id each out). Copies share every object
-        with their source and are not revalidated; ids, origins and objects
-        are gathered when first read (see ``_extended``)."""
+        with their source and are not revalidated; they are built when
+        ``instances`` is first read."""
         rows = np.asarray(rows, dtype=np.intp)
 
-        def new_rows():
-            pick = rows.tolist()
-            gathered = (tuple(map(column.__getitem__, pick))
-                        for column in (self._fingerprints, self._graphs, self._targets))
-            return (*self._new_ids(rows, mint), *gathered)
+        def copied() -> list[Instance]:
+            new_ids, origins = self._new_ids(rows, mint)
+            held, pick = self.instances, rows.tolist()
+            return held + [
+                Instance._trusted(new_id, src.fingerprint, src.labels, src.graph,
+                                  src.regression_targets, origin)
+                for new_id, origin, src in zip(new_ids, origins, map(held.__getitem__, pick))
+            ]
 
-        return self._extended(new_rows, self._label_sets,
-                              np.concatenate([self._set_ids, self._set_ids[rows]]))
+        return self._derived(copied, self._label_sets,
+                             np.concatenate([self._set_ids, self._set_ids[rows]]))
 
     def _append(self, fingerprints: list[Fingerprint], label_sets: list[tuple[int, ...]],
                 sources: np.ndarray, repeats: np.ndarray, mint) -> "MultiLabelDataset":
@@ -471,8 +448,8 @@ class MultiLabelDataset:
         ids in, one new id each out), all in one call.
 
         Only the given rows are validated, now; a failing row's id is minted
-        for the message alone. Ids, origins and the object columns are built
-        when first read (see ``_extended``), the ids checked to be new then."""
+        for the message alone. The rows are built when ``instances`` is first
+        read, their ids checked to be new then."""
         picks = np.concatenate([np.arange(len(fingerprints)), repeats]).astype(np.intp)
         row_sources = np.asarray(sources, dtype=np.intp)[picks]
         self._check_rows(lambda row: self._new_ids(row_sources, mint)[0][row],
@@ -480,38 +457,31 @@ class MultiLabelDataset:
         index = _SetIndex(zip(self._label_sets, range(len(self._label_sets))))
         set_ids = index.ids_of(label_sets)
 
-        def new_rows():
-            none = (None,) * picks.size
-            return (*self._new_ids(row_sources, mint),
-                    tuple(map(fingerprints.__getitem__, picks.tolist())), none, none)
+        def appended() -> list[Instance]:
+            new_ids, origins = self._new_ids(row_sources, mint)
+            pick = picks.tolist()
+            return self.instances + list(map(
+                Instance._trusted, new_ids, map(fingerprints.__getitem__, pick),
+                map(label_sets.__getitem__, pick), repeat(None), repeat(None), origins))
 
-        return self._extended(new_rows, tuple(index),
-                              np.concatenate([self._set_ids, set_ids[picks]]))
+        return self._derived(appended, tuple(index),
+                             np.concatenate([self._set_ids, set_ids[picks]]))
 
     def __getattr__(self, name: str):
-        # Reached only for attributes never set. A dataset made by
-        # ``_extended`` builds its new rows' columns when an object column is
-        # first read and joins that column, and one made from columns builds
-        # its row view on first access; all are kept.
-        if name in _COLUMNS and "_base" in self.__dict__:
-            value = getattr(self._base, name) + self._extension[_COLUMNS.index(name)]
-        elif name == "_extension" and "_base" in self.__dict__:
-            value = self._new_rows()
-        elif name == "instances":
-            value = list(starmap(Instance._trusted, self._row_fields()))
-        else:
+        # Reached only for attributes never set: a dataset made by
+        # ``_derived`` builds its row list when ``instances`` is first read,
+        # keeps it, and drops the recipe.
+        if name != "instances" or "_rows" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        setattr(self, name, value)
-        return value
+        self.instances = self._rows()
+        del self._rows
+        return self.instances
 
     def __getstate__(self) -> dict:
         # A pickle holds the rows, not the recipe that builds them, which may
         # be a local function.
-        if "_base" in self.__dict__:
-            for name in _COLUMNS:
-                getattr(self, name)
-        return {key: value for key, value in self.__dict__.items()
-                if key not in ("_base", "_new_rows", "_extension")}
+        self.instances
+        return self.__dict__
 
     def __len__(self) -> int:
         return self._set_ids.size
@@ -522,18 +492,14 @@ class MultiLabelDataset:
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return self._ids
+        return tuple(map(attrgetter("id"), self.instances))
 
     @property
     def id_set(self) -> frozenset[str]:
         """The ids of all rows, for membership tests; built once."""
         if self._id_set is None:
-            self._id_set = frozenset(self._ids)
+            self._id_set = frozenset(map(attrgetter("id"), self.instances))
         return self._id_set
-
-    @property
-    def fingerprints(self) -> tuple[Fingerprint, ...]:
-        return self._fingerprints
 
     @property
     def label_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -564,12 +530,6 @@ class MultiLabelDataset:
             self._set_members = (_readonly(owners), _readonly(labels))
         return self._set_members
 
-    def _row_fields(self) -> Iterable[tuple]:
-        """(id, fingerprint, labels, graph, regression targets, origin) of each row."""
-        sets = self._label_sets
-        return zip(self._ids, self._fingerprints, map(sets.__getitem__, self._set_ids.tolist()),
-                   self._graphs, self._targets, self._origins)
-
     def with_instances(self, instances: list[Instance]) -> "MultiLabelDataset":
         """New dataset sharing vocabulary, dimensions, and meta."""
         return MultiLabelDataset(
@@ -584,21 +544,18 @@ class MultiLabelDataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiLabelDataset):
             return NotImplemented
-        # Both tables list their sets by first appearance, so equal row labels
-        # mean equal tables and equal set ids.
+        # Both tables list their sets by first appearance, so datasets whose
+        # rows are equal have equal tables and set ids: those are compared
+        # first, since they need no row list.
         return (
             self.vocabulary.names == other.vocabulary.names
             and self.fingerprint_width == other.fingerprint_width
             and self.node_feature_dim == other.node_feature_dim
             and self.regression_width == other.regression_width
             and self.meta == other.meta
-            and self._ids == other._ids
-            and self._origins == other._origins
             and self._label_sets == other._label_sets
             and np.array_equal(self._set_ids, other._set_ids)
-            and self._fingerprints == other._fingerprints
-            and self._graphs == other._graphs
-            and all(map(_same_targets, self._targets, other._targets))
+            and self.instances == other.instances
         )
 
 
@@ -649,17 +606,17 @@ def _format_header(dataset: MultiLabelDataset) -> str:
     return json.dumps(header, separators=(",", ":"))
 
 
-def _format_record(inst_id, fingerprint, labels, graph, reg, origin) -> str:
-    record: dict = {"id": inst_id, "fp": fingerprint.to_hex(), "labels": list(labels)}
-    if graph is not None:
+def _format_record(inst: Instance) -> str:
+    record: dict = {"id": inst.id, "fp": inst.fingerprint.to_hex(), "labels": list(inst.labels)}
+    if inst.graph is not None:
         record["graph"] = {
-            "nodes": graph.node_features.tolist(),
-            "edges": [[u, v] for u, v in graph.edges],
+            "nodes": inst.graph.node_features.tolist(),
+            "edges": [[u, v] for u, v in inst.graph.edges],
         }
-    if reg is not None:
-        record["reg"] = reg.tolist()
-    if origin is not None:
-        record["origin"] = origin
+    if inst.regression_targets is not None:
+        record["reg"] = inst.regression_targets.tolist()
+    if inst.origin is not None:
+        record["origin"] = inst.origin
     return json.dumps(record, separators=(",", ":"))
 
 
@@ -807,8 +764,8 @@ def write_dataset(dataset: MultiLabelDataset, destination: TextIO | str | Path) 
             write_dataset(dataset, fh)
         return
     destination.write(_format_header(dataset) + "\n")
-    for fields in dataset._row_fields():
-        destination.write(_format_record(*fields) + "\n")
+    for inst in dataset.instances:
+        destination.write(_format_record(inst) + "\n")
 
 
 def default_vocabulary_path(records_path: str | Path) -> Path:

@@ -230,7 +230,7 @@ def _dataset_scores(dataset: MultiLabelDataset, table: np.ndarray, sets: np.ndar
     scores, broken = _set_scores(table, position[owners[keep]], labels[keep], sets.size)
     if broken.any():
         undefined = sets[np.argmax(broken)]
-        raise _undefined_irlbl(dataset.ids[int(np.argmax(dataset.set_ids == undefined))])
+        raise _undefined_irlbl(dataset.instances[int(np.argmax(dataset.set_ids == undefined))].id)
     return scores
 
 

@@ -76,7 +76,6 @@ __all__ = [
     "TrainConfig",
     "train",
     "predict",
-    "predict_instance",
     "save_checkpoint",
     "load_checkpoint",
     "loss_curve_csv",
@@ -816,11 +815,6 @@ def predict(instances: list[Instance], params: ModelParameters) -> np.ndarray:
             f"{bad} of {out.size} predictions are non-finite; retrain the model with a lower --lr"
         )
     return out
-
-
-def predict_instance(params: ModelParameters, instance: Instance) -> np.ndarray:
-    """The prediction row of one instance: ``predict`` on a batch of one."""
-    return predict([instance], params)[0]
 
 
 # ---------------------------------------------------------------------------

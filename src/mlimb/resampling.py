@@ -29,13 +29,14 @@ Two methods share one interface:
     label table restricted to the block. Memory is bounded by the block's
     bits, groups and votes, plus ``_BLOCK_ROWS`` x bag distances and keys.
 
-Results are built from the input's columns (see ``mlimb.data``): copies and
-replays are index arrays into the input's rows or the round's synthetics,
-sharing every object with their source, and only mlsmote's synthetics are
-validated, when they are made. A result's ids, origins and object columns
-are built only when first read, its ids minted in one call over all of its
-new rows in order; statistics, which read the label-set table, never make
-them. mlsmote's lookup of distinct synthetics is per-synthetic Python.
+Results are the input's rows followed by new ones (see ``mlimb.data``):
+copies and replays are index arrays into the input's rows or the round's
+synthetics, sharing every object with their source, and only mlsmote's
+synthetics are validated, when they are made. A result's new rows are built
+only when its ``instances`` is first read, their ids minted in one call over
+all of them in order; statistics, which read the label-set table, never make
+them. A method that adds nothing returns its input. mlsmote's lookup of
+distinct synthetics is per-synthetic Python.
 
 Copies and synthetics get fresh ids (source id plus a ``::p<j>`` / ``::s<j>``
 suffix, j the source's next serial whose id the dataset does not hold) and
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -172,9 +174,10 @@ def _imbalance(dataset: MultiLabelDataset) -> tuple[np.ndarray, frozenset[int]] 
 def _unchanged(
     dataset: MultiLabelDataset, method: str, minority_label_count: int, warning: str
 ) -> ResampleOutcome:
-    """Outcome of a method that adds nothing, with the reason as its warning."""
+    """Outcome of a method that adds nothing: the input itself, with the
+    reason as its warning."""
     return ResampleOutcome(
-        dataset=dataset._take(np.arange(len(dataset))),
+        dataset=dataset,
         method=method,
         added_count=0,
         minority_label_count=minority_label_count,
@@ -233,13 +236,13 @@ def oversample_proposed(dataset: MultiLabelDataset, config: ResampleConfig) -> R
     if zero_score:
         warnings.append(f"{zero_score} selected instances had zero minority score")
 
-    ids = dataset.ids
+    selected_rows = map(dataset.instances.__getitem__, selected.tolist())
     return ResampleOutcome(
         dataset=dataset._with_copies(np.repeat(selected, config.r), _id_minter(dataset, "p")),
         method="proposed",
         added_count=take * config.r,
         minority_label_count=len(minority),
-        selected_ids=tuple(map(ids.__getitem__, selected.tolist())),
+        selected_ids=tuple(map(attrgetter("id"), selected_rows)),
         zero_score_selected=zero_score,
         warnings=tuple(warnings),
     )
@@ -367,8 +370,8 @@ def _block_votes(
     k nearest bag neighbours by strict majority."""
     distinct, local = np.unique(rows, return_inverse=True)
     sentinel = np.zeros(dataset.fingerprint_width, dtype=np.uint8)
-    fingerprints = dataset.fingerprints
-    picked = [fingerprints[r].bits for r in distinct.tolist()]
+    bits_of = attrgetter("fingerprint.bits")
+    picked = list(map(bits_of, map(dataset.instances.__getitem__, distinct.tolist())))
     bits = np.frombuffer(b"".join([*picked, sentinel]), dtype=np.uint8).reshape(-1, sentinel.size)
     sets, row_set = np.unique(dataset.set_ids[distinct], return_inverse=True)
     present, table = _label_table(dataset, sets)

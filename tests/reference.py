@@ -186,7 +186,7 @@ def _bag_votes(
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Voted fingerprint rows and label sets of each seed position of one bag
     (dataset rows), each seed voting with its k nearest bag neighbors."""
-    bits = np.stack([fp.bits for fp in map(dataset.fingerprints.__getitem__, bag.tolist())])
+    bits = np.stack([dataset.instances[r].fingerprint.bits for r in bag.tolist()])
     present, indicator = _label_indicator(dataset, bag)
     groups = np.column_stack([seeds, _neighbours(bits, seeds, k)])
     rows, columns = np.nonzero(_vote(indicator, groups))

@@ -40,7 +40,6 @@ from mlimb.network import (
     label_matrix,
     loss_and_gradients,
     predict,
-    predict_instance,
     train,
 )
 from mlimb.resampling import ResampleConfig, oversample, oversample_proposed
@@ -305,8 +304,7 @@ def test_07_permutation_invariance():
         shuffled = Instance(id="perm", fingerprint=fp, labels=(),
                             graph=MolecularGraph(node_features=shuffled_feats,
                                                  edges=shuffled_edges))
-        gap = float(np.abs(predict_instance(params, inst)
-                           - predict_instance(params, shuffled)).max())
+        gap = float(np.abs(predict([inst], params)[0] - predict([shuffled], params)[0]).max())
         worst = max(worst, gap)
     check(7, worst <= 1e-10,
           f"predictions identical under node permutation on 100 graphs "

@@ -351,9 +351,9 @@ def test_oversampled_results_pickle_with_their_rows():
     dataset = generate(SynthConfig(n_instances=120, n_labels=10, seed=5))
     for method in ("proposed", "mlsmote"):
         out = oversample(dataset, ResampleConfig(method=method, p=1.0, k=3)).dataset
-        assert "_ids" not in vars(out)  # rows not built yet
+        assert "instances" not in vars(out)  # rows not built yet
         back = pickle.loads(pickle.dumps(out))
-        assert "_base" not in vars(back)
+        assert "instances" in vars(back) and "_rows" not in vars(back)
         assert_same_dataset(back, out)
 
 
@@ -364,6 +364,17 @@ def test_instances_view_is_built_once_and_kept():
     rows = train.instances
     assert rows is train.instances
     assert [inst.id for inst in rows] == list(train.ids)
+
+
+def test_split_rows_are_the_source_rows():
+    from mlimb.synth import SynthConfig, generate
+
+    dataset = generate(SynthConfig(n_instances=30, n_labels=5, regression_width=1, seed=3))
+    position = {inst.id: j for j, inst in enumerate(dataset.instances)}
+    for side in split_dataset(dataset, 0.3, seed=2):
+        assert len(side) > 0
+        for inst in side.instances:
+            assert inst is dataset.instances[position[inst.id]]
 
 
 # ---------------------------------------------------------------------------

@@ -471,7 +471,7 @@ def test_missing_graph_rejected_in_graph_modes():
     with pytest.raises(ValueError, match="no graph"):
         build_batch(instances, cfg)
     with pytest.raises(ValueError, match="no graph"):
-        network.predict_instance(init_parameters(cfg, 0), instances[0])
+        predict(instances[:1], init_parameters(cfg, 0))
 
 
 def test_batch_rejects_wrong_widths():

@@ -416,7 +416,6 @@ def test_mint_skips_a_taken_serial_across_the_round_and_its_replays():
 
 def test_statistics_build_no_row_objects():
     from mlimb.cooccurrence import compare_snapshots, cooccurrence
-    from mlimb.data import _COLUMNS
     from mlimb.metrics import imbalance_report
 
     d = generate(SynthConfig(n_instances=300, n_labels=20, fingerprint_width=32,
@@ -431,8 +430,7 @@ def test_statistics_build_no_row_objects():
     for result in results.values():
         imbalance_report(result)
         cooccurrence(result, subset)
-        assert not set(_COLUMNS) & set(vars(result))
-        assert "_extension" not in vars(result) and "instances" not in vars(result)
+        assert "instances" not in vars(result)
 
     # Read now, the rows equal the eager construction through the constructor.
     visits = mlsmote_round(d, mlsmote_config)
@@ -447,7 +445,8 @@ def test_statistics_build_no_row_objects():
                 "mlsmote": d.with_instances(rows)}
     for name, result in results.items():
         assert result.ids == expected[name].ids, name
-        assert result._origins == expected[name]._origins, name
+        assert [row.origin for row in result.instances] == \
+            [row.origin for row in expected[name].instances], name
         assert result.instances == expected[name].instances, name
         assert result == expected[name], name
 
@@ -566,9 +565,9 @@ def test_synthetics_own_their_bits():
     d = generate(SynthConfig(n_instances=300, n_labels=20, fingerprint_width=32,
                              graph_nodes_range=None, cooccurrence_boost=0.3, seed=4))
     out = mlsmote(d, ResampleConfig(method="mlsmote", p=1.0, k=3))
-    synthetics = out.dataset.fingerprints[len(d):]
+    synthetics = out.dataset.instances[len(d):]
     assert synthetics
-    assert all(fp.bits.base is None for fp in synthetics)
+    assert all(row.fingerprint.bits.base is None for row in synthetics)
 
 
 def test_mlsmote_output_pinned_across_rounds():
@@ -590,6 +589,22 @@ def test_no_minority_labels_warns_unchanged():
     out = mlsmote(d, ResampleConfig(method="mlsmote", p=0.5, k=2))
     assert out.added_count == 0
     assert any("minority" in w for w in out.warnings)
+
+
+@pytest.mark.parametrize("method, label_sets, p, reason", [
+    ("proposed", [(), ()], 1.0, "no labeled instances"),
+    ("mlsmote", [(), ()], 1.0, "no labeled instances"),
+    ("mlsmote", [(0,), (1,)], 0.5, "no minority labels"),
+    ("proposed", [(0,), (1,)], 0.0, "selection count"),
+    ("mlsmote", [(0,), (0,), (0,), (1,)], 0.0, "synthesis budget"),
+])
+def test_a_method_that_adds_nothing_returns_its_input(method, label_sets, p, reason):
+    d = make_dataset(label_sets, 2)
+    outcome = oversample(d, ResampleConfig(method=method, p=p, r=2, k=2))
+    assert outcome.dataset is d
+    assert outcome.added_count == 0
+    assert outcome.warnings[0].startswith(reason)
+    assert outcome.warnings[0].endswith("dataset returned unchanged")
 
 
 def test_singleton_bags_cannot_contribute():
