@@ -447,15 +447,21 @@ class MultiLabelDataset:
         ``mint`` makes the new rows' ids from their origins (a list of
         ids in, one new id each out), all in one call.
 
-        Only the given rows are validated, now; a failing row's id is minted
-        for the message alone. The rows are built when ``instances`` is first
-        read, their ids checked to be new then."""
+        Only the given rows are validated, now: the set of their fingerprint
+        widths, and the largest label of each label set new to the table. When
+        either fails, the row-by-row check names the first failing row, with
+        its id minted for the message alone. The rows are built when
+        ``instances`` is first read, their ids checked to be new then."""
         picks = np.concatenate([np.arange(len(fingerprints)), repeats]).astype(np.intp)
         row_sources = np.asarray(sources, dtype=np.intp)[picks]
-        self._check_rows(lambda row: self._new_ids(row_sources, mint)[0][row],
-                         label_sets, fingerprints, repeat(None), repeat(None))
         index = _SetIndex(zip(self._label_sets, range(len(self._label_sets))))
         set_ids = index.ids_of(label_sets)
+        table = tuple(index)
+        new_sets = table[len(self._label_sets):]
+        if ({*map(attrgetter("bits.size"), fingerprints)} - {self.fingerprint_width}
+                or max((s[-1] for s in new_sets if s), default=-1) >= self.label_count):
+            self._check_rows(lambda row: self._new_ids(row_sources, mint)[0][row],
+                             label_sets, fingerprints, repeat(None), repeat(None))
 
         def appended() -> list[Instance]:
             new_ids, origins = self._new_ids(row_sources, mint)
@@ -464,7 +470,7 @@ class MultiLabelDataset:
                 Instance._trusted, new_ids, map(fingerprints.__getitem__, pick),
                 map(label_sets.__getitem__, pick), repeat(None), repeat(None), origins))
 
-        return self._derived(appended, tuple(index),
+        return self._derived(appended, table,
                              np.concatenate([self._set_ids, set_ids[picks]]))
 
     def __getattr__(self, name: str):

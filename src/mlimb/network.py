@@ -30,10 +30,15 @@ into one output array. Multilabel targets are bool matrices, and a step
 allocates few batch x labels arrays: the head overwrites the logits buffer,
 and the clamped cross-entropy fills one buffer with log(y) or log(1 - y) by
 target, which for 0/1 targets is the two-log form to the bit. Per graph
-layer, a training step keeps two node tensors, the propagated input
-A_hat H^(k-1) and the activation H^(k): each activation overwrites its
-pre-activation in place, and backward writes the activation's derivative
-from H^(k).
+layer, a training step keeps one node tensor, the activation H^(k): each
+activation overwrites its pre-activation in place, backward writes the
+activation's derivative from H^(k), and it recomputes the propagated input
+A_hat H^(k-1) with the same product on the same operands, so the weight
+gradient has the same bits. Every (B, Nmax, D) node tensor lives in a
+workspace that ``train`` and ``predict`` allocate once per call and reuse
+across epochs, minibatches and prediction blocks: the activations, one
+scratch tensor (propagated inputs, the readout's masked copy, derivatives)
+and backward's node gradient.
 """
 
 from __future__ import annotations
@@ -92,9 +97,9 @@ INPUT_MODES = ("hybrid", "graph", "fingerprint")
 BCE_EPS = 1e-7
 
 
-def _dtanh(h: np.ndarray) -> np.ndarray:
-    d = h * h
-    return np.subtract(1.0, d, out=d)
+def _dtanh(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.multiply(h, h, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 def _sigmoid(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -111,19 +116,24 @@ def _sigmoid(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _dsigmoid(h: np.ndarray) -> np.ndarray:
-    d = 1.0 - h
-    d *= h
-    return d
+def _dsigmoid(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.subtract(1.0, h, out=out)
+    out *= h
+    return out
+
+
+def _fill_ones(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out.fill(1.0)
+    return out
 
 
 # Each activation overwrites its input and returns it; each derivative is
-# written from the activation's output alone (relu's h > 0 is p > 0), so
-# the forward pass keeps no pre-activations.
+# written into ``out`` from the activation's output alone (relu's h > 0 is
+# p > 0), so the forward pass keeps no pre-activations.
 ACTIVATIONS = {
     "tanh": (lambda p: np.tanh(p, out=p), _dtanh),
-    "relu": (lambda p: np.maximum(p, 0.0, out=p), lambda h: (h > 0.0).astype(np.float64)),
-    "identity": (lambda p: p, np.ones_like),
+    "relu": (lambda p: np.maximum(p, 0.0, out=p), lambda h, out: np.greater(h, 0.0, out=out)),
+    "identity": (lambda p: p, _fill_ones),
     "sigmoid": (lambda p: _sigmoid(p, out=p), _dsigmoid),
 }
 
@@ -370,18 +380,29 @@ def build_batch(instances: list[Instance], config: NetworkConfig) -> GraphBatch:
     return batch
 
 
+def _buffer(workspace: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The float64 buffer ``name`` of a workspace as a contiguous (shape)
+    view of its first elements, for the caller to overwrite. A buffer grows
+    to the largest size it has served and is kept for the next request."""
+    size = math.prod(shape)
+    held = workspace.get(name)
+    if held is None or held.size < size:
+        held = workspace[name] = np.empty(size)
+    return held[:size].reshape(shape)
+
+
 @dataclass
 class ForwardTrace:
     """Everything the backward pass needs, kept from one forward pass.
 
-    Per graph layer that is the propagated input A_hat @ H^(k-1), which the
-    weight gradient reads, and the activation H^(k), from which the
-    activation's derivative is written.
+    Per graph layer that is the activation H^(k), from which the
+    activation's derivative is written; backward recomputes the propagated
+    input A_hat H^(k-1) that the weight gradient reads. The activations are
+    views into the workspace of the pass, valid until it runs the next one.
     """
 
     batch: GraphBatch
     hidden: list[np.ndarray] = field(default_factory=list)  # [H^(0)=X, ..., H^(K)], (B, Nmax, .)
-    propagated: list[np.ndarray] = field(default_factory=list)  # A_hat @ H^(k-1), (B, Nmax, .)
     max_rows: np.ndarray | None = None  # (B, D): first node attaining each column's max
     min_rows: np.ndarray | None = None
     fused: np.ndarray | None = None
@@ -390,6 +411,12 @@ class ForwardTrace:
 
 
 def forward(batch: GraphBatch, params: ModelParameters) -> ForwardTrace:
+    return _forward(batch, params, {})
+
+
+def _forward(
+    batch: GraphBatch, params: ModelParameters, workspace: dict[str, np.ndarray]
+) -> ForwardTrace:
     cfg = params.config
     act, _ = ACTIVATIONS[cfg.activation]
     trace = ForwardTrace(batch=batch)
@@ -400,17 +427,19 @@ def forward(batch: GraphBatch, params: ModelParameters) -> ForwardTrace:
         h = batch.nodes
         width = h.shape[1]
         trace.hidden.append(h)
-        for w, bias in zip(params.layer_weights, params.layer_biases):
-            m = batch.operator @ h
-            p = m.reshape(b * width, -1) @ w
+        for k, (w, bias) in enumerate(zip(params.layer_weights, params.layer_biases)):
+            m = np.matmul(batch.operator, h, out=_buffer(workspace, "scratch", h.shape))
+            p = _buffer(workspace, f"hidden{k}", (b * width, w.shape[1]))
+            np.matmul(m.reshape(b * width, -1), w, out=p)
             p += bias
             h = act(p).reshape(b, width, -1)
-            trace.propagated.append(m)
             trace.hidden.append(h)
         # Padding rows hold act(bias); the readouts mask them out. argmax and
         # argmin return the first extreme node, the rows backward routes to.
         padding = ~batch.mask[:, :, None]
-        masked = np.where(padding, -np.inf, h)
+        masked = _buffer(workspace, "scratch", h.shape)
+        np.copyto(masked, h)
+        np.copyto(masked, -np.inf, where=padding)
         trace.max_rows = masked.argmax(axis=1)
         maxv = np.take_along_axis(h, trace.max_rows[:, None, :], axis=1)[:, 0, :]
         if cfg.readout_mode == "max_plus_min":
@@ -487,6 +516,13 @@ def backward(
 
     Raises ValueError when the config's head does not serve ``task``.
     """
+    return _backward(trace, targets, params, task, {})
+
+
+def _backward(
+    trace: ForwardTrace, targets: np.ndarray, params: ModelParameters, task: str,
+    workspace: dict[str, np.ndarray],
+) -> ModelParameters:
     cfg = params.config
     _require_task(cfg, task)
     _, dact = ACTIVATIONS[cfg.activation]
@@ -521,15 +557,17 @@ def backward(
 
     if cfg.input_mode in ("hybrid", "graph"):
         b, width, dim = trace.hidden[-1].shape
+        dh = _buffer(workspace, "dh", (b, width, dim))
         if cfg.readout_mode == "max_plus_min":
             dmax = dfused
-            dh = np.zeros((b, width, dim))
+            dh.fill(0.0)
         else:
             dmean, dmax = (
                 (dfused, dfused) if cfg.readout_mode == "max_plus_mean"
                 else np.split(dfused, 2, axis=1)
             )
-            dh = batch.mask[:, :, None] * (dmean / batch.sizes[:, None])[:, None, :]
+            per_node = (dmean / batch.sizes[:, None])[:, None, :]
+            np.multiply(batch.mask[:, :, None], per_node, out=dh)
         # Flat offset of node row 0 for each (graph, column). A column has one
         # max row per graph, so no element is hit twice by one += below.
         base = np.arange(b)[:, None] * (width * dim) + np.arange(dim)
@@ -540,25 +578,40 @@ def backward(
 
         # Padding rows of dh start at zero and stay zero, because the
         # operator's padding rows are zero, so they add nothing to any
-        # gradient. dh is this function's own buffer: each layer turns it into
-        # the gradient of its pre-activation in place.
+        # gradient. Each layer turns dh into the gradient of its
+        # pre-activation in place; the scratch buffer holds in turn the
+        # derivative, the recomputed propagated input and dh @ W_k.T.
         dh = dh.reshape(b * width, dim)
         for k in range(cfg.layer_count - 1, -1, -1):
-            dh *= dact(trace.hidden[k + 1].reshape(dh.shape))
-            grads.layer_weights[k][:] = trace.propagated[k].reshape(b * width, -1).T @ dh
+            dh *= dact(trace.hidden[k + 1].reshape(dh.shape),
+                       _buffer(workspace, "scratch", dh.shape))
+            below = trace.hidden[k]
+            m = np.matmul(batch.operator, below, out=_buffer(workspace, "scratch", below.shape))
+            grads.layer_weights[k][:] = m.reshape(b * width, -1).T @ dh
             grads.layer_biases[k][:] = dh.sum(axis=0)
             if k > 0:
                 # The operator is symmetric, so A_hat.T @ x == A_hat @ x.
-                back = (dh @ params.layer_weights[k].T).reshape(b, width, -1)
-                dh = (batch.operator @ back).reshape(b * width, -1)
+                back = _buffer(workspace, "scratch", below.shape)
+                np.matmul(dh, params.layer_weights[k].T, out=back.reshape(b * width, -1))
+                dh = _buffer(workspace, "dh", below.shape)
+                np.matmul(batch.operator, back, out=dh)
+                dh = dh.reshape(b * width, -1)
     return grads
 
 
 def loss_and_gradients(
     params: ModelParameters, batch: GraphBatch, targets: np.ndarray, task: str
 ) -> tuple[float, ModelParameters]:
-    trace = forward(batch, params)
-    return loss(trace.y_pred, targets, task), backward(trace, targets, params, task)
+    return _loss_and_gradients(params, batch, targets, task, {})
+
+
+def _loss_and_gradients(
+    params: ModelParameters, batch: GraphBatch, targets: np.ndarray, task: str,
+    workspace: dict[str, np.ndarray],
+) -> tuple[float, ModelParameters]:
+    trace = _forward(batch, params, workspace)
+    return (loss(trace.y_pred, targets, task),
+            _backward(trace, targets, params, task, workspace))
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +785,7 @@ def _train(
     params = init_parameters(net, rng)
     velocity = params.zeros_like() if cfg.momentum > 0 else None
     curve: list[float] = []
+    workspace: dict[str, np.ndarray] = {}
 
     # A diverging run overflows before its loss turns non-finite; the check
     # below reports that as one error instead of a stream of warnings.
@@ -740,7 +794,7 @@ def _train(
             batch = build_batch(dataset.instances, net)
             targets = target_rows(dataset)
             for epoch in range(1, cfg.epochs + 1):
-                value, grads = loss_and_gradients(params, batch, targets, cfg.task)
+                value, grads = _loss_and_gradients(params, batch, targets, cfg.task, workspace)
                 curve.append(_finite_loss(value, epoch, cfg))
                 _apply_update(params, grads, velocity, cfg)
             return params, curve
@@ -753,7 +807,8 @@ def _train(
                 chunk = order[lo : lo + cfg.batch_size]
                 sub = [dataset.instances[i] for i in chunk]
                 batch = build_batch(sub, net)
-                value, grads = loss_and_gradients(params, batch, target_rows(dataset, sub), cfg.task)
+                value, grads = _loss_and_gradients(
+                    params, batch, target_rows(dataset, sub), cfg.task, workspace)
                 epoch_sum += _finite_loss(value, epoch, cfg) * chunk.size
                 _apply_update(params, grads, velocity, cfg)
             curve.append(epoch_sum / order.size)
@@ -805,10 +860,12 @@ def predict(instances: list[Instance], params: ModelParameters) -> np.ndarray:
     blocks = max(1, n // _PREDICT_BLOCK_ROWS)
     edges = [n * k // blocks for k in range(blocks + 1)]
     out = np.empty((n, params.config.output_dim))
+    workspace: dict[str, np.ndarray] = {}
     # An overflowing model is reported below as one error, not as warnings.
     with _single_thread_blas(), np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in zip(edges, edges[1:]):
-            out[lo:hi] = forward(build_batch(instances[lo:hi], params.config), params).y_pred
+            batch = build_batch(instances[lo:hi], params.config)
+            out[lo:hi] = _forward(batch, params, workspace).y_pred
     bad = out.size - int(np.count_nonzero(np.isfinite(out)))
     if bad:
         raise ValueError(

@@ -1,6 +1,7 @@
 """Dataset model, file format, and splitting."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,36 @@ def test_append_rejects_new_rows_as_the_constructor_does(case):
         dataset._append([fingerprint], [labels], np.zeros(1, dtype=np.intp), np.arange(0),
                         lambda sources: [new_id]).ids
     assert str(appended.value) == str(public.value)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("width", "instance 'new3': fingerprint width 6 != declared 4"),
+    ("label", "instance 'new3': label index 2 outside vocabulary of size 2"),
+])
+def test_append_names_the_first_failing_row_after_valid_ones(case, message):
+    # Valid rows share one fingerprint object, as mlsmote's equal synthetics do.
+    dataset = make_plain(3)
+    valid = Fingerprint(np.zeros(4, dtype=np.uint8))
+    fingerprints = [valid, valid, valid, valid, valid]
+    label_sets = [(0,), (1,), (0, 1), (1,), (0,)]
+    if case == "width":
+        fingerprints[3] = Fingerprint(np.zeros(6, dtype=np.uint8))
+    else:
+        label_sets[3] = (0, 2)
+    mint = lambda sources: [f"new{j}" for j in range(len(sources))]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        dataset._append(fingerprints, label_sets, np.zeros(5, dtype=np.intp), np.array([0, 1]),
+                        mint)
+
+
+def test_append_of_valid_rows_skips_the_row_loop(monkeypatch):
+    dataset = make_plain(3)
+    valid = Fingerprint(np.zeros(4, dtype=np.uint8))
+    mint = lambda sources: [f"new{j}" for j in range(len(sources))]
+    monkeypatch.setattr(MultiLabelDataset, "_check_rows", lambda *args: pytest.fail("row loop"))
+    appended = dataset._append([valid, valid], [(0, 1), ()], np.zeros(2, dtype=np.intp),
+                               np.array([1]), mint)
+    assert appended.ids[3:] == ("new0", "new1", "new2")
 
 
 def test_oversampled_copies_share_their_source_objects():

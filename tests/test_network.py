@@ -783,6 +783,48 @@ def test_training_step_keeps_no_pre_activations(node_step, activation):
     assert traced_peak(step) < 9 * node_tensor
 
 
+@pytest.mark.parametrize("activation", tuple(ACTIVATIONS))
+def test_full_batch_training_memory_is_a_fixed_workspace(node_step, activation):
+    # The workspace holds the two activations, one scratch tensor and the
+    # node gradient, allocated in the first epoch and reused by the others;
+    # the batch's own node and operator tensors and build_batch's temporaries
+    # make up most of the rest. Allocating them per epoch reads about 9.
+    d, _, node_tensor = node_step
+    cfg = NetworkConfig(node_feature_dim=d.node_feature_dim,
+                        fingerprint_width=d.fingerprint_width, output_dim=d.label_count,
+                        hidden_dims=(32, 32), fuse_dim=32, activation=activation)
+    tc = TrainConfig(task="multilabel", epochs=5)
+    assert traced_peak(lambda: train(d, cfg, tc)) < 7 * node_tensor
+
+
+def path_instances(rng, node_counts, cfg):
+    return [
+        Instance(id=f"g{i}",
+                 fingerprint=Fingerprint(rng.integers(0, 2, size=cfg.fingerprint_width)),
+                 labels=(), graph=path_graph(rng.normal(size=(n, cfg.node_feature_dim))))
+        for i, n in enumerate(node_counts)
+    ]
+
+
+@pytest.mark.parametrize("readout_mode", network.READOUT_MODES)
+@pytest.mark.parametrize("activation", tuple(ACTIVATIONS))
+def test_a_reused_workspace_gives_the_bits_of_fresh_calls(readout_mode, activation):
+    # A batch with Nmax 12, then a shorter one with Nmax 5, through one
+    # workspace: the second reads prefix views of buffers the first filled.
+    rng = np.random.default_rng(21)
+    cfg = small_config(readout_mode=readout_mode, activation=activation)
+    params = init_parameters(cfg, 8)
+    workspace = {}
+    for node_counts in ((12, 3, 7, 12, 1, 9), (5, 2, 4)):
+        batch = build_batch(path_instances(rng, node_counts, cfg), cfg)
+        targets = rng.integers(0, 2, size=(batch.instance_count, cfg.output_dim))
+        trace = network._forward(batch, params, workspace)
+        grads = network._backward(trace, targets, params, "multilabel", workspace)
+        fresh = forward(batch, params)
+        assert np.array_equal(trace.y_pred, fresh.y_pred)
+        assert np.array_equal(grads.vector, backward(fresh, targets, params, "multilabel").vector)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints and exports
 # ---------------------------------------------------------------------------
