@@ -5,7 +5,8 @@ Storage. A ``MultiLabelDataset`` keeps its rows once, as the list of
 sets, in order of first appearance, with one integer set id per row.
 Statistics that depend on a row only through its label set read the table
 and the per-set multiplicities (``set_counts``), so their cost follows the
-number of distinct sets, not of rows.
+number of distinct sets, not of rows. A fingerprint is held packed, 8 bits
+to a byte; code that computes with bits unpacks a block of rows at once.
 
 A dataset made from another (a split or an oversampling result) builds its
 label-set table and set ids at once, and its row list when ``instances`` is
@@ -103,35 +104,35 @@ class LabelVocabulary:
             raise KeyError(f"unknown label name {name!r}") from None
 
 
-@dataclass(frozen=True, eq=False)
 class Fingerprint:
-    """Fixed-width binary feature vector, stored as an array of 0/1 bytes."""
+    """Fixed-width binary feature vector, held packed: ``packed`` is one bytes
+    of ceil(width / 8) bytes in ``np.packbits`` order (most significant bit
+    first, pad bits 0). ``bits`` unpacks it into a new read-only 0/1 array."""
 
-    bits: np.ndarray
+    __slots__ = ("packed", "width")
 
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.bits, dtype=np.uint8)
+    def __init__(self, bits) -> None:
+        arr = np.asarray(bits)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("fingerprint must be a non-empty bit vector")
-        if arr.max(initial=0) > 1:
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValidationError("fingerprint bits must be 0 or 1")
-        object.__setattr__(self, "bits", arr)
+        self.packed, self.width = np.packbits(arr != 0).tobytes(), arr.size
 
     @classmethod
-    def _trusted(cls, bits: np.ndarray) -> "Fingerprint":
-        """Fingerprint kept as given: ``bits`` is already a contiguous 1-D
-        uint8 array of 0/1 values."""
+    def _trusted(cls, packed: bytes, width: int) -> "Fingerprint":
+        """Fingerprint kept as given: ``packed`` and ``width`` already agree."""
         fingerprint = object.__new__(cls)
-        object.__setattr__(fingerprint, "bits", bits)
+        fingerprint.packed, fingerprint.width = packed, width
         return fingerprint
 
     @property
-    def width(self) -> int:
-        return int(self.bits.size)
+    def bits(self) -> np.ndarray:
+        return _readonly(np.unpackbits(np.frombuffer(self.packed, np.uint8), count=self.width))
 
     def to_hex(self) -> str:
         """Hex encoding of the bit vector, most-significant-bit-first."""
-        return np.packbits(self.bits).tobytes().hex()
+        return self.packed.hex()
 
     @classmethod
     def from_hex(cls, text: str, width: int) -> "Fingerprint":
@@ -143,16 +144,20 @@ class Fingerprint:
         try:
             raw = bytes.fromhex(text)
         except ValueError:
-            raise FormatError(f"invalid fingerprint hex string {text!r}") from None
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-        if bits[width:].any():
+            raw = b""
+        if not raw or 2 * len(raw) != expected_chars:  # fromhex skips whitespace
+            raise FormatError(f"invalid fingerprint hex string {text!r}")
+        if raw[-1] & ((1 << (-width % 8)) - 1):
             raise FormatError("fingerprint has bits set beyond the declared width")
-        return cls(bits[:width])
+        return cls._trusted(raw, width)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Fingerprint):
             return NotImplemented
-        return np.array_equal(self.bits, other.bits)
+        return self.width == other.width and self.packed == other.packed
+
+    def __reduce__(self):
+        return Fingerprint._trusted, (self.packed, self.width)
 
 
 @dataclass(eq=False)
@@ -297,6 +302,12 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _packed_rows(matrix: np.ndarray) -> list[bytes]:
+    """Each row of the 0/1 matrix as ``np.packbits`` packs it, one bytes each."""
+    packed = np.packbits(matrix, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+
+
 @dataclass(eq=False)
 class MultiLabelDataset:
     """Validated, immutable-by-convention collection of instances.
@@ -357,7 +368,7 @@ class MultiLabelDataset:
                 raise ValidationError(
                     f"instance {id_of(row)!r}: label index {labels[-1]} outside vocabulary of size {label_count}"
                 )
-            if fingerprint.bits.size != width:
+            if fingerprint.width != width:
                 raise ValidationError(
                     f"instance {id_of(row)!r}: fingerprint width {fingerprint.width} != declared {width}"
                 )
@@ -458,7 +469,7 @@ class MultiLabelDataset:
         set_ids = index.ids_of(label_sets)
         table = tuple(index)
         new_sets = table[len(self._label_sets):]
-        if ({*map(attrgetter("bits.size"), fingerprints)} - {self.fingerprint_width}
+        if ({*map(attrgetter("width"), fingerprints)} - {self.fingerprint_width}
                 or max((s[-1] for s in new_sets if s), default=-1) >= self.label_count):
             self._check_rows(lambda row: self._new_ids(row_sources, mint)[0][row],
                              label_sets, fingerprints, repeat(None), repeat(None))

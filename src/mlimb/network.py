@@ -331,7 +331,9 @@ def build_batch(instances: list[Instance], config: NetworkConfig) -> GraphBatch:
                 f"instance {inst.id!r}: fingerprint width {inst.fingerprint.width} "
                 f"does not match config width {config.fingerprint_width}"
             )
-    fingerprints = np.stack([inst.fingerprint.bits for inst in instances]).astype(np.float64)
+    packed = np.frombuffer(b"".join([inst.fingerprint.packed for inst in instances]), np.uint8)
+    fingerprints = np.unpackbits(packed.reshape(len(instances), -1), axis=1,
+                                 count=config.fingerprint_width).astype(np.float64)
     batch = GraphBatch(instance_count=len(instances), fingerprints=fingerprints)
     if config.input_mode == "fingerprint":
         return batch
@@ -410,13 +412,11 @@ class ForwardTrace:
     y_pred: np.ndarray | None = None
 
 
-def forward(batch: GraphBatch, params: ModelParameters) -> ForwardTrace:
-    return _forward(batch, params, {})
-
-
-def _forward(
-    batch: GraphBatch, params: ModelParameters, workspace: dict[str, np.ndarray]
+def forward(
+    batch: GraphBatch, params: ModelParameters, workspace: dict[str, np.ndarray] | None = None
 ) -> ForwardTrace:
+    """One forward pass, its node tensors in ``workspace`` (a fresh one when None)."""
+    workspace = {} if workspace is None else workspace
     cfg = params.config
     act, _ = ACTIVATIONS[cfg.activation]
     trace = ForwardTrace(batch=batch)
@@ -510,19 +510,15 @@ def _require_task(config: NetworkConfig, task: str) -> None:
 
 
 def backward(
-    trace: ForwardTrace, targets: np.ndarray, params: ModelParameters, task: str
+    trace: ForwardTrace, targets: np.ndarray, params: ModelParameters, task: str,
+    workspace: dict[str, np.ndarray] | None = None,
 ) -> ModelParameters:
-    """Gradients of loss(forward(batch), targets) for every parameter tensor.
+    """Gradients of loss(forward(batch), targets) for every parameter tensor,
+    with scratch tensors in ``workspace`` (a fresh one when None).
 
     Raises ValueError when the config's head does not serve ``task``.
     """
-    return _backward(trace, targets, params, task, {})
-
-
-def _backward(
-    trace: ForwardTrace, targets: np.ndarray, params: ModelParameters, task: str,
-    workspace: dict[str, np.ndarray],
-) -> ModelParameters:
+    workspace = {} if workspace is None else workspace
     cfg = params.config
     _require_task(cfg, task)
     _, dact = ACTIVATIONS[cfg.activation]
@@ -600,18 +596,11 @@ def _backward(
 
 
 def loss_and_gradients(
-    params: ModelParameters, batch: GraphBatch, targets: np.ndarray, task: str
-) -> tuple[float, ModelParameters]:
-    return _loss_and_gradients(params, batch, targets, task, {})
-
-
-def _loss_and_gradients(
     params: ModelParameters, batch: GraphBatch, targets: np.ndarray, task: str,
-    workspace: dict[str, np.ndarray],
+    workspace: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, ModelParameters]:
-    trace = _forward(batch, params, workspace)
-    return (loss(trace.y_pred, targets, task),
-            _backward(trace, targets, params, task, workspace))
+    trace = forward(batch, params, workspace)
+    return loss(trace.y_pred, targets, task), backward(trace, targets, params, task, workspace)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +783,7 @@ def _train(
             batch = build_batch(dataset.instances, net)
             targets = target_rows(dataset)
             for epoch in range(1, cfg.epochs + 1):
-                value, grads = _loss_and_gradients(params, batch, targets, cfg.task, workspace)
+                value, grads = loss_and_gradients(params, batch, targets, cfg.task, workspace)
                 curve.append(_finite_loss(value, epoch, cfg))
                 _apply_update(params, grads, velocity, cfg)
             return params, curve
@@ -807,7 +796,7 @@ def _train(
                 chunk = order[lo : lo + cfg.batch_size]
                 sub = [dataset.instances[i] for i in chunk]
                 batch = build_batch(sub, net)
-                value, grads = _loss_and_gradients(
+                value, grads = loss_and_gradients(
                     params, batch, target_rows(dataset, sub), cfg.task, workspace)
                 epoch_sum += _finite_loss(value, epoch, cfg) * chunk.size
                 _apply_update(params, grads, velocity, cfg)
@@ -865,7 +854,7 @@ def predict(instances: list[Instance], params: ModelParameters) -> np.ndarray:
     with _single_thread_blas(), np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in zip(edges, edges[1:]):
             batch = build_batch(instances[lo:hi], params.config)
-            out[lo:hi] = _forward(batch, params, workspace).y_pred
+            out[lo:hi] = forward(batch, params, workspace).y_pred
     bad = out.size - int(np.count_nonzero(np.isfinite(out)))
     if bad:
         raise ValueError(

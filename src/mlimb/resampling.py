@@ -19,7 +19,7 @@ Two methods share one interface:
 
     Cost model: the bags come from one pass over the label-set table, and
     a round is built in blocks of whole bags holding about
-    ``_BLOCK_VISITS`` seed visits. A block stacks the bits of its distinct
+    ``_BLOCK_VISITS`` seed visits. A block unpacks the bits of its distinct
     rows once. A bag's neighbour search is one float64 GEMM of its seeds'
     bits against the bag's, taken in blocks of ``_BLOCK_ROWS`` seed rows,
     then a selection of the k smallest (distance, row) keys of each seed:
@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Fingerprint, MultiLabelDataset, _check_seed
+from .data import Fingerprint, MultiLabelDataset, _check_seed, _packed_rows
 from .metrics import irlbl, label_counts, mean_ir
 
 __all__ = [
@@ -338,12 +338,6 @@ def _tally(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
     return tally
 
 
-def _row_keys(matrix: np.ndarray) -> list[bytes]:
-    """One bytes key per row of the 0/1 matrix, equal iff the rows are."""
-    packed = np.packbits(matrix, axis=1)
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-
-
 def _whole_bag_blocks(visits: np.ndarray) -> list[tuple[int, int]]:
     """Runs first:last of the visited bags (those with a visit), each taking
     whole bags while their visits total at most _BLOCK_VISITS; a bag with
@@ -363,16 +357,17 @@ def _whole_bag_blocks(visits: np.ndarray) -> list[tuple[int, int]]:
 
 def _block_votes(
     dataset: MultiLabelDataset, rows: np.ndarray, sizes: list[int], visits: list[int], k: int
-) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Voted fingerprint rows and label sets of the seed visits of a block of
-    whole bags: ``rows`` holds the bags one after another, the first
+) -> tuple[list[bytes], list[tuple[int, ...]]]:
+    """Packed voted fingerprints and label sets of the seed visits of a block
+    of whole bags: ``rows`` holds the bags one after another, the first
     ``visits[b]`` rows of bag b are its seeds, and each seed votes with its
     k nearest bag neighbours by strict majority."""
     distinct, local = np.unique(rows, return_inverse=True)
-    sentinel = np.zeros(dataset.fingerprint_width, dtype=np.uint8)
-    bits_of = attrgetter("fingerprint.bits")
-    picked = list(map(bits_of, map(dataset.instances.__getitem__, distinct.tolist())))
-    bits = np.frombuffer(b"".join([*picked, sentinel]), dtype=np.uint8).reshape(-1, sentinel.size)
+    sentinel = bytes(-(-dataset.fingerprint_width // 8))  # a zero row
+    packed_of = attrgetter("fingerprint.packed")
+    picked = map(packed_of, map(dataset.instances.__getitem__, distinct.tolist()))
+    packed = np.frombuffer(b"".join([*picked, sentinel]), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(-1, len(sentinel)), axis=1, count=dataset.fingerprint_width)
     sets, row_set = np.unique(dataset.set_ids[distinct], return_inverse=True)
     present, table = _label_table(dataset, sets)
     row_set = np.append(row_set, sets.size)  # the sentinel row holds no label
@@ -391,12 +386,12 @@ def _block_votes(
         half[line:line + seeds] = (1 + near.shape[1]) // 2
         start += size
         line += seeds
-    voted_bits = (_tally(bits, groups) > half[:, None]).view(np.uint8)
+    voted_bits = _tally(bits, groups) > half[:, None]
     voted = _tally(table, row_set[groups]) > half[:, None]
-    keys = _row_keys(voted)
+    keys = _packed_rows(voted)
     line_of = dict(zip(keys, range(len(keys))))  # equal keys, equal rows
     label_set = {key: tuple(present[voted[line]].tolist()) for key, line in line_of.items()}
-    return voted_bits, list(map(label_set.__getitem__, keys))
+    return _packed_rows(voted_bits), list(map(label_set.__getitem__, keys))
 
 
 def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutcome:
@@ -448,13 +443,12 @@ def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutco
     made: dict[tuple[bytes, tuple[int, ...]], Fingerprint] = {}  # one per distinct synthetic
     for first, last in _whole_bag_blocks(visits):
         block = rows[ends[first] - sizes[first]:ends[last - 1]]
-        voted_bits, voted_labels = _block_votes(
+        voted_packed, voted_labels = _block_votes(
             dataset, block, sizes[first:last].tolist(), visits[first:last].tolist(), config.k)
-        keys = list(zip(_row_keys(voted_bits), voted_labels))
-        for key, line in dict(zip(keys, range(len(keys)))).items():  # equal keys, equal rows
-            if key not in made:  # a synthetic owns a copy of its row, not a view of the votes
-                made[key] = Fingerprint._trusted(voted_bits[line].copy())
-        fingerprints += map(made.__getitem__, keys)
+        for key in zip(voted_packed, voted_labels):  # the key holds the packed row
+            if key not in made:
+                made[key] = Fingerprint._trusted(key[0], dataset.fingerprint_width)
+            fingerprints.append(made[key])
         label_sets += voted_labels
 
     # The round's synthetics, each with its seed as origin, then the replays:

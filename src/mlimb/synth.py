@@ -31,7 +31,8 @@ import json
 import math
 import operator
 from dataclasses import asdict, dataclass
-from itertools import chain, repeat
+from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -42,13 +43,14 @@ from .data import (
     MolecularGraph,
     MultiLabelDataset,
     _check_seed,
+    _packed_rows,
 )
 
 __all__ = ["SynthConfig", "generate", "allocate_counts"]
 
 # Rows are built in blocks of consecutive instances. A block's fingerprint
-# noise, drawn at once, takes about this many bytes of doubles, and its
-# fingerprints are row views of one uint8 array an eighth of that size. Small
+# noise, drawn at once, takes about this many bytes of doubles, and its bits
+# one uint8 array an eighth of that size, packed before the next block. Small
 # blocks keep the noise small beside the dataset, and keep glibc's mmap
 # threshold low when a dataset is freed: freeing one array of many megabytes
 # raises it, and the process's later large temporaries then stay on the heap.
@@ -174,7 +176,7 @@ def generate(config: SynthConfig) -> MultiLabelDataset:
     total = int(round(config.target_card * n))
     counts = allocate_counts(weights, total, cap=n)
 
-    # 2-3. Membership and co-occurrence boost, with each label's bits planted.
+    # 2-3. Membership and co-occurrence boost; label bits are planted in 5.
     step = max(1, _NOISE_BLOCK_BYTES // (8 * w))
     label_sets, blocks = _labels_and_bits(rng, config, counts, step)
 
@@ -189,25 +191,27 @@ def generate(config: SynthConfig) -> MultiLabelDataset:
     p = config.noise_flip_prob
     graphs: list[MolecularGraph | None] = [None] * n
     targets: list[np.ndarray | None] = [None] * n
-    if config.graph_nodes_range is None and reg_weight is None:
-        if p > 0:
-            for block in blocks:
-                block ^= rng.random(block.shape) < p
-    else:
-        for i, row in enumerate(chain.from_iterable(blocks)):
+    fingerprints: list[Fingerprint] = []
+    for block in blocks:
+        if config.graph_nodes_range is None and reg_weight is None:
             if p > 0:
-                row ^= rng.random(w) < p
-            if config.graph_nodes_range is not None:
-                graphs[i] = _graph(rng, config, label_shift, label_sets[i])
-            if reg_weight is not None:
-                clean = row.astype(np.float64) @ reg_weight / np.sqrt(w)
-                targets[i] = clean + rng.normal(0.0, 0.1, size=config.regression_width)
+                block ^= rng.random(block.shape) < p
+        else:
+            for i, row in enumerate(block, len(fingerprints)):
+                if p > 0:
+                    row ^= rng.random(w) < p
+                if config.graph_nodes_range is not None:
+                    graphs[i] = _graph(rng, config, label_shift, label_sets[i])
+                if reg_weight is not None:
+                    clean = row.astype(np.float64) @ reg_weight / np.sqrt(w)
+                    targets[i] = clean + rng.normal(0.0, 0.1, size=config.regression_width)
+        fingerprints += map(Fingerprint._trusted, _packed_rows(block), repeat(w))
 
     id_width = len(str(n - 1))
     instances = list(map(
         Instance._trusted,
         map(f"s{{:0{id_width}d}}".format, range(n)),
-        map(Fingerprint._trusted, chain.from_iterable(blocks)),
+        fingerprints,
         label_sets,
         graphs,
         targets,
@@ -227,11 +231,11 @@ def generate(config: SynthConfig) -> MultiLabelDataset:
 
 
 def _labels_and_bits(rng: np.random.Generator, config: SynthConfig, counts: np.ndarray,
-                     step: int) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
+                     step: int) -> tuple[list[tuple[int, ...]], Iterator[np.ndarray]]:
     """Each instance's sorted label set, and its fingerprint with the bits of
     its labels set (label l owns bits l*s .. (l+1)*s - 1), as uint8 blocks of
-    ``step`` rows. The (instance, label) pairs are kept as flat index arrays,
-    never as an n x L matrix."""
+    ``step`` rows, each planted when asked for. The (instance, label) pairs
+    are flat index arrays, never an n x L matrix, freed after the last block."""
     n, L = config.n_instances, config.n_labels
     # 2. Membership: label l lands on counts[l] distinct instances.
     populated = np.flatnonzero(counts).tolist()
@@ -263,14 +267,16 @@ def _labels_and_bits(rng: np.random.Generator, config: SynthConfig, counts: np.n
 
     s = config.signal_bits_per_label
     owned = labels[:, None] * s + np.arange(s)
-    blocks = []
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        block = np.zeros((stop - start, config.fingerprint_width), dtype=np.uint8)
-        pairs = slice(bounds[start], bounds[stop])
-        block[rows[pairs, None] - start, owned[pairs]] = 1
-        blocks.append(block)
-    return label_sets, blocks
+
+    def planted() -> Iterator[np.ndarray]:
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            block = np.zeros((stop - start, config.fingerprint_width), dtype=np.uint8)
+            pairs = slice(bounds[start], bounds[stop])
+            block[rows[pairs, None] - start, owned[pairs]] = 1
+            yield block
+
+    return label_sets, planted()
 
 
 def _graph(rng: np.random.Generator, config: SynthConfig, label_shift: np.ndarray,

@@ -1,10 +1,13 @@
 """Dataset model, file format, and splitting."""
 
 import io
+import pickle
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mlimb.data import (
     Fingerprint,
@@ -87,6 +90,57 @@ def test_fingerprint_hex_length_checked():
 def test_fingerprint_rejects_non_binary():
     with pytest.raises(ValidationError):
         Fingerprint(np.array([0, 2], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("bits", [[256, 1], [0.5, 1.0], [-255, 0], [1.9, 0]])
+def test_fingerprint_checks_bits_before_any_cast(bits):
+    # Each of these reads as 0/1 once cast to uint8.
+    with pytest.raises(ValidationError, match="fingerprint bits must be 0 or 1"):
+        Fingerprint(bits)
+
+
+@pytest.mark.parametrize("bits", [np.array([True, False]), [1, 0], np.array([1.0, 0.0])])
+def test_fingerprint_takes_bools_and_0_1_numbers(bits):
+    assert Fingerprint(bits) == Fingerprint(np.array([1, 0], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("text", [" 0a ", "0a\t\n", "\n0a "])
+def test_fingerprint_hex_must_decode_to_the_declared_bytes(text):
+    # bytes.fromhex skips whitespace, so these texts of the right length
+    # would decode to one byte where width 12 needs two.
+    with pytest.raises(FormatError, match="invalid fingerprint hex string"):
+        Fingerprint.from_hex(text, 12)
+
+
+def test_a_record_with_short_decoding_hex_fails_as_a_format_error_naming_its_line():
+    header = HEADER.replace('"fingerprint_width":8', '"fingerprint_width":12')
+    record = '{"id":"a","fp":" 0a ","labels":[0]}'
+    with pytest.raises(FormatError, match=r"^line 2 \(instance 'a'\): invalid fingerprint hex"):
+        parse_dataset(header + "\n" + record + "\n", VOCAB3)
+
+
+@given(st.one_of(st.integers(1, 20), st.just(2048)).flatmap(
+    lambda width: st.lists(st.integers(0, 1), min_size=width, max_size=width)))
+@example([1] * 2048)
+def test_fingerprint_packed_round_trips(bits):
+    expected = np.array(bits, dtype=np.uint8)
+    fp = Fingerprint(expected)
+    assert type(fp.packed) is bytes and len(fp.packed) == -(-len(bits) // 8)
+    assert fp.width == len(bits)
+    assert np.array_equal(fp.bits, expected) and fp.bits.dtype == np.uint8
+    assert not fp.bits.flags.writeable
+    with pytest.raises(ValueError):
+        fp.bits[0] = 1 - bits[0]
+    back = Fingerprint.from_hex(fp.to_hex(), len(bits))
+    assert back == fp and back.packed == fp.packed
+    thawed = pickle.loads(pickle.dumps(fp))
+    assert thawed == fp and thawed.packed == fp.packed
+
+
+def test_fingerprints_of_equal_bytes_and_unequal_widths_differ():
+    short, long = Fingerprint([1, 0, 1]), Fingerprint([1, 0, 1, 0])
+    assert short.packed == long.packed
+    assert short != long
 
 
 # ---------------------------------------------------------------------------

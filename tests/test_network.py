@@ -818,11 +818,29 @@ def test_a_reused_workspace_gives_the_bits_of_fresh_calls(readout_mode, activati
     for node_counts in ((12, 3, 7, 12, 1, 9), (5, 2, 4)):
         batch = build_batch(path_instances(rng, node_counts, cfg), cfg)
         targets = rng.integers(0, 2, size=(batch.instance_count, cfg.output_dim))
-        trace = network._forward(batch, params, workspace)
-        grads = network._backward(trace, targets, params, "multilabel", workspace)
+        trace = forward(batch, params, workspace)
+        grads = backward(trace, targets, params, "multilabel", workspace)
         fresh = forward(batch, params)
         assert np.array_equal(trace.y_pred, fresh.y_pred)
         assert np.array_equal(grads.vector, backward(fresh, targets, params, "multilabel").vector)
+
+
+def test_train_and_predict_step_through_the_public_step_functions(monkeypatch):
+    # Tracing wraps network.forward and network.backward by name, so every
+    # step of train and predict has to run through those names.
+    calls = []
+    for name in ("forward", "backward"):
+        def counted(*args, _step=getattr(network, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _step(*args, **kwargs)
+        monkeypatch.setattr(network, name, counted)
+    d = labeled_dataset(np.random.default_rng(31), n=12)
+    cfg = NetworkConfig(node_feature_dim=d.node_feature_dim,
+                        fingerprint_width=d.fingerprint_width,
+                        output_dim=d.label_count, hidden_dims=(4,), fuse_dim=3)
+    params, _ = train(d, cfg, TrainConfig(task="multilabel", epochs=3, batch_size=5, seed=2))
+    predict(d.instances, params)
+    assert calls == ["forward", "backward"] * (3 * -(-len(d) // 5)) + ["forward"]
 
 
 # ---------------------------------------------------------------------------

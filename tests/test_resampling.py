@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlimb import resampling
-from mlimb.data import Fingerprint, Instance, LabelVocabulary, MultiLabelDataset, write_dataset
+from mlimb.data import (Fingerprint, Instance, LabelVocabulary, MultiLabelDataset, format_vocabulary,
+                        parse_dataset, write_dataset)
 from mlimb.metrics import cardinality, irlbl, label_counts, mean_ir
 from mlimb.resampling import (
     ResampleConfig,
@@ -568,6 +569,25 @@ def test_synthetics_own_their_bits():
     synthetics = out.dataset.instances[len(d):]
     assert synthetics
     assert all(row.fingerprint.bits.base is None for row in synthetics)
+    assert all(type(row.fingerprint.packed) is bytes and len(row.fingerprint.packed) == 4
+               for row in synthetics)
+
+
+@pytest.mark.parametrize("width", [1, 13, 32, 2048])
+def test_generated_parsed_and_synthesized_fingerprints_are_held_packed(width):
+    d = generate(SynthConfig(n_instances=120, n_labels=6, fingerprint_width=width,
+                             signal_bits_per_label=int(width >= 6), noise_flip_prob=0.2,
+                             graph_nodes_range=None, cooccurrence_boost=0.3, seed=2))
+    text = io.StringIO()
+    write_dataset(d, text)
+    parsed = parse_dataset(text.getvalue(), format_vocabulary(d.vocabulary))
+    made = mlsmote(d, ResampleConfig(method="mlsmote", p=1.0, k=3)).dataset.instances[len(d):]
+    assert made
+    for rows in (d.instances, parsed.instances, made):
+        for row in rows:
+            assert type(row.fingerprint.packed) is bytes
+            assert len(row.fingerprint.packed) == -(-width // 8)
+            assert row.fingerprint.width == width
 
 
 def test_mlsmote_output_pinned_across_rounds():
