@@ -36,9 +36,10 @@ activation's derivative from H^(k), and it recomputes the propagated input
 A_hat H^(k-1) with the same product on the same operands, so the weight
 gradient has the same bits. Every (B, Nmax, D) node tensor lives in a
 workspace that ``train`` and ``predict`` allocate once per call and reuse
-across epochs, minibatches and prediction blocks: the activations, one
-scratch tensor (propagated inputs, the readout's masked copy, derivatives)
-and backward's node gradient.
+across epochs, minibatches and prediction blocks: one activation buffer per
+layer and one scratch tensor (propagated inputs, the readout's masked
+copies, derivatives). Backward writes each node gradient into the buffer of
+an activation it has finished reading.
 """
 
 from __future__ import annotations
@@ -400,7 +401,9 @@ class ForwardTrace:
     Per graph layer that is the activation H^(k), from which the
     activation's derivative is written; backward recomputes the propagated
     input A_hat H^(k-1) that the weight gradient reads. The activations are
-    views into the workspace of the pass, valid until it runs the next one.
+    views into the workspace of the pass, valid only until ``backward`` or
+    the next ``forward`` runs on that workspace: backward writes its node
+    gradients over them.
     """
 
     batch: GraphBatch
@@ -434,26 +437,31 @@ def forward(
             p += bias
             h = act(p).reshape(b, width, -1)
             trace.hidden.append(h)
-        # Padding rows hold act(bias); the readouts mask them out. argmax and
-        # argmin return the first extreme node, the rows backward routes to.
-        padding = ~batch.mask[:, :, None]
-        masked = _buffer(workspace, "scratch", h.shape)
-        np.copyto(masked, h)
+        # Padding rows hold act(bias); the readouts mask them out. The mean
+        # sums a (B, Nmax, D) masked copy along its nodes, in node order.
+        if cfg.readout_mode != "max_plus_min":
+            masked = _buffer(workspace, "scratch", h.shape)
+            np.copyto(masked, h)
+            np.copyto(masked, 0.0, where=~batch.mask[:, :, None])
+            meanv = masked.sum(axis=1) / batch.sizes[:, None]
+        # argmax and argmin search a (B, D, Nmax) masked copy along its last,
+        # contiguous axis, so numpy copies nothing; each returns the first
+        # extreme node, the row backward routes to.
+        padding = ~batch.mask[:, None, :]
+        masked = _buffer(workspace, "scratch", (b, h.shape[2], width))
+        np.copyto(masked, h.transpose(0, 2, 1))
         np.copyto(masked, -np.inf, where=padding)
-        trace.max_rows = masked.argmax(axis=1)
+        trace.max_rows = masked.argmax(axis=2)
         maxv = np.take_along_axis(h, trace.max_rows[:, None, :], axis=1)[:, 0, :]
         if cfg.readout_mode == "max_plus_min":
             np.copyto(masked, np.inf, where=padding)
-            trace.min_rows = masked.argmin(axis=1)
+            trace.min_rows = masked.argmin(axis=2)
             minv = np.take_along_axis(h, trace.min_rows[:, None, :], axis=1)[:, 0, :]
             h_g = maxv + minv
+        elif cfg.readout_mode == "max_plus_mean":
+            h_g = maxv + meanv
         else:
-            np.copyto(masked, 0.0, where=padding)
-            meanv = masked.sum(axis=1) / batch.sizes[:, None]
-            if cfg.readout_mode == "max_plus_mean":
-                h_g = maxv + meanv
-            else:
-                h_g = np.concatenate([meanv, maxv], axis=1)
+            h_g = np.concatenate([meanv, maxv], axis=1)
     else:
         h_g = np.zeros((b, fusion))
 
@@ -553,7 +561,11 @@ def backward(
 
     if cfg.input_mode in ("hybrid", "graph"):
         b, width, dim = trace.hidden[-1].shape
-        dh = _buffer(workspace, "dh", (b, width, dim))
+        # H^(K) is read once, for its derivative; the readout gradient then
+        # takes its buffer.
+        deriv = dact(trace.hidden[-1].reshape(b * width, dim),
+                     _buffer(workspace, "scratch", (b * width, dim)))
+        dh = _buffer(workspace, f"hidden{cfg.layer_count - 1}", (b, width, dim))
         if cfg.readout_mode == "max_plus_min":
             dmax = dfused
             dh.fill(0.0)
@@ -576,11 +588,11 @@ def backward(
         # operator's padding rows are zero, so they add nothing to any
         # gradient. Each layer turns dh into the gradient of its
         # pre-activation in place; the scratch buffer holds in turn the
-        # derivative, the recomputed propagated input and dh @ W_k.T.
+        # derivative, the recomputed propagated input and dh @ W_k.T. The
+        # next dh goes into the buffer of H^(k+1), dead since its derivative.
         dh = dh.reshape(b * width, dim)
         for k in range(cfg.layer_count - 1, -1, -1):
-            dh *= dact(trace.hidden[k + 1].reshape(dh.shape),
-                       _buffer(workspace, "scratch", dh.shape))
+            dh *= deriv
             below = trace.hidden[k]
             m = np.matmul(batch.operator, below, out=_buffer(workspace, "scratch", below.shape))
             grads.layer_weights[k][:] = m.reshape(b * width, -1).T @ dh
@@ -589,9 +601,10 @@ def backward(
                 # The operator is symmetric, so A_hat.T @ x == A_hat @ x.
                 back = _buffer(workspace, "scratch", below.shape)
                 np.matmul(dh, params.layer_weights[k].T, out=back.reshape(b * width, -1))
-                dh = _buffer(workspace, "dh", below.shape)
+                dh = _buffer(workspace, f"hidden{k}", below.shape)
                 np.matmul(batch.operator, back, out=dh)
                 dh = dh.reshape(b * width, -1)
+                deriv = dact(below.reshape(dh.shape), _buffer(workspace, "scratch", dh.shape))
     return grads
 
 
@@ -599,6 +612,7 @@ def loss_and_gradients(
     params: ModelParameters, batch: GraphBatch, targets: np.ndarray, task: str,
     workspace: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, ModelParameters]:
+    workspace = {} if workspace is None else workspace
     trace = forward(batch, params, workspace)
     return loss(trace.y_pred, targets, task), backward(trace, targets, params, task, workspace)
 

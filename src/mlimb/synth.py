@@ -2,7 +2,7 @@
 
 The generator plants everything the rest of the toolkit wants to detect:
 Zipf-skewed label frequencies (thousands of labels, most of them rare),
-optional extra minority/majority co-occurrence, per-label fingerprint bits,
+an optional co-occurrence boost, per-label fingerprint bits,
 per-label shifts of graph node-feature means, and regression targets that
 are a noisy linear function of the fingerprint. One integer seed determines
 the dataset byte-for-byte.
@@ -23,6 +23,14 @@ its fingerprint noise (no graphs and no regression targets), the noise of a
 block of consecutive instances is one ``random((rows, width))`` call.
 Rows are built from values valid by construction, without the per-row
 checks of the public constructors; the dataset still runs its own checks.
+
+The co-occurrence boost pairs the k = min(8, populated // 2) rarest labels
+that have instances with the k commonest, in label order, and gives each
+instance of a rare label its paired common label with probability
+min(1, cooccurrence_boost). Only those labels' rows can change, so mean
+SCUMBLE barely moves: at 1200 x 40 labels, Zipf 1.2 and seed 0, boost 1.0
+changes 60 of the 1200 rows at target cardinality 2 (101 at 4), and boosts
+0, 0.3 and 1.0 give mean SCUMBLE within 0.004 of each other at both.
 """
 
 from __future__ import annotations
@@ -244,10 +252,11 @@ def _labels_and_bits(rng: np.random.Generator, config: SynthConfig, counts: np.n
     row_chunks = members.copy()
     label_chunks = [np.full(m.size, l) for l, m in enumerate(members)]
 
-    # 3. Co-occurrence boost: instances of the rarest populated labels also
-    # pick up a paired frequent label, raising minority/majority concurrence.
-    # Minors and majors are disjoint, so a minor's instances are its members,
-    # and each flips one coin, in instance order.
+    # 3. Co-occurrence boost: each instance of the k rarest populated labels
+    # gains, with probability min(1, boost), its paired label among the k
+    # commonest. Few rows hold a rare label, so mean SCUMBLE barely moves
+    # (see the module docstring). Minors and majors are disjoint, so a minor's
+    # instances are its members, and each flips one coin, in instance order.
     if config.cooccurrence_boost > 0 and L >= 2:
         n_pairs = min(8, len(populated) // 2)
         minors = populated[-n_pairs:] if n_pairs else []

@@ -279,6 +279,23 @@ def test_eval_label_count_mismatch(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_eval_refuses_an_empty_dataset(synth_dir, tmp_path, capsys, monkeypatch):
+    model = tmp_path / "model.json"
+    code, _, _ = run(capsys, "train", "--data", str(synth_dir / "dataset.jsonl"),
+                     "--task", "multilabel", "--epochs", "1", "--hidden", "4",
+                     "--fuse-dim", "3", "--model-out", str(model))
+    assert code == 0
+    header = (synth_dir / "dataset.jsonl").read_text().splitlines(keepends=True)[0]
+    (tmp_path / "empty.jsonl").write_text(header)
+    (tmp_path / "empty.labels.tsv").write_text((synth_dir / "dataset.labels.tsv").read_text())
+    monkeypatch.setattr("mlimb.cli.predict", pytest.fail)  # refused before predicting
+    code, stdout, stderr = run(capsys, "eval", "--data", str(tmp_path / "empty.jsonl"),
+                               "--model", str(model),
+                               "--report", str(tmp_path / "r" / "report.json"))
+    assert (code, stdout, stderr) == (2, "", "config_error: cannot evaluate an empty dataset\n")
+    assert not (tmp_path / "r").exists()
+
+
 def test_eval_regression_targets_checked_up_front(tmp_path, capsys):
     def synth(name, reg_width):
         out = tmp_path / name

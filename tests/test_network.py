@@ -8,6 +8,7 @@ engine is checked against the plain per-graph forward pass in
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -689,6 +690,32 @@ def test_training_outputs_pinned(tmp_path, task, batch_size, digest):
     assert hashlib.sha256(payload).hexdigest() == digest
 
 
+# Recorded before backward reused the activation buffers for its gradients.
+MODE_PIN = "0ba4cd92bdb604eef83a8d01ffe8b65add3d08554d44be63414cf8fd013a6fe9"
+
+
+def test_training_outputs_pinned_across_modes(tmp_path):
+    # Every readout and activation, an even and a narrowing layer stack,
+    # full-batch and batch 7: checkpoint, loss curve and predictions.
+    d = generate(SynthConfig(n_instances=45, n_labels=6, fingerprint_width=16,
+                             graph_nodes_range=(3, 6), node_feature_dim=4,
+                             regression_width=2, cooccurrence_boost=0.3, seed=11))
+    digest = hashlib.sha256()
+    for readout_mode, activation, hidden, batch_size in itertools.product(
+            network.READOUT_MODES, ACTIVATIONS, ((5, 4), (3, 6, 2)), (None, 7)):
+        cfg = NetworkConfig(node_feature_dim=d.node_feature_dim,
+                            fingerprint_width=d.fingerprint_width, output_dim=d.label_count,
+                            hidden_dims=hidden, fuse_dim=3, activation=activation,
+                            readout_mode=readout_mode)
+        params, curve = train(d, cfg, TrainConfig(task="multilabel", epochs=6, learning_rate=0.2,
+                                                  momentum=0.5, batch_size=batch_size, seed=3))
+        save_checkpoint(params, tmp_path / "model.json")
+        digest.update((tmp_path / "model.json").read_bytes())
+        digest.update(loss_curve_csv(curve).encode("utf-8"))
+        digest.update(predict(d.instances, params).tobytes())
+    assert digest.hexdigest() == MODE_PIN
+
+
 # ---------------------------------------------------------------------------
 # Memory bounded by the batch
 # ---------------------------------------------------------------------------
@@ -771,9 +798,9 @@ def node_step():
 
 @pytest.mark.parametrize("activation", tuple(ACTIVATIONS))
 def test_training_step_keeps_no_pre_activations(node_step, activation):
-    # Two layers keep two propagated inputs and two activations; the readout
-    # copy, backward's gradients and the derivative buffer come and go. A
-    # step that also kept every pre-activation needs about 10 node tensors.
+    # Two layers keep two activations and one scratch tensor, which holds
+    # the readout's masked copies, propagated inputs and derivatives in turn.
+    # A step that also kept every pre-activation needs about 10 node tensors.
     d, targets, node_tensor = node_step
     cfg = NetworkConfig(node_feature_dim=d.node_feature_dim,
                         fingerprint_width=d.fingerprint_width, output_dim=d.label_count,
@@ -785,16 +812,62 @@ def test_training_step_keeps_no_pre_activations(node_step, activation):
 
 @pytest.mark.parametrize("activation", tuple(ACTIVATIONS))
 def test_full_batch_training_memory_is_a_fixed_workspace(node_step, activation):
-    # The workspace holds the two activations, one scratch tensor and the
-    # node gradient, allocated in the first epoch and reused by the others;
-    # the batch's own node and operator tensors and build_batch's temporaries
-    # make up most of the rest. Allocating them per epoch reads about 9.
+    # The workspace holds the two activations and one scratch tensor,
+    # allocated in the first epoch and reused by the others; the batch's own
+    # node and operator tensors and build_batch's temporaries make up most
+    # of the rest. Allocating them per epoch reads about 9.
     d, _, node_tensor = node_step
     cfg = NetworkConfig(node_feature_dim=d.node_feature_dim,
                         fingerprint_width=d.fingerprint_width, output_dim=d.label_count,
                         hidden_dims=(32, 32), fuse_dim=32, activation=activation)
     tc = TrainConfig(task="multilabel", epochs=5)
     assert traced_peak(lambda: train(d, cfg, tc)) < 7 * node_tensor
+
+
+def node_config(d, **overrides):
+    base = dict(node_feature_dim=d.node_feature_dim, fingerprint_width=d.fingerprint_width,
+                output_dim=d.label_count, hidden_dims=(32, 32), fuse_dim=32)
+    return NetworkConfig(**{**base, **overrides})
+
+
+@pytest.mark.parametrize("readout_mode", network.READOUT_MODES)
+@pytest.mark.parametrize("activation", tuple(ACTIVATIONS))
+def test_full_batch_training_holds_no_finished_node_tensor(node_step, activation, readout_mode):
+    # Backward writes its node gradients into activation buffers it has
+    # finished reading, and the readout's extreme search copies nothing
+    # beyond its masked copy in the scratch tensor. Keeping a separate node
+    # gradient and letting argmax copy the tensor read about 6.
+    d, _, node_tensor = node_step
+    cfg = node_config(d, activation=activation, readout_mode=readout_mode)
+    tc = TrainConfig(task="multilabel", epochs=5)
+    assert traced_peak(lambda: train(d, cfg, tc)) < 5.5 * node_tensor
+
+
+@pytest.mark.parametrize("readout_mode", network.READOUT_MODES)
+@pytest.mark.parametrize("activation", tuple(ACTIVATIONS))
+def test_one_shot_step_runs_in_one_workspace(node_step, activation, readout_mode):
+    # forward and backward share the step's workspace, so its node tensors
+    # are allocated once; a fresh workspace for each read about 4.7.
+    d, targets, node_tensor = node_step
+    cfg = node_config(d, activation=activation, readout_mode=readout_mode)
+    params, batch = init_parameters(cfg, 0), build_batch(d.instances, cfg)
+    step = lambda: loss_and_gradients(params, batch, targets, "multilabel")
+    assert traced_peak(step) < 4.5 * node_tensor
+
+
+@pytest.mark.parametrize("hidden", [(32, 32), (3, 6, 2)])
+def test_training_workspace_is_scratch_and_one_buffer_per_layer(monkeypatch, node_step, hidden):
+    workspaces = []
+
+    def recording(trace, targets, params, task, workspace=None, _backward=network.backward):
+        workspaces.append(workspace)
+        return _backward(trace, targets, params, task, workspace)
+
+    monkeypatch.setattr(network, "backward", recording)
+    d, _, _ = node_step
+    train(d, node_config(d, hidden_dims=hidden), TrainConfig(task="multilabel", epochs=2))
+    assert len(workspaces) == 2 and workspaces[0] is workspaces[1]
+    assert set(workspaces[0]) == {"scratch"} | {f"hidden{k}" for k in range(len(hidden))}
 
 
 def path_instances(rng, node_counts, cfg):
