@@ -6,7 +6,9 @@ sets, in order of first appearance, with one integer set id per row.
 Statistics that depend on a row only through its label set read the table
 and the per-set multiplicities (``set_counts``), so their cost follows the
 number of distinct sets, not of rows. A fingerprint is held packed, 8 bits
-to a byte; code that computes with bits unpacks a block of rows at once.
+to a byte; code that computes with bits unpacks a block of rows at once
+(``_unpacked_rows``). A graph's edges are one read-only (E, 2) int64 array,
+from the parser or the generator to the network's batches.
 
 A dataset made from another (a split or an oversampling result) builds its
 label-set table and set ids at once, and its row list when ``instances`` is
@@ -128,7 +130,7 @@ class Fingerprint:
 
     @property
     def bits(self) -> np.ndarray:
-        return _readonly(np.unpackbits(np.frombuffer(self.packed, np.uint8), count=self.width))
+        return _readonly(_unpacked_rows([self.packed], self.width)[0].copy())  # a fresh array, not a view
 
     def to_hex(self) -> str:
         """Hex encoding of the bit vector, most-significant-bit-first."""
@@ -160,36 +162,37 @@ class Fingerprint:
         return Fingerprint._trusted, (self.packed, self.width)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class MolecularGraph:
-    """Undirected molecular graph: per-node feature rows plus an edge list.
-
-    Self-edges are rejected; the network layer decides whether to add
-    self-loops when it builds its adjacency operator.
+    """Undirected molecular graph: per-node feature rows plus an edge list,
+    ``edges``, a read-only (E, 2) int64 array that the constructor copies from
+    any sequence of integer pairs. Self-edges are rejected; the network layer
+    decides whether to add self-loops when it builds its adjacency operator.
     """
 
     node_features: np.ndarray
-    edges: tuple[tuple[int, int], ...] = ()
+    edges: np.ndarray = ()
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.node_features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValidationError("graph node features must be a non-empty 2-D matrix")
-        self.node_features = feats
+        edges = _edge_array(self.edges)
+        if edges is None:
+            raise ValidationError("graph edges must be (u, v) integer pairs")
         n = feats.shape[0]
-        edges = tuple((int(u), int(v)) for u, v in self.edges)
-        for u, v in edges:
+        bad = (edges[:, 0] == edges[:, 1]) | ((edges < 0) | (edges >= n)).any(axis=1)
+        if bad.any():
+            u, v = map(int, edges[bad.argmax()])
             if u == v:
                 raise ValidationError(f"self-edge ({u}, {v}) is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-        self.edges = edges
+            raise ValidationError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        self.node_features, self.edges = feats, _readonly(edges.astype(np.int64))
 
     @classmethod
-    def _trusted(cls, node_features: np.ndarray, edges: tuple[tuple[int, int], ...]
-                 ) -> "MolecularGraph":
-        """Graph kept as given: a non-empty float64 matrix and a tuple of
-        int pairs, each in range and no self-edge."""
+    def _trusted(cls, node_features: np.ndarray, edges: np.ndarray) -> "MolecularGraph":
+        """Graph kept as given: a non-empty float64 matrix and a read-only
+        (E, 2) int64 array, each row in range and no self-edge."""
         graph = object.__new__(cls)
         graph.node_features, graph.edges = node_features, edges
         return graph
@@ -205,10 +208,30 @@ class MolecularGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MolecularGraph):
             return NotImplemented
-        return (
-            np.array_equal(self.node_features, other.node_features, equal_nan=True)
-            and self.edges == other.edges
-        )
+        return (np.array_equal(self.node_features, other.node_features, equal_nan=True)
+                and np.array_equal(self.edges, other.edges))
+
+    def __reduce__(self):  # rebuilt by the constructor: the edges stay read-only
+        return MolecularGraph, (self.node_features, self.edges)
+
+
+def _edge_array(edges: object) -> np.ndarray | None:
+    """``edges`` as an (E, 2) integer array, or None when it is not a sequence
+    of integer pairs. Pairs numpy reads as another kind (bools, integers
+    beyond int64) come back as an object array of the given values."""
+    try:
+        array = np.asarray(edges)
+    except ValueError:  # pairs of unequal lengths
+        return None
+    if array.shape == (0,):
+        return np.empty((0, 2), np.int64)
+    if array.ndim != 2 or array.shape[1] != 2:
+        return None
+    if array.dtype.kind not in "iu":
+        array = np.array(edges, dtype=object)
+        if not all(isinstance(x, (int, np.integer)) for x in array.flat):
+            return None
+    return array
 
 
 @dataclass(eq=False, slots=True)
@@ -287,6 +310,14 @@ def _check_new_ids(new_ids: Iterable[str], taken: frozenset[str]) -> None:
         seen.add(inst_id)
 
 
+def _integer(name: str, value: object) -> int:
+    """An int; numpy integers pass, floats are refused, not truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_seed(seed: object) -> None:
     """Refuse, naming the value, a seed numpy's generators would not take."""
     try:
@@ -306,6 +337,12 @@ def _packed_rows(matrix: np.ndarray) -> list[bytes]:
     """Each row of the 0/1 matrix as ``np.packbits`` packs it, one bytes each."""
     packed = np.packbits(matrix, axis=1)
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+
+
+def _unpacked_rows(rows: list[bytes], width: int) -> np.ndarray:
+    """The (len(rows), width) 0/1 uint8 matrix of rows as ``_packed_rows`` packs them."""
+    packed = np.frombuffer(b"".join(rows), np.uint8).reshape(-1, -(-width // 8))
+    return np.unpackbits(packed, axis=1, count=width)
 
 
 @dataclass(eq=False)
@@ -594,11 +631,9 @@ def parse_vocabulary(source: str | Iterable[str]) -> LabelVocabulary:
         except ValueError:
             raise FormatError(f"vocabulary line {lineno}: non-integer index {parts[0]!r}") from None
         pairs.append((index, parts[1]))
-    indices = [i for i, _ in pairs]
-    if sorted(indices) != list(range(len(pairs))):
+    if sorted(i for i, _ in pairs) != list(range(len(pairs))):
         raise FormatError("vocabulary indices must be exactly 0..N-1 with no gaps or duplicates")
-    names = [name for _, name in sorted(pairs)]
-    return LabelVocabulary(tuple(names))
+    return LabelVocabulary(tuple(name for _, name in sorted(pairs)))
 
 
 def format_vocabulary(vocabulary: LabelVocabulary) -> str:
@@ -610,12 +645,7 @@ def format_vocabulary(vocabulary: LabelVocabulary) -> str:
 # ---------------------------------------------------------------------------
 
 def _format_header(dataset: MultiLabelDataset) -> str:
-    header = {
-        "fingerprint_width": dataset.fingerprint_width,
-        "node_feature_dim": dataset.node_feature_dim,
-        "label_count": dataset.label_count,
-        "regression_width": dataset.regression_width,
-    }
+    header = {key: getattr(dataset, key) for key in HEADER_KEYS}
     for key in sorted(dataset.meta):
         if key in HEADER_KEYS:
             raise ValidationError(f"meta key {key!r} collides with a reserved header field")
@@ -628,7 +658,7 @@ def _format_record(inst: Instance) -> str:
     if inst.graph is not None:
         record["graph"] = {
             "nodes": inst.graph.node_features.tolist(),
-            "edges": [[u, v] for u, v in inst.graph.edges],
+            "edges": inst.graph.edges.tolist(),
         }
     if inst.regression_targets is not None:
         record["reg"] = inst.regression_targets.tolist()
@@ -637,13 +667,18 @@ def _format_record(inst: Instance) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
-def _parse_header(line: str, lineno: int) -> tuple[dict, dict]:
+def _json_object(line: str, lineno: int, kind: str) -> dict:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"line {lineno}: invalid header JSON ({exc.msg})") from None
+        raise FormatError(f"line {lineno}: invalid {kind} JSON ({exc.msg})") from None
     if not isinstance(obj, dict):
-        raise FormatError(f"line {lineno}: header must be a JSON object")
+        raise FormatError(f"line {lineno}: {kind} must be a JSON object")
+    return obj
+
+
+def _parse_header(line: str, lineno: int) -> tuple[dict, dict]:
+    obj = _json_object(line, lineno, "header")
     required = {}
     for key in HEADER_KEYS:
         if key not in obj:
@@ -657,12 +692,7 @@ def _parse_header(line: str, lineno: int) -> tuple[dict, dict]:
 
 
 def _parse_record(line: str, lineno: int, fingerprint_width: int) -> Instance:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line {lineno}: invalid record JSON ({exc.msg})") from None
-    if not isinstance(obj, dict):
-        raise FormatError(f"line {lineno}: record must be a JSON object")
+    obj = _json_object(line, lineno, "record")
     unknown = set(obj) - set(RECORD_KEYS)
     if unknown:
         raise FormatError(f"line {lineno}: unknown record field {sorted(unknown)[0]!r}")
@@ -693,25 +723,21 @@ def _parse_record(line: str, lineno: int, fingerprint_width: int) -> Instance:
         g = obj["graph"]
         if not isinstance(g, dict) or set(g) != {"nodes", "edges"}:
             raise fail("field 'graph' must be an object with 'nodes' and 'edges'")
-        nodes = g["nodes"]
-        if (
-            not isinstance(nodes, list)
-            or not nodes
-            or not all(isinstance(row, list) for row in nodes)
-            or len({len(row) for row in nodes}) != 1
-        ):
+        try:
+            feats = np.asarray(g["nodes"])
+        except ValueError:  # rows of unequal lengths, or an array among the numbers
+            feats = None
+        if feats is None or feats.ndim != 2 or not len(feats):
             raise fail("graph nodes must be a non-empty list of equal-length feature rows")
-        edges = g["edges"]
-        if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)
-            for e in edges
-        ):
+        if feats.dtype == object and all(isinstance(x, (int, float)) for x in feats.flat):
+            feats = feats.astype(np.float64)  # integers beyond int64 beside other numbers
+        if feats.dtype.kind not in "biuf":
+            raise fail("graph node features must be numbers")
+        edges = _edge_array(g["edges"])
+        if edges is None:
             raise fail("graph edges must be a list of [u, v] integer pairs")
         try:
-            graph = MolecularGraph(
-                node_features=np.asarray(nodes, dtype=np.float64),
-                edges=tuple((e[0], e[1]) for e in edges),
-            )
+            graph = MolecularGraph(node_features=feats, edges=edges)
         except ValidationError as exc:
             raise ValidationError(f"line {lineno} (instance {inst_id!r}): {exc}") from None
 
@@ -730,14 +756,8 @@ def _parse_record(line: str, lineno: int, fingerprint_width: int) -> Instance:
         origin = obj["origin"]
 
     try:
-        return Instance(
-            id=inst_id,
-            fingerprint=fingerprint,
-            labels=tuple(obj["labels"]),
-            graph=graph,
-            regression_targets=reg,
-            origin=origin,
-        )
+        return Instance(id=inst_id, fingerprint=fingerprint, labels=tuple(obj["labels"]),
+                        graph=graph, regression_targets=reg, origin=origin)
     except ValidationError as exc:
         raise ValidationError(f"line {lineno}: {exc}") from None
 

@@ -48,16 +48,14 @@ import ctypes
 import functools
 import json
 import math
-import operator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .data import Instance, MultiLabelDataset, _check_seed
+from .data import Instance, MultiLabelDataset, _check_seed, _integer, _unpacked_rows
 
 __all__ = [
     "ACTIVATIONS",
@@ -194,10 +192,7 @@ class NetworkConfig:
 
 def _dimension(name: str, value: object) -> int:
     """A positive int; numpy integers pass, floats are refused, not truncated."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    value = _integer(name, value)
     if value < 1:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
@@ -332,12 +327,10 @@ def build_batch(instances: list[Instance], config: NetworkConfig) -> GraphBatch:
                 f"instance {inst.id!r}: fingerprint width {inst.fingerprint.width} "
                 f"does not match config width {config.fingerprint_width}"
             )
-    packed = np.frombuffer(b"".join([inst.fingerprint.packed for inst in instances]), np.uint8)
-    fingerprints = np.unpackbits(packed.reshape(len(instances), -1), axis=1,
-                                 count=config.fingerprint_width).astype(np.float64)
-    batch = GraphBatch(instance_count=len(instances), fingerprints=fingerprints)
+    fingerprints = _unpacked_rows([inst.fingerprint.packed for inst in instances],
+                                  config.fingerprint_width).astype(np.float64)
     if config.input_mode == "fingerprint":
-        return batch
+        return GraphBatch(instance_count=len(instances), fingerprints=fingerprints)
 
     _require_graphs(instances, config)
     for inst in instances:
@@ -357,11 +350,7 @@ def build_batch(instances: list[Instance], config: NetworkConfig) -> GraphBatch:
     # Edge endpoints as rows of the flattened (B*Nmax) node axis; each
     # undirected edge counts once in each direction and duplicates sum.
     edge_counts = np.fromiter((len(inst.graph.edges) for inst in instances), np.int64, count)
-    ends = np.fromiter(
-        chain.from_iterable(chain.from_iterable(inst.graph.edges for inst in instances)),
-        np.int64,
-        2 * int(edge_counts.sum()),
-    ).reshape(-1, 2)
+    ends = np.concatenate([inst.graph.edges for inst in instances])
     rows = ends + np.repeat(np.arange(count, dtype=np.int64) * width, edge_counts)[:, None]
     operator = np.zeros((count, width, width))
     flat = operator.reshape(count * width, width)
@@ -375,12 +364,7 @@ def build_batch(instances: list[Instance], config: NetworkConfig) -> GraphBatch:
         inv_sqrt = 1.0 / np.sqrt(np.where(mask, operator.sum(axis=2), 1.0))
         operator *= inv_sqrt[:, :, None]
         operator *= inv_sqrt[:, None, :]
-
-    batch.nodes = nodes
-    batch.operator = operator
-    batch.mask = mask
-    batch.sizes = sizes
-    return batch
+    return GraphBatch(count, fingerprints, nodes, operator, mask, sizes)
 
 
 def _buffer(workspace: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -860,13 +844,15 @@ def predict(instances: list[Instance], params: ModelParameters) -> np.ndarray:
     # before any block runs.
     _require_graphs(instances, params.config)
     n = len(instances)
-    blocks = max(1, n // _PREDICT_BLOCK_ROWS)
-    edges = [n * k // blocks for k in range(blocks + 1)]
     out = np.empty((n, params.config.output_dim))
+    if not n:
+        return out
+    blocks = max(1, n // _PREDICT_BLOCK_ROWS)
+    bounds = [n * k // blocks for k in range(blocks + 1)]
     workspace: dict[str, np.ndarray] = {}
     # An overflowing model is reported below as one error, not as warnings.
     with _single_thread_blas(), np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in zip(edges, edges[1:]):
+        for lo, hi in zip(bounds, bounds[1:]):
             batch = build_batch(instances[lo:hi], params.config)
             out[lo:hi] = forward(batch, params, workspace).y_pred
     bad = out.size - int(np.count_nonzero(np.isfinite(out)))

@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Fingerprint, MultiLabelDataset, _check_seed, _packed_rows
+from .data import Fingerprint, MultiLabelDataset, _check_seed, _packed_rows, _unpacked_rows
 from .metrics import irlbl, label_counts, mean_ir
 
 __all__ = [
@@ -363,11 +363,11 @@ def _block_votes(
     ``visits[b]`` rows of bag b are its seeds, and each seed votes with its
     k nearest bag neighbours by strict majority."""
     distinct, local = np.unique(rows, return_inverse=True)
-    sentinel = bytes(-(-dataset.fingerprint_width // 8))  # a zero row
+    width = dataset.fingerprint_width
+    sentinel = bytes(-(-width // 8))  # a zero row
     packed_of = attrgetter("fingerprint.packed")
     picked = map(packed_of, map(dataset.instances.__getitem__, distinct.tolist()))
-    packed = np.frombuffer(b"".join([*picked, sentinel]), dtype=np.uint8)
-    bits = np.unpackbits(packed.reshape(-1, len(sentinel)), axis=1, count=dataset.fingerprint_width)
+    bits = _unpacked_rows([*picked, sentinel], width)
     sets, row_set = np.unique(dataset.set_ids[distinct], return_inverse=True)
     present, table = _label_table(dataset, sets)
     row_set = np.append(row_set, sets.size)  # the sentinel row holds no label

@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
@@ -51,7 +50,9 @@ from .data import (
     MolecularGraph,
     MultiLabelDataset,
     _check_seed,
+    _integer,
     _packed_rows,
+    _readonly,
 )
 
 __all__ = ["SynthConfig", "generate", "allocate_counts"]
@@ -131,14 +132,6 @@ class SynthConfig:
         if doc["graph_nodes_range"] is not None:
             doc["graph_nodes_range"] = list(doc["graph_nodes_range"])
         return {"generator": doc}
-
-
-def _integer(name: str, value: object) -> int:
-    """An int; numpy integers pass, floats are refused, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def allocate_counts(weights: np.ndarray, total: int, cap: int) -> np.ndarray:
@@ -292,18 +285,17 @@ def _graph(rng: np.random.Generator, config: SynthConfig, label_shift: np.ndarra
            labels: tuple[int, ...]) -> MolecularGraph:
     """One instance's graph: size, node features shifted by its labels, a
     random tree (each node v > 0 joins a parent below it) and up to
-    size - 1 extra edges, repeats and self-pairs dropped."""
+    size - 1 extra edges, repeats and self-pairs dropped, as one array."""
     lo, hi = config.graph_nodes_range
     n_nodes = int(rng.integers(lo, hi + 1))
     feats = rng.normal(0.0, 1.0, size=(n_nodes, config.node_feature_dim))
     if labels:
         feats = feats + label_shift[list(labels)].sum(axis=0)
-    edges = list(zip(rng.integers(np.arange(1, n_nodes)).tolist(), range(1, n_nodes)))
-    present = set(edges)
+    # A dict keeps each pair once, in the order it was first drawn.
+    edges = dict.fromkeys(zip(rng.integers(np.arange(1, n_nodes)).tolist(), range(1, n_nodes)))
     extra = int(rng.integers(0, n_nodes))
     for u, v in rng.integers(n_nodes, size=(extra, 2)).tolist():
-        a, b = min(u, v), max(u, v)
-        if a != b and (a, b) not in present:
-            edges.append((a, b))
-            present.add((a, b))
-    return MolecularGraph._trusted(feats, tuple(edges))
+        if u != v:
+            edges[min(u, v), max(u, v)] = None
+    array = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
+    return MolecularGraph._trusted(feats, _readonly(array))

@@ -227,6 +227,20 @@ def test_error_classes(tmp_path, capsys):
     assert code == 2 and stderr.startswith("validation_error:")
 
 
+@pytest.mark.parametrize("value", [{}, "abc", None])
+def test_a_node_feature_that_is_not_a_number_is_one_parse_error(synth_dir, tmp_path, capsys, value):
+    lines = (synth_dir / "dataset.jsonl").read_text().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["graph"]["nodes"][0][0] = value
+    lines[2] = json.dumps(record) + "\n"
+    (tmp_path / "bad.jsonl").write_text("".join(lines))
+    (tmp_path / "bad.labels.tsv").write_text((synth_dir / "dataset.labels.tsv").read_text())
+    code, stdout, stderr = run(capsys, "metrics", "--data", str(tmp_path / "bad.jsonl"),
+                               "--out", str(tmp_path / "m"))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"parse_error: line 3 (instance {record['id']!r}): graph node features must be numbers\n"
+
+
 def test_bad_config_value(synth_dir, tmp_path, capsys):
     code, _, stderr = run(capsys, "oversample", "--data", str(synth_dir / "dataset.jsonl"),
                           "--method", "proposed", "--p", "1.5",

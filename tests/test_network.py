@@ -461,8 +461,17 @@ def test_blockwise_predict_matches_one_batch(input_mode):
     blocked = predict(instances, params)
     assert blocked.shape == whole.shape
     assert np.allclose(blocked, whole, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("input_mode", INPUT_MODES)
+def test_predict_on_no_rows_is_an_empty_output(input_mode, monkeypatch):
+    cfg = small_config(input_mode=input_mode)
+    params = init_parameters(cfg, 13)
+    monkeypatch.setattr(network, "build_batch", pytest.fail)  # no batch is built
+    out = predict([], params)
+    assert out.shape == (0, cfg.output_dim) and out.dtype == np.float64
     with pytest.raises(ValueError, match="cannot build a batch from zero instances"):
-        predict([], params)
+        build_batch([], cfg)
 
 
 def test_missing_graph_rejected_in_graph_modes():
