@@ -324,7 +324,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if len(dataset) == 0:
             raise ValueError("cannot evaluate an empty dataset")
         task = params.config.task
-        _check_targets(dataset, params.config, task)
+        _check_targets(dataset, params.config)
         targets = label_matrix(dataset) if task == "multilabel" else regression_matrix(dataset)
         scores = predict(dataset.instances, params)
         if task == "multilabel":

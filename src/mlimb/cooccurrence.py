@@ -6,13 +6,13 @@ export document is shaped for chord-diagram plotters. Snapshot comparison
 lines up per-label counts and SCUMBLE across an original dataset and any
 number of resampled variants sharing its vocabulary.
 
-Counts come from the dataset's table of distinct label sets: X has one 0/1
-row per set holding a subset label and one column per subset label, and W is
-X with each row multiplied by how many instances carry its set. Arc sizes
-are W's column sums and the joint counts the product W^T X, both summed over
-blocks of rows, so memory is bounded by a block and not by sets x subset
-labels. They are integer sums below 2**53, which float64 arithmetic computes
-exactly in any order.
+Arc sizes are the labels' instance counts, from ``metrics.label_counts``.
+Joint counts come from the dataset's table of distinct label sets: X has one
+0/1 row per set holding a subset label and one column per subset label, and
+W is X with each row multiplied by how many instances carry its set. The
+joint counts are the product W^T X, summed over blocks of rows, so memory is
+bounded by a block and not by sets x subset labels. They are integer sums
+below 2**53, which float64 arithmetic computes exactly in any order.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ def cooccurrence(
     opens = np.diff(owners, prepend=-1) != 0  # a set's first member
     rows = np.cumsum(opens) - 1
     weights = dataset.set_counts[owners[opens]].astype(np.float64)
-    arcs = np.zeros(ordered.size)
     joint = np.zeros((ordered.size, ordered.size))
     block = max(1, _BLOCK_VALUES // ordered.size)
     starts = range(0, weights.size, block)
@@ -98,15 +97,13 @@ def cooccurrence(
         x = np.zeros((min(block, weights.size - start), ordered.size))
         x[rows[lo:hi] - start, columns[lo:hi]] = 1.0
         w = x * weights[start:start + len(x), None]
-        arcs += w.sum(axis=0)
         joint += w.T @ x
-    arcs = arcs.astype(np.int64)
     joint = joint.astype(np.int64)
     a, b = np.nonzero(np.triu(joint, k=1))
     return CooccurrenceSummary(
         snapshot_name=snapshot_name,
         labels=subset,
-        arc_sizes=tuple(arcs[column[list(subset)]].tolist()),
+        arc_sizes=tuple(label_counts(dataset)[list(subset)].tolist()),
         links=tuple(zip(ordered[a].tolist(), ordered[b].tolist(), joint[a, b].tolist())),
     )
 

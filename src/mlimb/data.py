@@ -130,7 +130,7 @@ class Fingerprint:
 
     @property
     def bits(self) -> np.ndarray:
-        return _readonly(_unpacked_rows([self.packed], self.width)[0].copy())  # a fresh array, not a view
+        return _readonly(np.unpackbits(np.frombuffer(self.packed, np.uint8), count=self.width))
 
     def to_hex(self) -> str:
         """Hex encoding of the bit vector, most-significant-bit-first."""
@@ -252,7 +252,7 @@ class Instance:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError("instance id must be a non-empty string")
-        labels = tuple(int(l) for l in self.labels)
+        labels = tuple(_label_index(self.id, l) for l in self.labels)
         if len(set(labels)) != len(labels):
             raise ValidationError(f"instance {self.id!r}: duplicate label index")
         if any(l < 0 for l in labels):
@@ -280,6 +280,17 @@ class Instance:
         if self.fingerprint != other.fingerprint or self.graph != other.graph:
             return False
         return _same_targets(self.regression_targets, other.regression_targets)
+
+
+def _label_index(inst_id: str, label: object) -> int:
+    """A label index; numpy integers pass, bools and other non-integers are
+    refused, not converted."""
+    if not isinstance(label, bool):
+        try:
+            return index(label)
+        except TypeError:
+            pass
+    raise ValidationError(f"instance {inst_id!r}: label {label!r} is not an integer")
 
 
 def _same_targets(a: np.ndarray | None, b: np.ndarray | None) -> bool:

@@ -10,8 +10,6 @@ as one cloud.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -229,9 +227,6 @@ def scatter_csv(predictions: np.ndarray, targets: np.ndarray) -> str:
     t = np.asarray(targets, dtype=np.float64).ravel()
     if p.shape != t.shape:
         raise ValueError("prediction and target sizes differ")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["target", "prediction"])
-    for ti, pi in zip(t.tolist(), p.tolist()):
-        writer.writerow([repr(ti), repr(pi)])
-    return buf.getvalue()
+    lines = ["target,prediction"]
+    lines.extend(f"{ti!r},{pi!r}" for ti, pi in zip(t.tolist(), p.tolist()))
+    return "\n".join(lines) + "\n"

@@ -43,8 +43,6 @@ applied to one set.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -351,9 +349,7 @@ def imbalance_report(dataset: MultiLabelDataset) -> ImbalanceReport:
 
 def profile_csv(report: ImbalanceReport) -> str:
     """Two-column (rank, percent) CSV of the descending frequency profile."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "percent"])
-    for rank, percent in enumerate(report.sample_percent_profile, start=1):
-        writer.writerow([rank, repr(percent)])
-    return buf.getvalue()
+    lines = ["rank,percent"]
+    lines.extend(f"{rank},{percent!r}"
+                 for rank, percent in enumerate(report.sample_percent_profile, start=1))
+    return "\n".join(lines) + "\n"

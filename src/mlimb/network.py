@@ -494,32 +494,23 @@ def loss(y_pred: np.ndarray, targets: np.ndarray, task: str) -> float:
     return -float(np.mean(w))
 
 
-def _require_task(config: NetworkConfig, task: str) -> None:
-    if task != config.task:
-        raise ValueError(
-            f"head_mode {config.head_mode!r} trains task {config.task!r}, not {task!r}"
-        )
-
-
 def backward(
-    trace: ForwardTrace, targets: np.ndarray, params: ModelParameters, task: str,
+    trace: ForwardTrace, targets: np.ndarray, params: ModelParameters,
     workspace: dict[str, np.ndarray] | None = None,
 ) -> ModelParameters:
-    """Gradients of loss(forward(batch), targets) for every parameter tensor,
-    with scratch tensors in ``workspace`` (a fresh one when None).
-
-    Raises ValueError when the config's head does not serve ``task``.
+    """Gradients of loss(forward(batch), targets, task) for every parameter
+    tensor, where the task is the one the config's head trains, with scratch
+    tensors in ``workspace`` (a fresh one when None).
     """
     workspace = {} if workspace is None else workspace
     cfg = params.config
-    _require_task(cfg, task)
     _, dact = ACTIVATIONS[cfg.activation]
     grads = params.zeros_like()
     batch = trace.batch
 
     y = trace.y_pred
     dlogits = np.subtract(y, targets)
-    if task == "multilabel":
+    if cfg.task == "multilabel":
         # Through the sigmoid the clamped BCE gradient collapses to
         # (y - t) / n where the clamp is inactive, and 0 where it is active.
         dlogits /= y.size
@@ -593,12 +584,15 @@ def backward(
 
 
 def loss_and_gradients(
-    params: ModelParameters, batch: GraphBatch, targets: np.ndarray, task: str,
+    params: ModelParameters, batch: GraphBatch, targets: np.ndarray,
     workspace: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, ModelParameters]:
+    """Loss and gradients of one step on ``batch``, for the task the
+    config's head trains."""
     workspace = {} if workspace is None else workspace
     trace = forward(batch, params, workspace)
-    return loss(trace.y_pred, targets, task), backward(trace, targets, params, task, workspace)
+    value = loss(trace.y_pred, targets, params.config.task)
+    return value, backward(trace, targets, params, workspace)
 
 
 # ---------------------------------------------------------------------------
@@ -657,11 +651,10 @@ class TrainConfig:
         _check_seed(self.seed)
 
 
-def _check_targets(dataset: MultiLabelDataset, net: NetworkConfig, task: str) -> None:
-    """Fail, in one line, before training or evaluating when the head does
-    not serve the task or the dataset cannot supply its targets."""
-    _require_task(net, task)
-    if task == "multilabel":
+def _check_targets(dataset: MultiLabelDataset, net: NetworkConfig) -> None:
+    """Fail, in one line, before training or evaluating when the dataset
+    cannot supply the targets of the task the head trains."""
+    if net.task == "multilabel":
         if net.output_dim != dataset.label_count:
             raise ValueError(
                 f"model predicts {net.output_dim} labels, dataset has {dataset.label_count}"
@@ -740,12 +733,12 @@ def train(
     training loss (loss at the parameters each epoch started from).
 
     Targets are built per batch, so a minibatch run holds batch_size x
-    output_dim of them, never the whole dataset's. Raises ValueError before
-    the first update when the head does not serve the task, the dataset
-    cannot supply the task's targets or a graph input mode meets instances
-    without a graph; at the first non-finite loss, naming the epoch; and
-    when the last update leaves a parameter non-finite, so no caller saves a
-    non-finite checkpoint.
+    output_dim of them, never the whole dataset's. Each step reads its task
+    from ``net``, whose head must serve ``cfg.task``. Raises ValueError
+    before the first update when it does not, the dataset cannot supply the
+    task's targets or a graph input mode meets instances without a graph; at
+    the first non-finite loss, naming the epoch; and when the last update
+    leaves a parameter non-finite, so no caller saves a non-finite checkpoint.
     OpenBLAS runs on one thread meanwhile, so the result does not depend on
     the core count.
     """
@@ -765,7 +758,9 @@ def _train(
 ) -> tuple[ModelParameters, list[float]]:
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    _check_targets(dataset, net, cfg.task)
+    if cfg.task != net.task:
+        raise ValueError(f"head_mode {net.head_mode!r} trains task {net.task!r}, not {cfg.task!r}")
+    _check_targets(dataset, net)
     _require_graphs(dataset.instances, net)
     target_rows = label_matrix if cfg.task == "multilabel" else regression_matrix
     rng = np.random.default_rng(cfg.seed)
@@ -781,7 +776,7 @@ def _train(
             batch = build_batch(dataset.instances, net)
             targets = target_rows(dataset)
             for epoch in range(1, cfg.epochs + 1):
-                value, grads = loss_and_gradients(params, batch, targets, cfg.task, workspace)
+                value, grads = loss_and_gradients(params, batch, targets, workspace)
                 curve.append(_finite_loss(value, epoch, cfg))
                 _apply_update(params, grads, velocity, cfg)
             return params, curve
@@ -795,7 +790,7 @@ def _train(
                 sub = [dataset.instances[i] for i in chunk]
                 batch = build_batch(sub, net)
                 value, grads = loss_and_gradients(
-                    params, batch, target_rows(dataset, sub), cfg.task, workspace)
+                    params, batch, target_rows(dataset, sub), workspace)
                 epoch_sum += _finite_loss(value, epoch, cfg) * chunk.size
                 _apply_update(params, grads, velocity, cfg)
             curve.append(epoch_sum / order.size)

@@ -267,7 +267,7 @@ def test_06_gradient_sweep_both_heads_all_readouts():
                 targets = rng.integers(0, 2, size=(3, 3)).astype(np.float64)
             else:
                 targets = rng.normal(size=(3, 3))
-            _, analytic = loss_and_gradients(params, batch, targets, task)
+            _, analytic = loss_and_gradients(params, batch, targets)
             numeric = numerical_gradients(params, batch, targets, task)
             rel = max_relative_error(analytic, numeric)
             worst = max(worst, rel)

@@ -424,6 +424,22 @@ def test_default_vocabulary_path_is_sibling():
 # Dataset-level validation
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("labels", [
+    (0.7, 2.9), (True, 2), ("3",), (1, np.float64(2.0)), (np.True_,),
+], ids=["float", "bool", "str", "numpy-float", "numpy-bool"])
+def test_instance_refuses_a_label_that_is_not_an_integer(labels):
+    bad = next(l for l in labels if type(l) is not int)
+    with pytest.raises(ValidationError,
+                       match=f"^instance 'a': label {re.escape(repr(bad))} is not an integer$"):
+        Instance(id="a", fingerprint=Fingerprint([1, 0]), labels=labels)
+
+
+def test_instance_takes_numpy_integer_labels_as_ints():
+    inst = Instance(id="a", fingerprint=Fingerprint([1, 0]), labels=(np.int64(3), np.uint8(1)))
+    assert inst.labels == (1, 3)
+    assert all(type(l) is int for l in inst.labels)
+
+
 def test_dataset_rejects_mixed_fingerprint_widths():
     vocab = LabelVocabulary(("a",))
     good = Instance(id="x", fingerprint=Fingerprint(np.zeros(8, dtype=np.uint8)), labels=())

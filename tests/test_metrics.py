@@ -1,5 +1,8 @@
 """Imbalance statistics against hand oracles and algebraic invariants."""
 
+import csv
+import dataclasses
+import io
 import math
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlimb.data import Fingerprint, Instance, LabelVocabulary, MultiLabelDataset, split_dataset
+from mlimb.evaluation import scatter_csv
 from mlimb.metrics import (
     cardinality,
     imbalance_report,
@@ -164,6 +168,23 @@ def test_report_json_and_profile_csv():
     lines = csv_text.splitlines()
     assert lines[0] == "rank,percent"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("writer", ["profile", "scatter"])
+def test_two_column_csv_matches_the_csv_module(writer):
+    # Ints and float reprs never need quoting, so joining them with commas
+    # gives the csv module's bytes.
+    values = [math.nan, math.inf, -math.inf, -0.0, 1e-05, 1e16]
+    if writer == "profile":
+        report = dataclasses.replace(imbalance_report(SEVEN), sample_percent_profile=tuple(values))
+        text = profile_csv(report)
+        rows = [["rank", "percent"]] + [[rank, repr(v)] for rank, v in enumerate(values, start=1)]
+    else:
+        text = scatter_csv(np.array(values[::-1]), np.array(values))
+        rows = [["target", "prediction"]] + [[repr(t), repr(p)] for t, p in zip(values, values[::-1])]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert text == buf.getvalue()
 
 
 def test_report_empty_dataset_raises():

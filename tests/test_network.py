@@ -273,7 +273,7 @@ def test_bce_clamp_keeps_loss_and_gradients_finite():
     assert preds[:, 0].min() == 1.0 and preds[:, 1].max() < 1e-100
     # Every target on the wrong side, so every entry is clamped.
     targets = np.array([[0, 1], [0, 1], [0, 1]], dtype=np.float64)
-    value, grads = loss_and_gradients(params, batch, targets, "multilabel")
+    value, grads = loss_and_gradients(params, batch, targets)
     assert math.isfinite(value)
     assert value == pytest.approx(-math.log(BCE_EPS), rel=1e-6)
     for _, g in grads.named_tensors():
@@ -316,8 +316,8 @@ def test_backward_takes_bool_targets_as_their_0_1_values(head):
     batch = build_batch(small_instances(rng, 6, cfg), cfg)
     targets = rng.random((6, 5)) < 0.4
     trace = forward(batch, params)
-    from_bool = backward(trace, targets, params, cfg.task)
-    from_float = backward(trace, targets.astype(np.float64), params, cfg.task)
+    from_bool = backward(trace, targets, params)
+    from_float = backward(trace, targets.astype(np.float64), params)
     for (name, a), (_, b) in zip(from_bool.named_tensors(), from_float.named_tensors()):
         assert np.array_equal(a, b), name
 
@@ -337,7 +337,7 @@ def test_zero_loss_means_zero_gradients():
     rng = np.random.default_rng(7)
     batch = build_batch(small_instances(rng, 4, cfg), cfg)
     targets = forward(batch, params).y_pred.copy()
-    value, grads = loss_and_gradients(params, batch, targets, "multiregression")
+    value, grads = loss_and_gradients(params, batch, targets)
     assert value == 0.0
     for _, g in grads.named_tensors():
         assert not g.any()
@@ -367,7 +367,7 @@ def test_gradients_match_finite_differences(head, task, readout_mode, activation
         targets = rng.integers(0, 2, size=(3, cfg.output_dim)).astype(np.float64)
     else:
         targets = rng.normal(size=(3, cfg.output_dim))
-    _, analytic = loss_and_gradients(params, batch, targets, task)
+    _, analytic = loss_and_gradients(params, batch, targets)
     # The activations write in place, but never into the batch.
     for before, after in zip(inputs, (batch.nodes, batch.operator, batch.fingerprints)):
         assert np.array_equal(before, after)
@@ -381,7 +381,7 @@ def test_gradcheck_fingerprint_only_mode():
     params = init_parameters(cfg, rng)
     batch = build_batch(small_instances(rng, 4, cfg, with_graph=False), cfg)
     targets = rng.integers(0, 2, size=(4, cfg.output_dim)).astype(np.float64)
-    _, analytic = loss_and_gradients(params, batch, targets, "multilabel")
+    _, analytic = loss_and_gradients(params, batch, targets)
     numeric = numerical_gradients(params, batch, targets, "multilabel")
     assert max_relative_error(analytic, numeric) < 1e-4
     # The unused graph path receives exactly zero gradient.
@@ -665,16 +665,6 @@ def test_train_refuses_a_head_that_does_not_serve_the_task(monkeypatch, head, se
         train(d, cfg, TrainConfig(task=task, epochs=3))
 
 
-@MISMATCHED
-def test_backward_refuses_a_task_its_head_does_not_serve(head, served, task):
-    cfg = small_config(head_mode=head)
-    params = init_parameters(cfg, 5)
-    batch = build_batch(small_instances(np.random.default_rng(5), 3, cfg), cfg)
-    with pytest.raises(ValueError, match=f"^head_mode '{head}' trains task '{served}', "
-                                         f"not '{task}'$"):
-        backward(forward(batch, params), np.zeros((3, 2)), params, task)
-
-
 # Recorded from the implementation that built every target row up front.
 @pytest.mark.parametrize("task, batch_size, digest", [
     ("multilabel", 7, "1d256ce53bf449926821ed6099b4c797747ca12f8687f49b3054856932eb2f72"),
@@ -791,7 +781,7 @@ def test_multilabel_loss_allocates_one_output_sized_buffer(wide_step):
 
 def test_training_step_memory_is_a_few_output_sized_arrays(wide_step):
     params, batch, targets, dense = wide_step
-    step = lambda: loss_and_gradients(params, batch, targets, "multilabel")
+    step = lambda: loss_and_gradients(params, batch, targets)
     assert traced_peak(step) < 5 * dense
 
 
@@ -815,7 +805,7 @@ def test_training_step_keeps_no_pre_activations(node_step, activation):
                         fingerprint_width=d.fingerprint_width, output_dim=d.label_count,
                         hidden_dims=(32, 32), fuse_dim=32, activation=activation)
     params, batch = init_parameters(cfg, 0), build_batch(d.instances, cfg)
-    step = lambda: loss_and_gradients(params, batch, targets, "multilabel")
+    step = lambda: loss_and_gradients(params, batch, targets)
     assert traced_peak(step) < 9 * node_tensor
 
 
@@ -860,7 +850,7 @@ def test_one_shot_step_runs_in_one_workspace(node_step, activation, readout_mode
     d, targets, node_tensor = node_step
     cfg = node_config(d, activation=activation, readout_mode=readout_mode)
     params, batch = init_parameters(cfg, 0), build_batch(d.instances, cfg)
-    step = lambda: loss_and_gradients(params, batch, targets, "multilabel")
+    step = lambda: loss_and_gradients(params, batch, targets)
     assert traced_peak(step) < 4.5 * node_tensor
 
 
@@ -868,9 +858,9 @@ def test_one_shot_step_runs_in_one_workspace(node_step, activation, readout_mode
 def test_training_workspace_is_scratch_and_one_buffer_per_layer(monkeypatch, node_step, hidden):
     workspaces = []
 
-    def recording(trace, targets, params, task, workspace=None, _backward=network.backward):
+    def recording(trace, targets, params, workspace=None, _backward=network.backward):
         workspaces.append(workspace)
-        return _backward(trace, targets, params, task, workspace)
+        return _backward(trace, targets, params, workspace)
 
     monkeypatch.setattr(network, "backward", recording)
     d, _, _ = node_step
@@ -901,10 +891,10 @@ def test_a_reused_workspace_gives_the_bits_of_fresh_calls(readout_mode, activati
         batch = build_batch(path_instances(rng, node_counts, cfg), cfg)
         targets = rng.integers(0, 2, size=(batch.instance_count, cfg.output_dim))
         trace = forward(batch, params, workspace)
-        grads = backward(trace, targets, params, "multilabel", workspace)
+        grads = backward(trace, targets, params, workspace)
         fresh = forward(batch, params)
         assert np.array_equal(trace.y_pred, fresh.y_pred)
-        assert np.array_equal(grads.vector, backward(fresh, targets, params, "multilabel").vector)
+        assert np.array_equal(grads.vector, backward(fresh, targets, params).vector)
 
 
 def test_train_and_predict_step_through_the_public_step_functions(monkeypatch):
