@@ -273,11 +273,15 @@ def _network_config(args: argparse.Namespace, dataset: MultiLabelDataset) -> Net
         # A dataset without regression targets still gets a valid config;
         # train's target gate then rejects it, in eval's words.
         output_dim = max(dataset.regression_width, 1)
+    widths = args.hidden.split(",")
+    if not all(w.strip().isdecimal() and int(w) > 0 for w in widths):
+        raise ValueError(
+            f"--hidden takes comma-separated positive integer widths, got {args.hidden!r}")
     return NetworkConfig(
         node_feature_dim=dataset.node_feature_dim,
         fingerprint_width=dataset.fingerprint_width,
         output_dim=output_dim,
-        hidden_dims=tuple(int(h) for h in args.hidden.split(",")),
+        hidden_dims=tuple(map(int, widths)),
         fuse_dim=args.fuse_dim,
         activation=args.activation,
         readout_mode=args.readout,

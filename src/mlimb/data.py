@@ -14,10 +14,11 @@ A dataset made from another (a split or an oversampling result) builds its
 label-set table and set ids at once, and its row list when ``instances`` is
 first read: a split gathers its source's own ``Instance`` objects; an
 oversampling result is its input's rows followed by new rows that share
-their source's fingerprint, graph and targets, their ids minted and checked
-then. So statistics over a result build no row object. The list is read-only
-by convention: build a new dataset with ``with_instances`` instead of
-mutating it.
+their source's fingerprint, graph and targets, their ids minted then
+(``_mint_ids``). So statistics over a result build no row object. Neither
+revalidates its rows: a split's are its source's, and the resampling methods
+make only rows that hold. The list is read-only by convention: build a new
+dataset with ``with_instances`` instead of mutating it.
 
 File format. A dataset file is one JSON document per line: a header carrying
 the dataset-level dimensions, followed by one record per instance. Label
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 from operator import attrgetter, index
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -311,14 +312,21 @@ class _SetIndex(dict):
         return np.fromiter(map(self.__getitem__, label_sets), dtype=np.intp)
 
 
-def _check_new_ids(new_ids: Iterable[str], taken: frozenset[str]) -> None:
-    """Raise for the first of ``new_ids`` that repeats an id of ``taken`` or
-    an earlier new id."""
-    seen: set[str] = set()
-    for inst_id in new_ids:
-        if inst_id in taken or inst_id in seen:
-            raise ValidationError(f"instance {inst_id!r}: duplicate instance id")
-        seen.add(inst_id)
+def _mint_ids(origins: list[str], tag: str, taken: frozenset[str]) -> list[str]:
+    """One new id per id of ``origins``, in order: ``<origin>::<tag><j>``, j
+    the origin's next serial, counting from 1 along the list, whose id
+    ``taken`` does not hold. The same list always mints the same ids, and
+    they are new and distinct: the suffix after the last ``::`` holds no
+    colon, so two origins never mint the same id."""
+    serials: dict[str, int] = {}
+    minted = []
+    for origin in origins:
+        j = serials.get(origin, 0) + 1
+        while f"{origin}::{tag}{j}" in taken:
+            j += 1
+        serials[origin] = j
+        minted.append(f"{origin}::{tag}{j}")
+    return minted
 
 
 def _integer(name: str, value: object) -> int:
@@ -386,12 +394,16 @@ class MultiLabelDataset:
         ids, labels = (tuple(map(attrgetter(name), rows)) for name in ("id", "labels"))
         held = frozenset(ids)
         if len(held) != len(ids):
-            _check_new_ids(ids, frozenset())
+            seen: set[str] = set()
+            for inst_id in ids:
+                if inst_id in seen:
+                    raise ValidationError(f"instance {inst_id!r}: duplicate instance id")
+                seen.add(inst_id)
         index = _SetIndex()
         set_ids = index.ids_of(labels)
         self._store(tuple(index), set_ids)
         self._id_set = held
-        self._check_rows(ids.__getitem__, labels, *(
+        self._check_rows(ids, labels, *(
             map(attrgetter(name), rows) for name in ("fingerprint", "graph", "regression_targets")))
 
     def _store(self, label_sets, set_ids) -> None:
@@ -402,36 +414,35 @@ class MultiLabelDataset:
         self._set_counts: np.ndarray | None = None
         self._set_members: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _check_rows(self, id_of, label_sets, fingerprints, graphs, targets) -> None:
+    def _check_rows(self, ids, label_sets, fingerprints, graphs, targets) -> None:
         """Dataset-level checks, other than unique ids, of the given rows in
-        order; ``id_of(i)`` is the id of row i, asked for only to name a
-        failing row."""
+        order; ``ids`` name a failing row."""
         label_count = len(self.vocabulary)
         width, node_dim, reg_width = (
             self.fingerprint_width, self.node_feature_dim, self.regression_width)
-        for row, labels, fingerprint, graph, reg in zip(
-            count(), label_sets, fingerprints, graphs, targets
+        for inst_id, labels, fingerprint, graph, reg in zip(
+            ids, label_sets, fingerprints, graphs, targets
         ):
             if labels and labels[-1] >= label_count:
                 raise ValidationError(
-                    f"instance {id_of(row)!r}: label index {labels[-1]} outside vocabulary of size {label_count}"
+                    f"instance {inst_id!r}: label index {labels[-1]} outside vocabulary of size {label_count}"
                 )
             if fingerprint.width != width:
                 raise ValidationError(
-                    f"instance {id_of(row)!r}: fingerprint width {fingerprint.width} != declared {width}"
+                    f"instance {inst_id!r}: fingerprint width {fingerprint.width} != declared {width}"
                 )
             if graph is not None and graph.feature_dim != node_dim:
                 raise ValidationError(
-                    f"instance {id_of(row)!r}: node feature dim {graph.feature_dim} != declared {node_dim}"
+                    f"instance {inst_id!r}: node feature dim {graph.feature_dim} != declared {node_dim}"
                 )
             if reg is not None:
                 if reg_width == 0:
                     raise ValidationError(
-                        f"instance {id_of(row)!r}: regression targets present but regression_width is 0"
+                        f"instance {inst_id!r}: regression targets present but regression_width is 0"
                     )
                 if reg.size != reg_width:
                     raise ValidationError(
-                        f"instance {id_of(row)!r}: regression width {reg.size} != declared {reg_width}"
+                        f"instance {inst_id!r}: regression width {reg.size} != declared {reg_width}"
                     )
 
     def _derived(self, rows, label_sets, set_ids) -> "MultiLabelDataset":
@@ -465,28 +476,23 @@ class MultiLabelDataset:
             renumber[inverse],
         )
 
-    def _new_ids(self, sources: np.ndarray, mint) -> tuple[list[str], list[str]]:
+    def _new_ids(self, sources: np.ndarray, tag: str) -> tuple[list[str], list[str]]:
         """Ids and origins of new rows made from this dataset's rows
-        ``sources``: the origins are the sources' ids, and ``mint`` makes the
-        new ids from them. The ids are checked to be new."""
+        ``sources``: the origins are the sources' ids, and the ids are minted
+        from them with ``tag`` (``_mint_ids``)."""
         rows = self.instances
         origins = [rows[s].id for s in sources.tolist()]
-        new_ids = list(mint(origins))
-        taken = self.id_set
-        if not taken.isdisjoint(new_ids) or len(set(new_ids)) != len(new_ids):
-            _check_new_ids(new_ids, taken)
-        return new_ids, origins
+        return _mint_ids(origins, tag, self.id_set), origins
 
-    def _with_copies(self, rows: np.ndarray, mint) -> "MultiLabelDataset":
+    def _with_copies(self, rows: np.ndarray, tag: str) -> "MultiLabelDataset":
         """This dataset followed by copies of its rows ``rows``, each with its
-        source's id as origin and an id that ``mint`` makes from the origins
-        (a list of ids in, one new id each out). Copies share every object
-        with their source and are not revalidated; they are built when
-        ``instances`` is first read."""
+        source's id as origin and an id minted with ``tag``. Copies share
+        every object with their source and are not revalidated; they are
+        built when ``instances`` is first read."""
         rows = np.asarray(rows, dtype=np.intp)
 
         def copied() -> list[Instance]:
-            new_ids, origins = self._new_ids(rows, mint)
+            new_ids, origins = self._new_ids(rows, tag)
             held, pick = self.instances, rows.tolist()
             return held + [
                 Instance._trusted(new_id, src.fingerprint, src.labels, src.graph,
@@ -498,38 +504,29 @@ class MultiLabelDataset:
                              np.concatenate([self._set_ids, self._set_ids[rows]]))
 
     def _append(self, fingerprints: list[Fingerprint], label_sets: list[tuple[int, ...]],
-                sources: np.ndarray, repeats: np.ndarray, mint) -> "MultiLabelDataset":
+                sources: np.ndarray, repeats: np.ndarray, tag: str) -> "MultiLabelDataset":
         """This dataset followed by new rows without graph or regression
-        targets: row i has ``fingerprints[i]`` and ``label_sets[i]`` (sorted
-        and free of repeats) and the id of row ``sources[i]`` of this dataset
-        as origin; then, for each j in turn, row ``repeats[j]`` of them again.
-        ``mint`` makes the new rows' ids from their origins (a list of
-        ids in, one new id each out), all in one call.
+        targets: row i has ``fingerprints[i]`` and ``label_sets[i]`` and the id
+        of row ``sources[i]`` of this dataset as origin; then, for each j in
+        turn, row ``repeats[j]`` of them again. The new rows' ids are minted
+        with ``tag``, all in one call.
 
-        Only the given rows are validated, now: the set of their fingerprint
-        widths, and the largest label of each label set new to the table. When
-        either fails, the row-by-row check names the first failing row, with
-        its id minted for the message alone. The rows are built when
-        ``instances`` is first read, their ids checked to be new then."""
+        The rows are not validated: each fingerprint must have this dataset's
+        width, and each label set must be sorted, free of repeats and within
+        the vocabulary. The rows are built when ``instances`` is first read."""
         picks = np.concatenate([np.arange(len(fingerprints)), repeats]).astype(np.intp)
         row_sources = np.asarray(sources, dtype=np.intp)[picks]
         index = _SetIndex(zip(self._label_sets, range(len(self._label_sets))))
         set_ids = index.ids_of(label_sets)
-        table = tuple(index)
-        new_sets = table[len(self._label_sets):]
-        if ({*map(attrgetter("width"), fingerprints)} - {self.fingerprint_width}
-                or max((s[-1] for s in new_sets if s), default=-1) >= self.label_count):
-            self._check_rows(lambda row: self._new_ids(row_sources, mint)[0][row],
-                             label_sets, fingerprints, repeat(None), repeat(None))
 
         def appended() -> list[Instance]:
-            new_ids, origins = self._new_ids(row_sources, mint)
+            new_ids, origins = self._new_ids(row_sources, tag)
             pick = picks.tolist()
             return self.instances + list(map(
                 Instance._trusted, new_ids, map(fingerprints.__getitem__, pick),
                 map(label_sets.__getitem__, pick), repeat(None), repeat(None), origins))
 
-        return self._derived(appended, table,
+        return self._derived(appended, tuple(index),
                              np.concatenate([self._set_ids, set_ids[picks]]))
 
     def __getattr__(self, name: str):
@@ -851,6 +848,7 @@ def split_dataset(
     """Deterministic disjoint train/test partition with |test| = round(f * |D|)."""
     if not (0.0 < test_fraction < 1.0):
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    _check_seed(seed)
     n = len(dataset)
     if n < 2:
         raise ValueError("split requires at least 2 instances")

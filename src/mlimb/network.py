@@ -38,7 +38,7 @@ gradient has the same bits. Every (B, Nmax, D) node tensor lives in a
 workspace that ``train`` and ``predict`` allocate once per call and reuse
 across epochs, minibatches and prediction blocks: one activation buffer per
 layer and one scratch tensor (propagated inputs, the readout's masked
-copies, derivatives). Backward writes each node gradient into the buffer of
+copy, derivatives). Backward writes each node gradient into the buffer of
 an activation it has finished reading.
 """
 
@@ -387,7 +387,8 @@ class ForwardTrace:
     input A_hat H^(k-1) that the weight gradient reads. The activations are
     views into the workspace of the pass, valid only until ``backward`` or
     the next ``forward`` runs on that workspace: backward writes its node
-    gradients over them.
+    gradients over them. Under the mean readouts H^(K)'s padding rows are
+    zero, not act(bias): the mean sums H^(K) itself.
     """
 
     batch: GraphBatch
@@ -422,12 +423,11 @@ def forward(
             h = act(p).reshape(b, width, -1)
             trace.hidden.append(h)
         # Padding rows hold act(bias); the readouts mask them out. The mean
-        # sums a (B, Nmax, D) masked copy along its nodes, in node order.
+        # zeroes them in H^(K) itself and sums it along its nodes, in node
+        # order; backward multiplies their derivative by a zero gradient.
         if cfg.readout_mode != "max_plus_min":
-            masked = _buffer(workspace, "scratch", h.shape)
-            np.copyto(masked, h)
-            np.copyto(masked, 0.0, where=~batch.mask[:, :, None])
-            meanv = masked.sum(axis=1) / batch.sizes[:, None]
+            np.copyto(h, 0.0, where=~batch.mask[:, :, None])
+            meanv = h.sum(axis=1) / batch.sizes[:, None]
         # argmax and argmin search a (B, D, Nmax) masked copy along its last,
         # contiguous axis, so numpy copies nothing; each returns the first
         # extreme node, the row backward routes to.
@@ -640,14 +640,17 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
+        object.__setattr__(self, "epochs", _integer("epochs", self.epochs))
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if not (0.0 < self.learning_rate < math.inf):
             raise ValueError("learning_rate must be positive and finite")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be positive when given")
+        if self.batch_size is not None:
+            object.__setattr__(self, "batch_size", _integer("batch_size", self.batch_size))
+            if self.batch_size < 1:
+                raise ValueError("batch_size must be positive when given")
         _check_seed(self.seed)
 
 

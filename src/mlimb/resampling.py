@@ -31,17 +31,19 @@ Two methods share one interface:
 
 Results are the input's rows followed by new ones (see ``mlimb.data``):
 copies and replays are index arrays into the input's rows or the round's
-synthetics, sharing every object with their source, and only mlsmote's
-synthetics are validated, when they are made. A result's new rows are built
-only when its ``instances`` is first read, their ids minted in one call over
-all of them in order; statistics, which read the label-set table, never make
-them. A method that adds nothing returns its input. mlsmote's lookup of
-distinct synthetics is per-synthetic Python.
+synthetics, sharing every object with their source. No new row is
+validated: a copy is a valid row again, and a synthetic has the input's
+fingerprint width and a sorted set of labels the input holds. A result's new
+rows are built only when its ``instances`` is first read, their ids minted
+in one call over all of them in order; statistics, which read the label-set
+table, never make them. A method that adds nothing returns its input.
+mlsmote's lookup of distinct synthetics is per-synthetic Python.
 
-Copies and synthetics get fresh ids (source id plus a ``::p<j>`` / ``::s<j>``
-suffix, j the source's next serial whose id the dataset does not hold) and
-carry origin = source id. Original instances are never modified
-and keep their positions; new instances are appended after them.
+Copies and synthetics get fresh ids, which ``mlimb.data`` mints from the
+method's tag (source id plus a ``::p<j>`` / ``::s<j>`` suffix, j the source's
+next serial whose id the dataset does not hold), and carry origin = source
+id. Original instances are never modified and keep their positions; new
+instances are appended after them.
 """
 
 from __future__ import annotations
@@ -49,11 +51,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable
 
 import numpy as np
 
-from .data import Fingerprint, MultiLabelDataset, _check_seed, _packed_rows, _unpacked_rows
+from .data import (Fingerprint, MultiLabelDataset, _check_seed, _integer, _packed_rows,
+                   _unpacked_rows)
 from .metrics import irlbl, label_counts, mean_ir
 
 __all__ = [
@@ -89,10 +91,11 @@ class ResampleConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not (0.0 <= self.p <= 1.0):
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if self.r < 1:
-            raise ValueError(f"r must be a positive integer, got {self.r}")
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        for name in ("r", "k"):
+            value = _integer(name, getattr(self, name))
+            if value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value}")
+            object.__setattr__(self, name, value)
         _check_seed(self.seed)
 
 
@@ -185,31 +188,6 @@ def _unchanged(
     )
 
 
-def _id_minter(dataset: MultiLabelDataset, tag: str) -> Callable[[list[str]], list[str]]:
-    """Mints one id per source id of a list, in one call over all of a
-    result's new rows: ``<src>::<tag><j>`` with a per-source serial j
-    counting from 1 along the list, skipping ids the dataset already holds.
-    Each call starts afresh, so the same list always mints the same ids. Two
-    sources never mint the same id, since the suffix after the last ``::``
-    holds no colon."""
-
-    def mint(sources: list[str]) -> list[str]:
-        taken = dataset.id_set
-        serials: dict[str, int] = {}
-        minted = []
-        for src_id in sources:
-            j = serials.get(src_id, 0) + 1
-            new_id = f"{src_id}::{tag}{j}"
-            while new_id in taken:
-                j += 1
-                new_id = f"{src_id}::{tag}{j}"
-            serials[src_id] = j
-            minted.append(new_id)
-        return minted
-
-    return mint
-
-
 def oversample_proposed(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutcome:
     """Select the floor((p/r)*|D|) most minority-heavy instances and append r
     verbatim copies of each (fresh ids, origin = source id)."""
@@ -238,7 +216,7 @@ def oversample_proposed(dataset: MultiLabelDataset, config: ResampleConfig) -> R
 
     selected_rows = map(dataset.instances.__getitem__, selected.tolist())
     return ResampleOutcome(
-        dataset=dataset._with_copies(np.repeat(selected, config.r), _id_minter(dataset, "p")),
+        dataset=dataset._with_copies(np.repeat(selected, config.r), "p"),
         method="proposed",
         added_count=take * config.r,
         minority_label_count=len(minority),
@@ -454,7 +432,7 @@ def mlsmote(dataset: MultiLabelDataset, config: ResampleConfig) -> ResampleOutco
     # The round's synthetics, each with its seed as origin, then the replays:
     # the round's rows again, under the seeds' next ids.
     replayed = np.arange(len(seeds), budget if round_size else 0) % max(round_size, 1)
-    result = dataset._append(fingerprints, label_sets, seeds, replayed, _id_minter(dataset, "s"))
+    result = dataset._append(fingerprints, label_sets, seeds, replayed, "s")
     added = len(result) - len(dataset)
     bag_of_visit = np.repeat(np.flatnonzero(usable), sizes)
     counts = np.bincount(bag_of_visit[np.arange(added) % max(round_size, 1)],

@@ -276,6 +276,16 @@ def test_multiregression_without_targets_fails(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("hidden", ["8,,8", "8,x", "8,0"])
+def test_train_names_a_bad_hidden_list(hidden, synth_dir, tmp_path, capsys):
+    code, stdout, stderr = run(capsys, "train", "--data", str(synth_dir / "dataset.jsonl"),
+                               "--task", "multilabel", "--epochs", "1", "--hidden", hidden,
+                               "--model-out", str(tmp_path / "m.json"))
+    assert (code, stdout, stderr) == (2, "", "config_error: --hidden takes comma-separated "
+                                      f"positive integer widths, got '{hidden}'\n")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_eval_label_count_mismatch(synth_dir, tmp_path, capsys):
     model = tmp_path / "model.json"
     run(capsys, "train", "--data", str(synth_dir / "dataset.jsonl"),

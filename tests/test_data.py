@@ -26,6 +26,7 @@ from mlimb.data import (
     parse_vocabulary,
     split_dataset,
     write_dataset,
+    _mint_ids,
     _unpacked_rows,
 )
 from mlimb.synth import SynthConfig, generate
@@ -496,89 +497,60 @@ def test_gathered_rows_equal_constructed_rows():
         rows = rng.permutation(n)[: int(rng.integers(0, n + 1))]
         assert_same_dataset(dataset._take(rows), rebuilt(dataset, rows))
         copied = rng.integers(0, n, size=int(rng.integers(0, 2 * n + 1)))
-        ids = [f"{dataset.ids[i]}::c{j}" for j, i in enumerate(copied)]
+        ids = [f"{dataset.ids[i]}::p{(copied[:j + 1] == i).sum()}" for j, i in enumerate(copied)]
         origins = [dataset.ids[i] for i in copied]
         expected = dataset.with_instances(list(dataset.instances) + [
             Instance(id=new_id, fingerprint=src.fingerprint, labels=src.labels, graph=src.graph,
                      regression_targets=src.regression_targets, origin=origin)
             for new_id, origin, src in zip(ids, origins, (dataset.instances[i] for i in copied))
         ])
-        mint = lambda sources: [f"{src_id}::c{j}" for j, src_id in enumerate(sources)]
-        assert_same_dataset(dataset._with_copies(copied, mint), expected)
+        assert_same_dataset(dataset._with_copies(copied, "p"), expected)
 
 
 def test_appended_rows_equal_constructed_rows():
     rng = np.random.default_rng(71)
-    mint = lambda sources: [f"new{j}" for j in range(len(sources))]
     for _ in range(60):
         dataset = random_dataset(rng, max_instances=20, max_labels=6)
         new = [
-            Instance(id=f"new{j}",
+            Instance(id=f"{dataset.ids[0]}::s{j + 1}",
                      fingerprint=Fingerprint(rng.integers(0, 2, dataset.fingerprint_width)),
                      labels=tuple(np.flatnonzero(rng.random(dataset.label_count) < 0.4).tolist()),
                      origin=dataset.ids[0])
             for j in range(int(rng.integers(0, 8)))
         ]
         repeats = rng.integers(0, max(len(new), 1), size=int(rng.integers(0, 8)) if new else 0)
-        repeated = [Instance(id=f"new{len(new) + j}", fingerprint=new[r].fingerprint,
+        repeated = [Instance(id=f"{dataset.ids[0]}::s{len(new) + j + 1}",
+                             fingerprint=new[r].fingerprint,
                              labels=new[r].labels, origin=new[r].origin)
                     for j, r in enumerate(repeats.tolist())]
         appended = dataset._append([i.fingerprint for i in new], [i.labels for i in new],
-                                   np.zeros(len(new), dtype=np.intp), repeats, mint)
+                                   np.zeros(len(new), dtype=np.intp), repeats, "s")
         assert_same_dataset(appended,
                             dataset.with_instances(list(dataset.instances) + new + repeated))
 
 
-@pytest.mark.parametrize("case", ["duplicate id", "label outside vocabulary", "width"])
-def test_append_rejects_new_rows_as_the_constructor_does(case):
-    dataset = make_plain(3)
-    fingerprint = Fingerprint(np.zeros(4, dtype=np.uint8))
-    labels = (1,)
-    new_id = "fresh"
-    if case == "duplicate id":
-        new_id = "i1"
-    elif case == "label outside vocabulary":
-        labels = (0, 5)
-    else:
-        fingerprint = Fingerprint(np.zeros(6, dtype=np.uint8))
-    row = Instance(id=new_id, fingerprint=fingerprint, labels=labels)
-    with pytest.raises(ValidationError) as public:
-        dataset.with_instances(list(dataset.instances) + [row])
-    with pytest.raises(ValidationError) as appended:
-        # A duplicate id shows when the ids are built, on first read.
-        dataset._append([fingerprint], [labels], np.zeros(1, dtype=np.intp), np.arange(0),
-                        lambda sources: [new_id]).ids
-    assert str(appended.value) == str(public.value)
+# Ids that already hold a minted suffix, so a new id can collide with one.
+held_ids = st.lists(
+    st.builds("".join, st.lists(st.sampled_from(["a", "b", ":", "::p1", "::s1", "::p2", "::s2"]),
+                                min_size=1, max_size=4)),
+    min_size=1, max_size=8, unique=True)
 
 
-@pytest.mark.parametrize("case, message", [
-    ("width", "instance 'new3': fingerprint width 6 != declared 4"),
-    ("label", "instance 'new3': label index 2 outside vocabulary of size 2"),
-])
-def test_append_names_the_first_failing_row_after_valid_ones(case, message):
-    # Valid rows share one fingerprint object, as mlsmote's equal synthetics do.
-    dataset = make_plain(3)
-    valid = Fingerprint(np.zeros(4, dtype=np.uint8))
-    fingerprints = [valid, valid, valid, valid, valid]
-    label_sets = [(0,), (1,), (0, 1), (1,), (0,)]
-    if case == "width":
-        fingerprints[3] = Fingerprint(np.zeros(6, dtype=np.uint8))
-    else:
-        label_sets[3] = (0, 2)
-    mint = lambda sources: [f"new{j}" for j in range(len(sources))]
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        dataset._append(fingerprints, label_sets, np.zeros(5, dtype=np.intp), np.array([0, 1]),
-                        mint)
-
-
-def test_append_of_valid_rows_skips_the_row_loop(monkeypatch):
-    dataset = make_plain(3)
-    valid = Fingerprint(np.zeros(4, dtype=np.uint8))
-    mint = lambda sources: [f"new{j}" for j in range(len(sources))]
-    monkeypatch.setattr(MultiLabelDataset, "_check_rows", lambda *args: pytest.fail("row loop"))
-    appended = dataset._append([valid, valid], [(0, 1), ()], np.zeros(2, dtype=np.intp),
-                               np.array([1]), mint)
-    assert appended.ids[3:] == ("new0", "new1", "new2")
+@given(held=held_ids, picks=st.lists(st.integers(0, 7), max_size=20),
+       tag=st.sampled_from(["p", "s"]))
+@example(held=["a", "a::p2", "a::p1", "a::p1::p1"], picks=[0, 0, 0, 2, 2], tag="p")
+def test_minted_ids_are_new_distinct_and_count_up_per_source(held, picks, tag):
+    origins = [held[i % len(held)] for i in picks]
+    minted = _mint_ids(origins, tag, frozenset(held))
+    assert len(set(minted)) == len(minted)
+    assert not set(minted) & set(held)
+    serials: dict[str, list[int]] = {}
+    for origin, new_id in zip(origins, minted):
+        prefix = f"{origin}::{tag}"
+        assert new_id.startswith(prefix)
+        serials.setdefault(origin, []).append(int(new_id[len(prefix):]))
+    assert all(js == sorted(set(js)) and js[0] >= 1 for js in serials.values())
+    assert _mint_ids(origins, tag, frozenset(held)) == minted
 
 
 def test_oversampled_copies_share_their_source_objects():
@@ -684,6 +656,12 @@ def test_split_rejects_bad_fraction():
     for frac in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             split_dataset(dataset, frac, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_split_refuses_a_seed_numpy_would_not_take(seed):
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+        split_dataset(make_plain(10), 0.2, seed=seed)
 
 
 def test_fixture_files_exist():

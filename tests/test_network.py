@@ -587,6 +587,14 @@ def test_train_config_rejects_a_non_finite_or_non_positive_learning_rate(rate):
         TrainConfig(task="multilabel", learning_rate=rate)
 
 
+@pytest.mark.parametrize("field_name", ["epochs", "batch_size"])
+def test_train_config_refuses_a_non_integer_count(field_name):
+    with pytest.raises(ValueError, match=f"^{field_name} must be an integer, got 2.5$"):
+        TrainConfig(task="multilabel", **{field_name: 2.5})
+    config = TrainConfig(task="multilabel", **{field_name: np.int64(3)})
+    assert type(getattr(config, field_name)) is int
+
+
 @pytest.mark.parametrize("momentum", [0.0, 0.5])
 def test_training_never_returns_non_finite_parameters(momentum):
     # The loss is finite at the initial parameters, so only the one update

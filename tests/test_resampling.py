@@ -214,6 +214,11 @@ def test_config_validation():
         ResampleConfig(method="proposed", p=0.5, r=0)
     with pytest.raises(ValueError):
         ResampleConfig(method="mlsmote", p=0.5, k=0)
+    for field_name in ("r", "k"):
+        with pytest.raises(ValueError, match=f"^{field_name} must be an integer, got 2.5$"):
+            ResampleConfig(method="proposed", p=0.5, **{field_name: 2.5})
+        config = ResampleConfig(method="proposed", p=0.5, **{field_name: np.int64(3)})
+        assert type(getattr(config, field_name)) is int
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +377,20 @@ def test_synthetic_labels_subset_of_neighborhood():
         for orig in d.instances:
             seen |= set(orig.labels)
         assert set(synth.labels) <= seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6), p=st.sampled_from([0.3, 1.0]))
+def test_synthetics_have_the_input_width_and_sorted_labels_it_holds(seed, k, p):
+    # The rows mlsmote appends are not validated, so they must hold what the
+    # dataset constructor would check.
+    d = random_dataset(np.random.default_rng(seed), max_instances=30, max_labels=8,
+                       graph_prob=0.0, ensure_labeled=True)
+    held = {l for labels in d.label_sets for l in labels}
+    for row in mlsmote(d, ResampleConfig(method="mlsmote", p=p, k=k)).dataset.instances[len(d):]:
+        assert row.fingerprint.width == d.fingerprint_width
+        assert len(row.fingerprint.packed) == -(-d.fingerprint_width // 8)
+        assert list(row.labels) == sorted(set(row.labels)) and set(row.labels) <= held
 
 
 def test_replay_warning_exactly_past_one_round():
