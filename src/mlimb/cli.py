@@ -133,7 +133,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def cmd_metrics(args: argparse.Namespace) -> int:
     phases = _Phases()
     with phases("load"):
-        dataset = load_dataset(args.data, args.vocab)
+        dataset = load_dataset(args.data, args.vocab, decode_graphs=False)
     with phases("compute"):
         report = imbalance_report(dataset)
     with phases("write"):
@@ -151,7 +151,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def cmd_oversample(args: argparse.Namespace) -> int:
     phases = _Phases()
     with phases("load"):
-        dataset = load_dataset(args.data, args.vocab)
+        # Graphs are written back as they were read.
+        dataset = load_dataset(args.data, args.vocab, decode_graphs=False)
     with phases("compute"):
         config = ResampleConfig(method=args.method, p=args.p, r=args.r, k=args.k, seed=args.seed)
         outcome = oversample(dataset, config)
@@ -181,7 +182,7 @@ def _parse_snapshots(entries: list[str], vocab: str | None) -> list[tuple[str, M
         if name in seen:
             raise ValueError(f"duplicate snapshot name {name!r}")
         seen.add(name)
-        snapshots.append((name, load_dataset(path, vocab)))
+        snapshots.append((name, load_dataset(path, vocab, decode_graphs=False)))
     return snapshots
 
 
@@ -294,7 +295,7 @@ def _network_config(args: argparse.Namespace, dataset: MultiLabelDataset) -> Net
 def cmd_train(args: argparse.Namespace) -> int:
     phases = _Phases()
     with phases("load"):
-        dataset = load_dataset(args.data, args.vocab)
+        dataset = load_dataset(args.data, args.vocab, decode_graphs=args.inputs != "fingerprint")
     with phases("compute"):
         net = _network_config(args, dataset)
         cfg = TrainConfig(
@@ -322,8 +323,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     phases = _Phases()
     with phases("load"):
-        dataset = load_dataset(args.data, args.vocab)
         params = load_checkpoint(args.model)
+        dataset = load_dataset(args.data, args.vocab,
+                               decode_graphs=params.config.input_mode != "fingerprint")
     with phases("compute"):
         if len(dataset) == 0:
             raise ValueError("cannot evaluate an empty dataset")

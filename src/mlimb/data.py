@@ -20,6 +20,14 @@ revalidates its rows: a split's are its source's, and the resampling methods
 make only rows that hold. The list is read-only by convention: build a new
 dataset with ``with_instances`` instead of mutating it.
 
+A dataset loaded with ``decode_graphs=False`` holds each graph written in
+mlimb's own form as its text (``_GraphText``), which proposed copies share.
+That text is checked only for that form: a JSON object of ``nodes``
+(non-empty rows of numbers) and ``edges`` (integer pairs), with no space.
+Ragged rows, the feature width, edge endpoints and self-edges are checked by
+the eager parse (the default) alone. ``write_dataset`` writes such a graph as
+it was read, and the network, the only reader of graphs, refuses it.
+
 File format. A dataset file is one JSON document per line: a header carrying
 the dataset-level dimensions, followed by one record per instance. Label
 sets are stored as sparse index arrays and fingerprints as hex strings, so
@@ -32,8 +40,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, index
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -61,6 +71,7 @@ __all__ = [
 
 HEADER_KEYS = ("fingerprint_width", "node_feature_dim", "label_count", "regression_width")
 RECORD_KEYS = ("id", "fp", "labels", "graph", "reg", "origin")
+_RECORD_FIELDS = frozenset(RECORD_KEYS)
 
 
 class DatasetError(ValueError):
@@ -235,9 +246,19 @@ def _edge_array(edges: object) -> np.ndarray | None:
     return array
 
 
+class _GraphText(str):
+    """A record's graph value as the file held it, undecoded: one JSON object
+    that matches ``_GRAPH``. It equals only the same text, never a decoded
+    graph."""
+
+    __slots__ = ()
+
+
 @dataclass(eq=False, slots=True)
 class Instance:
-    """One dataset row: fingerprint, optional graph, sparse label set.
+    """One dataset row: fingerprint, optional graph, sparse label set. The
+    graph is a ``MolecularGraph``, or its undecoded text when the dataset was
+    loaded with ``decode_graphs=False``.
 
     ``origin`` is empty for original instances and carries the source
     instance id for rows created by a resampling method.
@@ -246,7 +267,7 @@ class Instance:
     id: str
     fingerprint: Fingerprint
     labels: tuple[int, ...]
-    graph: MolecularGraph | None = None
+    graph: MolecularGraph | _GraphText | None = None
     regression_targets: np.ndarray | None = None
     origin: str | None = None
 
@@ -431,7 +452,7 @@ class MultiLabelDataset:
                 raise ValidationError(
                     f"instance {inst_id!r}: fingerprint width {fingerprint.width} != declared {width}"
                 )
-            if graph is not None and graph.feature_dim != node_dim:
+            if isinstance(graph, MolecularGraph) and graph.feature_dim != node_dim:
                 raise ValidationError(
                     f"instance {inst_id!r}: node feature dim {graph.feature_dim} != declared {node_dim}"
                 )
@@ -652,6 +673,17 @@ def format_vocabulary(vocabulary: LabelVocabulary) -> str:
 # Record stream
 # ---------------------------------------------------------------------------
 
+# A graph as ``_format_record`` writes it, with no space: rows of JSON
+# numbers (``json`` writes a non-finite float as NaN, Infinity or -Infinity)
+# and pairs of JSON integers. It holds no '}' but its last character.
+_NUMBER = r"(?>-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]++)?+|NaN|-?Infinity)"
+_ROW = rf"\[{_NUMBER}(?:,{_NUMBER})*+\]"
+_PAIR = r"\[-?(?:0|[1-9][0-9]*+),-?(?:0|[1-9][0-9]*+)\]"
+_GRAPH = re.compile(
+    rf'\{{"nodes":\[{_ROW}(?:,{_ROW})*+\],"edges":\[(?:{_PAIR}(?:,{_PAIR})*+)?\]\}}')
+_GRAPH_KEY = ',"graph":'
+
+
 def _format_header(dataset: MultiLabelDataset) -> str:
     header = {key: getattr(dataset, key) for key in HEADER_KEYS}
     for key in sorted(dataset.meta):
@@ -661,18 +693,28 @@ def _format_header(dataset: MultiLabelDataset) -> str:
     return json.dumps(header, separators=(",", ":"))
 
 
+def _record_head(inst: Instance) -> str:
+    """The text ``_format_record`` writes for ``inst`` before its graph."""
+    inst_id, labels = encode_basestring_ascii(inst.id), ",".join(map(str, inst.labels))
+    return f'{{"id":{inst_id},"fp":"{inst.fingerprint.to_hex()}","labels":[{labels}]'
+
+
 def _format_record(inst: Instance) -> str:
     record: dict = {"id": inst.id, "fp": inst.fingerprint.to_hex(), "labels": list(inst.labels)}
-    if inst.graph is not None:
-        record["graph"] = {
-            "nodes": inst.graph.node_features.tolist(),
-            "edges": inst.graph.edges.tolist(),
-        }
+    graph = inst.graph
+    if isinstance(graph, MolecularGraph):
+        record["graph"] = {"nodes": graph.node_features.tolist(), "edges": graph.edges.tolist()}
+    elif graph is not None:
+        record["graph"] = None  # its place, filled below with the text as read
     if inst.regression_targets is not None:
         record["reg"] = inst.regression_targets.tolist()
     if inst.origin is not None:
         record["origin"] = inst.origin
-    return json.dumps(record, separators=(",", ":"))
+    line = json.dumps(record, separators=(",", ":"))
+    if isinstance(graph, _GraphText):
+        # Each quote inside a JSON string is escaped, so this is the key's place.
+        line = line.replace(f'{_GRAPH_KEY}null', _GRAPH_KEY + graph, 1)
+    return line
 
 
 def _json_object(line: str, lineno: int, kind: str) -> dict:
@@ -699,10 +741,13 @@ def _parse_header(line: str, lineno: int) -> tuple[dict, dict]:
     return required, meta
 
 
-def _parse_record(line: str, lineno: int, fingerprint_width: int) -> Instance:
+def _parse_record(line: str, lineno: int, fingerprint_width: int,
+                  kept: _GraphText | None = None) -> Instance:
+    """The record on ``line``; ``kept``, when given, is its graph when the
+    record has no ``graph`` field."""
     obj = _json_object(line, lineno, "record")
-    unknown = set(obj) - set(RECORD_KEYS)
-    if unknown:
+    if not _RECORD_FIELDS.issuperset(obj):
+        unknown = set(obj) - _RECORD_FIELDS
         raise FormatError(f"line {lineno}: unknown record field {sorted(unknown)[0]!r}")
     for key in ("id", "fp", "labels"):
         if key not in obj:
@@ -726,7 +771,7 @@ def _parse_record(line: str, lineno: int, fingerprint_width: int) -> Instance:
     except FormatError as exc:
         raise fail(str(exc)) from None
 
-    graph = None
+    graph = kept
     if "graph" in obj:
         g = obj["graph"]
         if not isinstance(g, dict) or set(g) != {"nodes", "edges"}:
@@ -763,19 +808,48 @@ def _parse_record(line: str, lineno: int, fingerprint_width: int) -> Instance:
             raise fail("field 'origin' must be a non-empty string")
         origin = obj["origin"]
 
-    try:
-        return Instance(id=inst_id, fingerprint=fingerprint, labels=tuple(obj["labels"]),
-                        graph=graph, regression_targets=reg, origin=origin)
-    except ValidationError as exc:
-        raise ValidationError(f"line {lineno}: {exc}") from None
+    labels = tuple(obj["labels"])
+    if labels and (labels[0] < 0 or labels != tuple(sorted(set(labels)))):
+        try:  # the constructor sorts them, or names the fault
+            return Instance(id=inst_id, fingerprint=fingerprint, labels=labels,
+                            graph=graph, regression_targets=reg, origin=origin)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+    return Instance._trusted(inst_id, fingerprint, labels, graph, reg, origin)
 
 
-def parse_dataset(records: str | Iterable[str], vocabulary: str | Iterable[str]) -> MultiLabelDataset:
+def _parse_record_keeping_graph(line: str, lineno: int, fingerprint_width: int) -> Instance:
+    """The record on ``line``, its graph kept as text when the line is the
+    one ``_format_record`` would write up to the graph and the graph matches
+    ``_GRAPH``. Every other record, and every fault, takes the eager parse,
+    so each error reads as it does there."""
+    start = line.find(_GRAPH_KEY + "{")
+    begin, end = start + len(_GRAPH_KEY), line.find("}", start) + 1
+    if start > 0 and _GRAPH.fullmatch(line, begin, end):
+        kept = _GraphText(line[begin:end])
+        try:
+            row = _parse_record(line[:start] + line[end:], lineno, fingerprint_width, kept)
+        except DatasetError:
+            row = None
+        if row is not None and row.graph is kept:  # not when a second graph field follows
+            # A head as written also refuses a key found inside a string
+            # that invalid JSON left open.
+            head = _record_head(row)
+            if len(head) == start and line.startswith(head):
+                return row
+    return _parse_record(line, lineno, fingerprint_width)
+
+
+def parse_dataset(records: str | Iterable[str], vocabulary: str | Iterable[str], *,
+                  decode_graphs: bool = True) -> MultiLabelDataset:
     """Parse a record stream plus vocabulary into a validated dataset.
 
     An empty record stream yields an empty dataset with default dimensions.
-    Diagnostics name the offending line number and instance id.
+    Diagnostics name the offending line number and instance id. With
+    ``decode_graphs=False`` graphs are kept as text (see the module
+    docstring), for callers that read none.
     """
+    parse_record = _parse_record if decode_graphs else _parse_record_keeping_graph
     vocab = parse_vocabulary(vocabulary)
     lines = records.splitlines() if isinstance(records, str) else [l.rstrip("\n") for l in records]
     if not lines:
@@ -791,7 +865,7 @@ def parse_dataset(records: str | Iterable[str], vocabulary: str | Iterable[str])
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             raise FormatError(f"line {lineno}: blank line in record stream")
-        instances.append(_parse_record(line, lineno, header["fingerprint_width"]))
+        instances.append(parse_record(line, lineno, header["fingerprint_width"]))
     return MultiLabelDataset(
         vocabulary=vocab,
         instances=instances,
@@ -819,12 +893,25 @@ def default_vocabulary_path(records_path: str | Path) -> Path:
     return path.with_name(path.stem + ".labels.tsv")
 
 
-def load_dataset(records_path: str | Path, vocab_path: str | Path | None = None) -> MultiLabelDataset:
+def _read_text(path: Path) -> str:
+    """The file's UTF-8 text; a FormatError names the file and the line of
+    the first byte that is not UTF-8."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}: line {line}: not UTF-8 text "
+                          f"(byte 0x{raw[exc.start]:02x} at offset {exc.start})") from None
+
+
+def load_dataset(records_path: str | Path, vocab_path: str | Path | None = None, *,
+                 decode_graphs: bool = True) -> MultiLabelDataset:
+    """Load a records file and its vocabulary (see ``parse_dataset``)."""
     records_path = Path(records_path)
     vocab_path = Path(vocab_path) if vocab_path is not None else default_vocabulary_path(records_path)
-    return parse_dataset(
-        records_path.read_text(encoding="utf-8"), vocab_path.read_text(encoding="utf-8")
-    )
+    return parse_dataset(_read_text(records_path), _read_text(vocab_path),
+                         decode_graphs=decode_graphs)
 
 
 def save_dataset(

@@ -55,7 +55,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .data import Instance, MultiLabelDataset, _check_seed, _integer, _unpacked_rows
+from .data import (Instance, MolecularGraph, MultiLabelDataset, _check_seed, _integer,
+                   _unpacked_rows)
 
 __all__ = [
     "ACTIVATIONS",
@@ -307,15 +308,23 @@ class GraphBatch:
 
 
 def _require_graphs(instances: list[Instance], config: NetworkConfig) -> None:
-    """Reject, in one line, instances without a graph under a graph input mode."""
+    """Reject, in one line, instances without a decoded graph under a graph
+    input mode."""
     if config.input_mode == "fingerprint":
         return
-    missing = [inst.id for inst in instances if inst.graph is None]
+    unread = [inst for inst in instances if not isinstance(inst.graph, MolecularGraph)]
+    if not unread:
+        return
+    missing = [inst.id for inst in unread if inst.graph is None]
     if missing:
         raise ValueError(
             f"{len(missing)} of {len(instances)} instances have no graph (first {missing[0]!r}) "
             f"but input_mode={config.input_mode!r}; use --inputs fingerprint"
         )
+    raise ValueError(
+        f"instance {unread[0].id!r} holds its graph as undecoded text but "
+        f"input_mode={config.input_mode!r}; load the dataset with decode_graphs=True"
+    )
 
 
 def build_batch(instances: list[Instance], config: NetworkConfig) -> GraphBatch:

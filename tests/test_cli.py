@@ -1,6 +1,7 @@
 """End-to-end command-line runs: outputs, determinism, error classes."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -227,18 +228,67 @@ def test_error_classes(tmp_path, capsys):
     assert code == 2 and stderr.startswith("validation_error:")
 
 
+def test_a_file_that_is_not_utf8_is_a_parse_error_naming_it(synth_dir, tmp_path, capsys):
+    data, vocab = tmp_path / "bad.jsonl", tmp_path / "bad.labels.tsv"
+    data.write_bytes(b"\xff" + (synth_dir / "dataset.jsonl").read_bytes())
+    vocab.write_bytes((synth_dir / "dataset.labels.tsv").read_bytes())
+    for command in ("metrics", "oversample", "cooccur"):
+        extra = ["--method", "proposed", "--p", "0.5"] if command == "oversample" else (
+            ["--random-labels", "2"] if command == "cooccur" else [])
+        code, stdout, stderr = run(capsys, command, "--data", str(data), *extra,
+                                   "--out", str(tmp_path / command))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"parse_error: {data}: line 1: not UTF-8 text (byte 0xff at offset 0)\n"
+    data.write_bytes((synth_dir / "dataset.jsonl").read_bytes())
+    vocab.write_bytes(b"0\tl0\n1\tl\xc31\n")
+    code, _, stderr = run(capsys, "metrics", "--data", str(data), "--out", str(tmp_path / "v"))
+    assert (code, stderr) == (
+        2, f"parse_error: {vocab}: line 2: not UTF-8 text (byte 0xc3 at offset 8)\n")
+
+
+@pytest.mark.parametrize("separators", [None, (",", ":")], ids=["spaced", "compact"])
 @pytest.mark.parametrize("value", [{}, "abc", None])
-def test_a_node_feature_that_is_not_a_number_is_one_parse_error(synth_dir, tmp_path, capsys, value):
+def test_a_node_feature_that_is_not_a_number_is_one_parse_error(synth_dir, tmp_path, capsys, value,
+                                                                 separators):
     lines = (synth_dir / "dataset.jsonl").read_text().splitlines(keepends=True)
     record = json.loads(lines[2])
     record["graph"]["nodes"][0][0] = value
-    lines[2] = json.dumps(record) + "\n"
+    lines[2] = json.dumps(record, separators=separators) + "\n"
     (tmp_path / "bad.jsonl").write_text("".join(lines))
     (tmp_path / "bad.labels.tsv").write_text((synth_dir / "dataset.labels.tsv").read_text())
     code, stdout, stderr = run(capsys, "metrics", "--data", str(tmp_path / "bad.jsonl"),
                                "--out", str(tmp_path / "m"))
     assert (code, stdout) == (2, "")
     assert stderr == f"parse_error: line 3 (instance {record['id']!r}): graph node features must be numbers\n"
+
+
+def test_only_a_model_that_reads_graphs_reports_a_self_edge(synth_dir, tmp_path, capsys):
+    lines = (synth_dir / "dataset.jsonl").read_text().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["graph"]["edges"][0] = [1, 1]
+    lines[2] = json.dumps(record, separators=(",", ":")) + "\n"
+    data = tmp_path / "bad.jsonl"
+    data.write_text("".join(lines))
+    (tmp_path / "bad.labels.tsv").write_text((synth_dir / "dataset.labels.tsv").read_text())
+    message = f"validation_error: line 3 (instance {record['id']!r}): self-edge (1, 1) is not allowed\n"
+    train = ["train", "--task", "multilabel", "--epochs", "1", "--hidden", "4", "--fuse-dim", "3"]
+    for inputs in ("hybrid", "fingerprint"):
+        model = tmp_path / f"{inputs}.json"
+        code, _, stderr = run(capsys, *train, "--data", str(synth_dir / "dataset.jsonl"),
+                              "--inputs", inputs, "--model-out", str(model))
+        assert code == 0, stderr
+        code, _, stderr = run(capsys, "eval", "--data", str(data), "--model", str(model),
+                              "--report", str(tmp_path / f"{inputs}_report.json"))
+        assert (code, stderr) == ((2, message) if inputs == "hybrid" else (0, ""))
+        code, _, stderr = run(capsys, *train, "--data", str(data), "--inputs", inputs,
+                              "--model-out", str(tmp_path / "again.json"))
+        assert (code, stderr) == ((2, message) if inputs == "hybrid" else (0, ""))
+    # The commands that read no graph do not look for the fault.
+    assert run(capsys, "metrics", "--data", str(data), "--out", str(tmp_path / "m"))[0] == 0
+    code, _, _ = run(capsys, "oversample", "--data", str(data), "--method", "proposed",
+                     "--p", "1", "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert lines[2] in (tmp_path / "o" / "dataset.jsonl").read_text()
 
 
 def test_bad_config_value(synth_dir, tmp_path, capsys):
@@ -623,3 +673,118 @@ def test_negative_seed_is_refused_naming_the_flag(command, synth_dir, tmp_path, 
     assert (code, stdout, stderr) == (
         2, "", "config_error: seed must be a non-negative integer, got -1\n")
     assert not out.exists()
+
+
+# The README chain at a small size with a fingerprint-only train and eval,
+# plus mlsmote on a corpus with regression targets (its synthetics have no
+# graph) and proposed on that output. Every primary output is pinned;
+# manifests are not (they hold timings). The digests were recorded when every
+# command still decoded every graph.
+def _readme_chain(root: Path) -> list[list[str]]:
+    corpus, balanced = root / "corpus" / "dataset.jsonl", root / "balanced" / "dataset.jsonl"
+    reg, smote, again = (root / name / "dataset.jsonl" for name in ("reg", "smote", "again"))
+    model = ["--hidden", "8,8", "--fuse-dim", "8", "--lr", "1.0", "--model-out"]
+    return [
+        ["synth", "--n-instances", "150", "--n-labels", "12", "--zipf", "1.2", "--boost", "0.3",
+         "--seed", "7", "--out", str(root / "corpus")],
+        ["metrics", "--data", str(corpus), "--out", str(root / "metrics")],
+        ["oversample", "--data", str(corpus), "--method", "proposed", "--p", "0.25", "--r", "2",
+         "--out", str(root / "balanced")],
+        ["cooccur", "--data", f"original={corpus}", "--data", f"balanced={balanced}",
+         "--vocab", str(root / "corpus" / "dataset.labels.tsv"), "--random-labels", "4",
+         "--seed", "7", "--out", str(root / "chords")],
+        ["train", "--data", str(balanced), "--task", "multilabel", "--inputs", "hybrid",
+         "--epochs", "3", *model, str(root / "model.json")],
+        ["eval", "--data", str(corpus), "--model", str(root / "model.json"),
+         "--report", str(root / "report.json")],
+        ["train", "--data", str(balanced), "--task", "multilabel", "--inputs", "fingerprint",
+         "--epochs", "3", *model, str(root / "fp.json")],
+        ["eval", "--data", str(corpus), "--model", str(root / "fp.json"),
+         "--report", str(root / "fp_report.json")],
+        ["synth", "--n-instances", "80", "--n-labels", "8", "--graph-nodes", "3,6",
+         "--node-dim", "4", "--reg-width", "2", "--boost", "0.3", "--seed", "3",
+         "--out", str(root / "reg")],
+        ["oversample", "--data", str(reg), "--method", "mlsmote", "--p", "0.5",
+         "--out", str(root / "smote")],
+        ["oversample", "--data", str(smote), "--method", "proposed", "--p", "0.5", "--r", "2",
+         "--out", str(root / "again")],
+        ["metrics", "--data", str(again), "--out", str(root / "again_metrics")],
+        ["train", "--data", str(again), "--task", "multilabel", "--inputs", "fingerprint",
+         "--epochs", "3", *model, str(root / "smote.json")],
+        ["eval", "--data", str(smote), "--model", str(root / "smote.json"),
+         "--report", str(root / "smote_report.json")],
+    ]
+
+
+README_CHAIN_PINS = {
+    "again/dataset.jsonl":
+        "ee0460585fff36cdbe654734abfc739fab4e99d599cd645a397b28f2d6a8fba5",
+    "again/dataset.labels.tsv":
+        "17d08c0e8c3a697752665d909ac2abf8cc275125fa7b9af7b17d8732c3e6d6ff",
+    "again/diagnostics.json":
+        "928ac65f6404c64ac20e50c52970a35dc8a16df2ce2c01ce838979b746c12e77",
+    "again_metrics/profile.csv":
+        "0f6c0d5278c2ae3f7b425b2b7dde6d66bd79449fdbc291264f003fddf5cd59fd",
+    "again_metrics/report.json":
+        "9db8a86a1f24f8a2473d91dc19a52100f519dad1d09cdfdef43010cffe35898d",
+    "balanced/dataset.jsonl":
+        "08432a244369bc61a1023fde8577086147d2ded72ac7535d69131d9eda277315",
+    "balanced/dataset.labels.tsv":
+        "e8c97525f8e8fb9bdc7f9d41451c96a2e256e30b3d2ad19df5db68c01cf77777",
+    "balanced/diagnostics.json":
+        "65513f1b488f3ab89f6928ae1f94cf2930676d68730219421225edbcc2f20cd1",
+    "chords/chord_balanced.json":
+        "f18d9fc6cb74a05c3e70ac6c55be884f337432a0a643b2ef33dc15255d516ea0",
+    "chords/chord_original.json":
+        "9ffd93aabc7e66e60e802ef0af89eeb7086aee580d99261af619231a17216421",
+    "chords/scumble_table.json":
+        "372ab18963755e4adb441433982350dccef7dfbdebe22e275bce1ab2091c2496",
+    "corpus/dataset.jsonl":
+        "e9010a7f660d6813fac9b50cd05e7269f0c3a818bc5decdf631528bab72118a5",
+    "corpus/dataset.labels.tsv":
+        "e8c97525f8e8fb9bdc7f9d41451c96a2e256e30b3d2ad19df5db68c01cf77777",
+    "fp.json":
+        "a3e6fb17e9db2316dcefa61822648f793f59b05e800bbfa87b5e82521d0ce667",
+    "fp.loss.csv":
+        "9b2e0c31d41a136998e274790eac74d11e15a97cdd986fbfd7f3e536f993bf90",
+    "fp_report.json":
+        "239860d3b56465d9e66106cd5a83951f73f2ab3a9a3b6ac9d11a68f0ed012ab6",
+    "metrics/profile.csv":
+        "404844edf30d3bc7e6dc8fedb77bf6e0877e80075dda50751e1364947c61d913",
+    "metrics/report.json":
+        "64f4d08304d472a72bdadbad77ff9f6903a1aa8d6127203fba5a0db8f09f5d81",
+    "model.json":
+        "76fe085e04a3f8170ce6d815cddfcfdb5da767e6702277115c469cf047f14dea",
+    "model.loss.csv":
+        "52fa53559b659b7317c190b146d06d95dac989095738ac50332857a27f8483fa",
+    "reg/dataset.jsonl":
+        "795a3e14278f9325f9a7be4c8c7bd46a14a27ab1f6bbefcda31daa2bd4c7b23b",
+    "reg/dataset.labels.tsv":
+        "17d08c0e8c3a697752665d909ac2abf8cc275125fa7b9af7b17d8732c3e6d6ff",
+    "report.json":
+        "0c94cbc9a9739a965ada4058d7c3c1feeb6b1d2f51117872179a3f70d612b9aa",
+    "smote/dataset.jsonl":
+        "afeef09f807ebc573a6d9a0e8d0a902b8870a07d601b6ffd8ead41f0d25a429c",
+    "smote/dataset.labels.tsv":
+        "17d08c0e8c3a697752665d909ac2abf8cc275125fa7b9af7b17d8732c3e6d6ff",
+    "smote/diagnostics.json":
+        "b34152eada7082bb3d02170755588cb22fb989ca2dd8df2c7799a2ace8e04460",
+    "smote.json":
+        "2e2f71660c4039d2161509fcfc24d6e8eb5c6acedcf1be701c2ff1615507c4de",
+    "smote.loss.csv":
+        "b130ab59b7c26680fc27eb695ebdcb2f40ff3821afe0e59a5ad1bb18e6b6c337",
+    "smote_report.json":
+        "9f2db60ceffb056603e4950fd6d5cd8b94f84d9065f9271568eaede3e239883b",
+}
+
+
+def test_readme_chain_outputs_pinned(tmp_path, capsys):
+    for argv in _readme_chain(tmp_path):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 0, (argv[0], stderr)
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.rglob("*"))
+        if path.is_file() and not path.name.endswith("manifest.json")
+    }
+    assert digests == README_CHAIN_PINS

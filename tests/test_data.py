@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import math
 import pickle
 import re
 import tracemalloc
@@ -22,8 +23,10 @@ from mlimb.data import (
     ValidationError,
     default_vocabulary_path,
     format_vocabulary,
+    load_dataset,
     parse_dataset,
     parse_vocabulary,
+    save_dataset,
     split_dataset,
     write_dataset,
     _mint_ids,
@@ -210,7 +213,7 @@ TWO_NODES = '"nodes":[[0.0,0.0],[1.0,1.0]]'
 
 # Recorded before graph edges became arrays: each malformed graph record
 # fails with the same class and message as when edges were tuples.
-@pytest.mark.parametrize("graph, error, message", [
+MALFORMED_GRAPHS = [
     *(('{%s,"edges":%s}' % (TWO_NODES, edges), FormatError,
        "graph edges must be a list of [u, v] integer pairs")
       for edges in ("3", "null", "[[0]]", "[[0,1.5]]", '[[0,"1"]]', "[[0,1,2]]", "[[0,[1]]]",
@@ -233,7 +236,10 @@ TWO_NODES = '"nodes":[[0.0,0.0],[1.0,1.0]]'
     *(('{"nodes":%s,"edges":[]}' % nodes, FormatError,
        "graph nodes must be a non-empty list of equal-length feature rows")
       for nodes in ("[]", "3", "[[0.0],[1.0,2.0]]", "[1.0,2.0]")),
-])
+]
+
+
+@pytest.mark.parametrize("graph, error, message", MALFORMED_GRAPHS)
 def test_malformed_graph_records_fail_as_before(graph, error, message):
     with pytest.raises(error) as caught:
         parse_dataset(HEADER + "\n" + GRAPH_LINE % graph, VOCAB3)
@@ -241,24 +247,30 @@ def test_malformed_graph_records_fail_as_before(graph, error, message):
     assert str(caught.value) == f"line 2 (instance 'x'): {message}"
 
 
-@pytest.mark.parametrize("nodes", [
+NOT_NUMBERS = [
     '[[{},1.0],[1.0,2.0]]',       # an object
     '[["abc",1.0],[1.0,2.0]]',    # a string
     '[["1.5",1.0],[1.0,2.0]]',    # a numeral string
     '[[null,1.0],[1.0,2.0]]',     # null, once read as NaN
     f'[[{10**30},null]]',          # null beside an integer beyond int64
     '[[true,"1"]]',               # a numeral string beside a bool
-])
+]
+
+
+@pytest.mark.parametrize("nodes", NOT_NUMBERS)
 def test_node_features_that_are_not_numbers_fail_as_format_errors(nodes):
     with pytest.raises(FormatError) as caught:
         parse_dataset(HEADER + "\n" + GRAPH_LINE % ('{"nodes":%s,"edges":[]}' % nodes), VOCAB3)
     assert str(caught.value) == "line 2 (instance 'x'): graph node features must be numbers"
 
 
-@pytest.mark.parametrize("nodes", [
+ARRAYS_AMONG_NUMBERS = [
     '[[[1],1.0],[1.0,2.0]]',      # an array beside numbers
     '[[[0.0,0.0]],[[1.0,1.0]]]',  # arrays in place of numbers
-])
+]
+
+
+@pytest.mark.parametrize("nodes", ARRAYS_AMONG_NUMBERS)
 def test_node_features_that_are_arrays_fail_as_format_errors(nodes):
     with pytest.raises(FormatError) as caught:
         parse_dataset(HEADER + "\n" + GRAPH_LINE % ('{"nodes":%s,"edges":[]}' % nodes), VOCAB3)
@@ -457,6 +469,145 @@ def test_dataset_rejects_wrong_regression_width():
     with pytest.raises(ValidationError, match="regression"):
         MultiLabelDataset(vocabulary=vocab, instances=[inst],
                           fingerprint_width=4, node_feature_dim=1, regression_width=3)
+
+
+# ---------------------------------------------------------------------------
+# Graphs kept as text (decode_graphs=False)
+# ---------------------------------------------------------------------------
+
+def kept_graphs(dataset: MultiLabelDataset) -> list[bool]:
+    """Per row with a graph, whether it is held undecoded."""
+    return [not isinstance(inst.graph, MolecularGraph)
+            for inst in dataset.instances if inst.graph is not None]
+
+
+def written(dataset: MultiLabelDataset) -> str:
+    buf = io.StringIO()
+    write_dataset(dataset, buf)
+    return buf.getvalue()
+
+
+ID_CHARS = st.sampled_from('ab"\\}{[],: é€ \x1c\U0001f600')
+FEATURES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 1e-05, 5e-324, 1.5e300])
+
+
+@st.composite
+def text_path_datasets(draw) -> MultiLabelDataset:
+    """Datasets with non-finite node features, graphless rows, regression
+    targets, origins, meta keys and ids that JSON must escape."""
+    node_dim, reg_width = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    ids = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=4), min_size=1, max_size=4,
+                        unique=True))
+    rows = []
+    for inst_id in ids:
+        graph = None
+        if draw(st.booleans()):
+            n = draw(st.integers(1, 3))
+            feats = draw(st.lists(FEATURES, min_size=n * node_dim, max_size=n * node_dim))
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            edges = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+            graph = MolecularGraph(np.reshape(feats, (n, node_dim)), edges=edges)
+        reg = draw(st.lists(FEATURES, min_size=reg_width, max_size=reg_width)) if reg_width else None
+        bits = draw(st.integers(0, 511))
+        rows.append(Instance(
+            id=inst_id, fingerprint=Fingerprint([(bits >> k) & 1 for k in range(9)]),
+            labels=tuple(draw(st.sets(st.integers(0, 2), max_size=3))), graph=graph,
+            regression_targets=reg,
+            origin=draw(st.none() | st.text(ID_CHARS, min_size=1, max_size=3))))
+    meta = draw(st.dictionaries(st.text(ID_CHARS, max_size=3), st.integers() | st.text(max_size=3),
+                                max_size=2))
+    return MultiLabelDataset(vocabulary=parse_vocabulary(VOCAB3), instances=rows,
+                             fingerprint_width=9, node_feature_dim=node_dim,
+                             regression_width=reg_width, meta=meta)
+
+
+@given(text_path_datasets())
+def test_graphs_kept_as_text_write_back_what_was_read(dataset):
+    text = written(dataset)
+    kept = parse_dataset(text, VOCAB3, decode_graphs=False)
+    assert all(kept_graphs(kept))
+    assert written(kept) == text == written(parse_dataset(text, VOCAB3))
+
+
+def test_a_graph_not_in_mlimbs_form_is_decoded():
+    graph = '{"nodes":[[1.0,2.0]],"edges":[]}'
+    for line in (GRAPH_LINE.replace(":%s", ": %s") % graph,        # a space after the key
+                 GRAPH_LINE % graph.replace(",", ", "),              # spaces inside
+                 GRAPH_LINE % '{"edges":[],"nodes":[[1.0,2.0]]}',   # its keys swapped
+                 '{"id":"x","labels":[],"fp":"00","graph":%s}' % graph,   # fields reordered
+                 '{"id":"x","fp":"00","labels":[1,0],"graph":%s}' % graph):  # labels unsorted
+        kept = parse_dataset(HEADER + "\n" + line, VOCAB3, decode_graphs=False)
+        assert kept_graphs(kept) == [False]
+        assert kept == parse_dataset(HEADER + "\n" + line, VOCAB3)
+
+
+def test_a_hand_written_graph_is_written_back_as_it_was_read():
+    line = GRAPH_LINE % '{"nodes":[[1,2E+3],[NaN,-Infinity]],"edges":[[1,0]]}'
+    kept = parse_dataset(HEADER + "\n" + line, VOCAB3, decode_graphs=False)
+    assert kept_graphs(kept) == [True]
+    assert written(kept) == HEADER + "\n" + line + "\n"
+    assert written(parse_dataset(HEADER + "\n" + line, VOCAB3)) == HEADER + "\n" + (
+        GRAPH_LINE % '{"nodes":[[1.0,2000.0],[NaN,-Infinity]],"edges":[[1,0]]}') + "\n"
+
+
+def test_a_second_graph_field_takes_the_eager_parse():
+    line = GRAPH_LINE % '{"nodes":[[1.0,2.0]],"edges":[]}'
+    line = line[:-1] + ',"graph":{"nodes":[[3.0,4.0]],"edges":[]}}'
+    kept = parse_dataset(HEADER + "\n" + line, VOCAB3, decode_graphs=False)
+    assert kept == parse_dataset(HEADER + "\n" + line, VOCAB3)
+    assert kept.instances[0].graph.node_features.tolist() == [[3.0, 4.0]]
+
+
+def test_a_graph_key_inside_an_open_string_takes_the_eager_parse():
+    # The id's closing quote is missing: what looks like the graph's key is
+    # the end of the id string, and the line is not JSON.
+    line = '{"id":"x],"graph":{"nodes":[[1.0,2.0]],"edges":[]}","fp":"00","labels":[]}'
+    with pytest.raises(FormatError) as eager:
+        parse_dataset(HEADER + "\n" + line, VOCAB3)
+    with pytest.raises(FormatError) as kept:
+        parse_dataset(HEADER + "\n" + line, VOCAB3, decode_graphs=False)
+    assert str(kept.value) == str(eager.value)
+
+
+RAGGED = "[[0.0],[1.0,2.0]]"
+
+
+@pytest.mark.parametrize("graph, error", [
+    *((graph, error) for graph, error, _ in MALFORMED_GRAPHS),
+    *(('{"nodes":%s,"edges":[]}' % nodes, FormatError)
+      for nodes in NOT_NUMBERS + ARRAYS_AMONG_NUMBERS),
+    *(('{"nodes":[[0.0,%s]],"edges":[]}' % number, FormatError)
+      for number in ("1.0.0", ",1.0", "01", "-NaN", "1.", ".5", "+1", "1e", "Nan")),
+    ('{"nodes":[[0.0,1.0]],"edges":[]', FormatError),  # the record's brace closes the graph
+])
+def test_a_graph_token_fault_reads_the_same_without_decoding(graph, error):
+    text = HEADER + "\n" + GRAPH_LINE % graph
+    with pytest.raises(error) as eager:
+        parse_dataset(text, VOCAB3)
+    if error is ValidationError or RAGGED in graph:  # number-only structure: not looked at
+        assert kept_graphs(parse_dataset(text, VOCAB3, decode_graphs=False)) == [True]
+        return
+    with pytest.raises(error) as kept:
+        parse_dataset(text, VOCAB3, decode_graphs=False)
+    assert str(kept.value) == str(eager.value)
+
+
+def test_load_names_a_file_that_is_not_utf8(tmp_path):
+    save_dataset(parse_dataset(HEADER + "\n" + '{"id":"x","fp":"00","labels":[]}', VOCAB3),
+                 tmp_path / "d.jsonl")
+    records, vocab = tmp_path / "d.jsonl", tmp_path / "d.labels.tsv"
+    good = records.read_bytes()
+    records.write_bytes(good + b'{"id":"\xff","fp":"00","labels":[]}\n')
+    with pytest.raises(FormatError) as caught:
+        load_dataset(records)
+    offset = len(good) + 7
+    assert str(caught.value) == f"{records}: line 3: not UTF-8 text (byte 0xff at offset {offset})"
+    records.write_bytes(good)
+    vocab.write_bytes(b"0\tnausea\n1\trash\n2\thead\xe9ache\n")
+    with pytest.raises(FormatError) as caught:
+        load_dataset(records, decode_graphs=False)
+    assert str(caught.value) == f"{vocab}: line 3: not UTF-8 text (byte 0xe9 at offset 22)"
 
 
 # ---------------------------------------------------------------------------

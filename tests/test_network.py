@@ -8,6 +8,7 @@ engine is checked against the plain per-graph forward pass in
 import dataclasses
 import gc
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 from mlimb import network
-from mlimb.data import Fingerprint, Instance, MolecularGraph
+from mlimb.data import (Fingerprint, Instance, MolecularGraph, format_vocabulary, parse_dataset,
+                        write_dataset)
 from mlimb.evaluation import evaluate_multilabel
 from mlimb.network import (
     ACTIVATIONS,
@@ -482,6 +484,32 @@ def test_missing_graph_rejected_in_graph_modes():
         build_batch(instances, cfg)
     with pytest.raises(ValueError, match="no graph"):
         predict(instances[:1], init_parameters(cfg, 0))
+
+
+def test_graph_modes_refuse_a_graph_kept_as_text_and_fingerprint_mode_trains_the_same():
+    d = generate(SynthConfig(n_instances=30, n_labels=4, fingerprint_width=16,
+                             graph_nodes_range=(3, 5), node_feature_dim=3, seed=2))
+    buf = io.StringIO()
+    write_dataset(d, buf)
+    kept = parse_dataset(buf.getvalue(), format_vocabulary(d.vocabulary), decode_graphs=False)
+    first = kept.instances[0].id
+    for mode in ("hybrid", "graph"):
+        cfg = NetworkConfig(node_feature_dim=3, fingerprint_width=16, output_dim=4,
+                            hidden_dims=(4,), fuse_dim=3, input_mode=mode)
+        message = (f"instance {first!r} holds its graph as undecoded text but "
+                   f"input_mode={mode!r}; load the dataset with decode_graphs=True")
+        with pytest.raises(ValueError) as caught:
+            train(kept, cfg, TrainConfig(task="multilabel", epochs=1))
+        assert str(caught.value) == message
+        with pytest.raises(ValueError) as caught:
+            predict(kept.instances, init_parameters(cfg, 0))
+        assert str(caught.value) == message
+    cfg = NetworkConfig(node_feature_dim=3, fingerprint_width=16, output_dim=4,
+                        hidden_dims=(4,), fuse_dim=3, input_mode="fingerprint")
+    tc = TrainConfig(task="multilabel", epochs=3, learning_rate=0.5, batch_size=7)
+    (a, curve_a), (b, curve_b) = train(kept, cfg, tc), train(d, cfg, tc)
+    assert curve_a == curve_b and a.vector.tobytes() == b.vector.tobytes()
+    assert predict(kept.instances, a).tobytes() == predict(d.instances, b).tobytes()
 
 
 def test_batch_rejects_wrong_widths():
