@@ -20,8 +20,9 @@ revalidates its rows: a split's are its source's, and the resampling methods
 make only rows that hold. The list is read-only by convention: build a new
 dataset with ``with_instances`` instead of mutating it.
 
-A dataset loaded with ``decode_graphs=False`` holds each graph written in
-mlimb's own form as its text (``_GraphText``), which proposed copies share.
+A dataset loaded with ``decode_graphs=False`` holds the graph of each record
+written in mlimb's own form as its text (``_GraphText``), which proposed
+copies share.
 That text is checked only for that form: a JSON object of ``nodes``
 (non-empty rows of numbers) and ``edges`` (integer pairs), with no space.
 Ragged rows, the feature width, edge endpoints and self-edges are checked by
@@ -43,7 +44,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter, index
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -675,12 +675,14 @@ def format_vocabulary(vocabulary: LabelVocabulary) -> str:
 
 # A graph as ``_format_record`` writes it, with no space: rows of JSON
 # numbers (``json`` writes a non-finite float as NaN, Infinity or -Infinity)
-# and pairs of JSON integers. It holds no '}' but its last character.
-_NUMBER = r"(?>-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]++)?+|NaN|-?Infinity)"
-_ROW = rf"\[{_NUMBER}(?:,{_NUMBER})*+\]"
-_PAIR = r"\[-?(?:0|[1-9][0-9]*+),-?(?:0|[1-9][0-9]*+)\]"
+# and pairs of JSON integers. It holds no '}' but its last character. No
+# number holds ',' or ']', so backtracking stays within one number. An empty
+# alternative runs faster than an optional group.
+_NUMBER = r"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)|NaN|-?Infinity)"
+_ROW = rf"\[{_NUMBER}(?:,{_NUMBER})*\]"
+_PAIR = r"\[-?(?:0|[1-9][0-9]*),-?(?:0|[1-9][0-9]*)\]"
 _GRAPH = re.compile(
-    rf'\{{"nodes":\[{_ROW}(?:,{_ROW})*+\],"edges":\[(?:{_PAIR}(?:,{_PAIR})*+)?\]\}}')
+    rf'\{{"nodes":\[{_ROW}(?:,{_ROW})*\],"edges":\[(?:{_PAIR}(?:,{_PAIR})*)?\]\}}')
 _GRAPH_KEY = ',"graph":'
 
 
@@ -691,12 +693,6 @@ def _format_header(dataset: MultiLabelDataset) -> str:
             raise ValidationError(f"meta key {key!r} collides with a reserved header field")
         header[key] = dataset.meta[key]
     return json.dumps(header, separators=(",", ":"))
-
-
-def _record_head(inst: Instance) -> str:
-    """The text ``_format_record`` writes for ``inst`` before its graph."""
-    inst_id, labels = encode_basestring_ascii(inst.id), ",".join(map(str, inst.labels))
-    return f'{{"id":{inst_id},"fp":"{inst.fingerprint.to_hex()}","labels":[{labels}]'
 
 
 def _format_record(inst: Instance) -> str:
@@ -808,21 +804,18 @@ def _parse_record(line: str, lineno: int, fingerprint_width: int,
             raise fail("field 'origin' must be a non-empty string")
         origin = obj["origin"]
 
-    labels = tuple(obj["labels"])
-    if labels and (labels[0] < 0 or labels != tuple(sorted(set(labels)))):
-        try:  # the constructor sorts them, or names the fault
-            return Instance(id=inst_id, fingerprint=fingerprint, labels=labels,
-                            graph=graph, regression_targets=reg, origin=origin)
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-    return Instance._trusted(inst_id, fingerprint, labels, graph, reg, origin)
+    try:
+        return Instance(id=inst_id, fingerprint=fingerprint, labels=tuple(obj["labels"]),
+                        graph=graph, regression_targets=reg, origin=origin)
+    except ValidationError as exc:
+        raise ValidationError(f"line {lineno}: {exc}") from None
 
 
 def _parse_record_keeping_graph(line: str, lineno: int, fingerprint_width: int) -> Instance:
-    """The record on ``line``, its graph kept as text when the line is the
-    one ``_format_record`` would write up to the graph and the graph matches
-    ``_GRAPH``. Every other record, and every fault, takes the eager parse,
-    so each error reads as it does there."""
+    """The record on ``line``, its graph kept as text when the graph matches
+    ``_GRAPH`` and ``_format_record`` writes the row back as ``line``. Every
+    other record, and every fault, takes the eager parse, so each error reads
+    as it does there."""
     start = line.find(_GRAPH_KEY + "{")
     begin, end = start + len(_GRAPH_KEY), line.find("}", start) + 1
     if start > 0 and _GRAPH.fullmatch(line, begin, end):
@@ -831,12 +824,10 @@ def _parse_record_keeping_graph(line: str, lineno: int, fingerprint_width: int) 
             row = _parse_record(line[:start] + line[end:], lineno, fingerprint_width, kept)
         except DatasetError:
             row = None
-        if row is not None and row.graph is kept:  # not when a second graph field follows
-            # A head as written also refuses a key found inside a string
-            # that invalid JSON left open.
-            head = _record_head(row)
-            if len(head) == start and line.startswith(head):
-                return row
+        # The line as written also refuses a second graph field, and a key
+        # found inside a string that invalid JSON left open.
+        if row is not None and _format_record(row) == line:
+            return row
     return _parse_record(line, lineno, fingerprint_width)
 
 

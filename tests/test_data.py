@@ -29,6 +29,7 @@ from mlimb.data import (
     save_dataset,
     split_dataset,
     write_dataset,
+    _GRAPH,
     _mint_ids,
     _unpacked_rows,
 )
@@ -568,6 +569,22 @@ def test_a_graph_key_inside_an_open_string_takes_the_eager_parse():
     with pytest.raises(FormatError) as kept:
         parse_dataset(HEADER + "\n" + line, VOCAB3, decode_graphs=False)
     assert str(kept.value) == str(eager.value)
+
+
+def test_the_graph_pattern_needs_nothing_newer_than_python_3_10():
+    # Atomic groups and possessive quantifiers came in Python 3.11; on 3.10
+    # compiling them at import would break every use of the package.
+    parser = pytest.importorskip("re._parser")  # 3.11 on, which parses both
+
+    def newer(node) -> bool:
+        if node is parser.ATOMIC_GROUP or node is parser.POSSESSIVE_REPEAT:
+            return True
+        if isinstance(node, parser.SubPattern):
+            node = node.data
+        return isinstance(node, (list, tuple)) and any(map(newer, node))
+
+    assert newer(parser.parse("(?>a)")) and newer(parser.parse("a*+"))
+    assert not newer(parser.parse(_GRAPH.pattern))
 
 
 RAGGED = "[[0.0],[1.0,2.0]]"
