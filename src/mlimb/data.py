@@ -30,11 +30,12 @@ the eager parse (the default) alone. ``write_dataset`` writes such a graph as
 it was read, and the network, the only reader of graphs, refuses it.
 
 File format. A dataset file is one JSON document per line: a header carrying
-the dataset-level dimensions, followed by one record per instance. Label
-sets are stored as sparse index arrays and fingerprints as hex strings, so
-files stay compact even with thousands of mostly-absent labels.
-Serialization is canonical (fixed key order, compact separators), which
-makes rewrites of a parsed file byte-identical.
+the dataset-level dimensions, followed by one record per instance. A line of
+it or of its vocabulary (``index<TAB>name``) ends at "\\n", "\\r\\n" or "\\r"
+only, which no JSON string or label name holds raw. Label sets are stored as
+sparse index arrays and fingerprints as hex strings, so files stay compact
+even with thousands of mostly-absent labels. Serialization is canonical (fixed
+key order, compact separators): rewrites of a parsed file are byte-identical.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ class LabelVocabulary:
         object.__setattr__(self, "names", names)
         if any(not isinstance(n, str) or not n for n in names):
             raise ValidationError("label names must be non-empty strings")
+        if any("\t" in n or "\n" in n or "\r" in n for n in names):
+            raise ValidationError("label names must not hold a tab, \\n or \\r")
         if len(set(names)) != len(names):
             raise ValidationError("label names must be unique")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
@@ -424,25 +427,10 @@ class MultiLabelDataset:
         set_ids = index.ids_of(labels)
         self._store(tuple(index), set_ids)
         self._id_set = held
-        self._check_rows(ids, labels, *(
-            map(attrgetter(name), rows) for name in ("fingerprint", "graph", "regression_targets")))
-
-    def _store(self, label_sets, set_ids) -> None:
-        """Keep the label-set table and the set ids."""
-        self._label_sets: tuple[tuple[int, ...], ...] = label_sets
-        self._set_ids = _readonly(set_ids)
-        self._id_set: frozenset[str] | None = None
-        self._set_counts: np.ndarray | None = None
-        self._set_members: tuple[np.ndarray, np.ndarray] | None = None
-
-    def _check_rows(self, ids, label_sets, fingerprints, graphs, targets) -> None:
-        """Dataset-level checks, other than unique ids, of the given rows in
-        order; ``ids`` name a failing row."""
-        label_count = len(self.vocabulary)
-        width, node_dim, reg_width = (
-            self.fingerprint_width, self.node_feature_dim, self.regression_width)
-        for inst_id, labels, fingerprint, graph, reg in zip(
-            ids, label_sets, fingerprints, graphs, targets
+        label_count, width, node_dim, reg_width = (len(self.vocabulary), self.fingerprint_width,
+                                                   self.node_feature_dim, self.regression_width)
+        for inst_id, labels, fingerprint, graph, reg in zip(ids, labels, *(
+            map(attrgetter(name), rows) for name in ("fingerprint", "graph", "regression_targets"))
         ):
             if labels and labels[-1] >= label_count:
                 raise ValidationError(
@@ -465,6 +453,14 @@ class MultiLabelDataset:
                     raise ValidationError(
                         f"instance {inst_id!r}: regression width {reg.size} != declared {reg_width}"
                     )
+
+    def _store(self, label_sets, set_ids) -> None:
+        """Keep the label-set table and the set ids."""
+        self._label_sets: tuple[tuple[int, ...], ...] = label_sets
+        self._set_ids = _readonly(set_ids)
+        self._id_set: frozenset[str] | None = None
+        self._set_counts: np.ndarray | None = None
+        self._set_members: tuple[np.ndarray, np.ndarray] | None = None
 
     def _derived(self, rows, label_sets, set_ids) -> "MultiLabelDataset":
         """Dataset with this one's vocabulary, dimensions and meta, the given
@@ -646,10 +642,16 @@ class MultiLabelDataset:
 # Vocabulary file: one "index<TAB>name" per line
 # ---------------------------------------------------------------------------
 
-def parse_vocabulary(source: str | Iterable[str]) -> LabelVocabulary:
-    lines = source.splitlines() if isinstance(source, str) else [l.rstrip("\n") for l in source]
+def _lines(text: str) -> list[str]:
+    """``text`` cut at each "\\n", "\\r\\n" and "\\r", as ``str.split`` cuts."""
+    if "\r" in text:  # only then: replacing "\r\n" costs more than the split
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def parse_vocabulary(text: str) -> LabelVocabulary:
     pairs: list[tuple[int, str]] = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -716,8 +718,8 @@ def _format_record(inst: Instance) -> str:
 def _json_object(line: str, lineno: int, kind: str) -> dict:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line {lineno}: invalid {kind} JSON ({exc.msg})") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+        raise FormatError(f"line {lineno}: invalid {kind} JSON ({getattr(exc, 'msg', exc)})") from None
     if not isinstance(obj, dict):
         raise FormatError(f"line {lineno}: {kind} must be a JSON object")
     return obj
@@ -725,22 +727,15 @@ def _json_object(line: str, lineno: int, kind: str) -> dict:
 
 def _parse_header(line: str, lineno: int) -> tuple[dict, dict]:
     obj = _json_object(line, lineno, "header")
-    required = {}
     for key in HEADER_KEYS:
         if key not in obj:
             raise FormatError(f"line {lineno}: header missing field {key!r}")
-        value = obj[key]
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not isinstance(obj[key], int) or isinstance(obj[key], bool):
             raise FormatError(f"line {lineno}: header field {key!r} must be an integer")
-        required[key] = value
-    meta = {k: v for k, v in obj.items() if k not in HEADER_KEYS}
-    return required, meta
+    return obj, {k: v for k, v in obj.items() if k not in HEADER_KEYS}
 
 
-def _parse_record(line: str, lineno: int, fingerprint_width: int,
-                  kept: _GraphText | None = None) -> Instance:
-    """The record on ``line``; ``kept``, when given, is its graph when the
-    record has no ``graph`` field."""
+def _parse_record(line: str, lineno: int, fingerprint_width: int) -> Instance:
     obj = _json_object(line, lineno, "record")
     if not _RECORD_FIELDS.issuperset(obj):
         unknown = set(obj) - _RECORD_FIELDS
@@ -767,7 +762,7 @@ def _parse_record(line: str, lineno: int, fingerprint_width: int,
     except FormatError as exc:
         raise fail(str(exc)) from None
 
-    graph = kept
+    graph = None
     if "graph" in obj:
         g = obj["graph"]
         if not isinstance(g, dict) or set(g) != {"nodes", "edges"}:
@@ -819,9 +814,9 @@ def _parse_record_keeping_graph(line: str, lineno: int, fingerprint_width: int) 
     start = line.find(_GRAPH_KEY + "{")
     begin, end = start + len(_GRAPH_KEY), line.find("}", start) + 1
     if start > 0 and _GRAPH.fullmatch(line, begin, end):
-        kept = _GraphText(line[begin:end])
         try:
-            row = _parse_record(line[:start] + line[end:], lineno, fingerprint_width, kept)
+            row = _parse_record(line[:start] + line[end:], lineno, fingerprint_width)
+            row.graph = _GraphText(line[begin:end])
         except DatasetError:
             row = None
         # The line as written also refuses a second graph field, and a key
@@ -831,9 +826,9 @@ def _parse_record_keeping_graph(line: str, lineno: int, fingerprint_width: int) 
     return _parse_record(line, lineno, fingerprint_width)
 
 
-def parse_dataset(records: str | Iterable[str], vocabulary: str | Iterable[str], *,
+def parse_dataset(records: str, vocabulary: str, *,
                   decode_graphs: bool = True) -> MultiLabelDataset:
-    """Parse a record stream plus vocabulary into a validated dataset.
+    """Parse the texts of a records file and its vocabulary into a dataset.
 
     An empty record stream yields an empty dataset with default dimensions.
     Diagnostics name the offending line number and instance id. With
@@ -841,8 +836,14 @@ def parse_dataset(records: str | Iterable[str], vocabulary: str | Iterable[str],
     docstring), for callers that read none.
     """
     parse_record = _parse_record if decode_graphs else _parse_record_keeping_graph
-    vocab = parse_vocabulary(vocabulary)
-    lines = records.splitlines() if isinstance(records, str) else [l.rstrip("\n") for l in records]
+    try:
+        vocab = parse_vocabulary(vocabulary)
+    except DatasetError as exc:
+        exc.in_vocabulary = True  # the file ``load_dataset`` names
+        raise
+    lines = _lines(records)
+    if not lines[-1]:
+        lines.pop()  # the end of the last line
     if not lines:
         return MultiLabelDataset(
             vocabulary=vocab, instances=[], fingerprint_width=1, node_feature_dim=1
@@ -884,25 +885,24 @@ def default_vocabulary_path(records_path: str | Path) -> Path:
     return path.with_name(path.stem + ".labels.tsv")
 
 
-def _read_text(path: Path) -> str:
-    """The file's UTF-8 text; a FormatError names the file and the line of
-    the first byte that is not UTF-8."""
-    raw = path.read_bytes()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise FormatError(f"{path}: line {line}: not UTF-8 text "
-                          f"(byte 0x{raw[exc.start]:02x} at offset {exc.start})") from None
-
-
 def load_dataset(records_path: str | Path, vocab_path: str | Path | None = None, *,
                  decode_graphs: bool = True) -> MultiLabelDataset:
-    """Load a records file and its vocabulary (see ``parse_dataset``)."""
+    """Load a records file and its vocabulary (see ``parse_dataset``); each
+    DatasetError begins with the path of the file it is about."""
     records_path = Path(records_path)
     vocab_path = Path(vocab_path) if vocab_path is not None else default_vocabulary_path(records_path)
-    return parse_dataset(_read_text(records_path), _read_text(vocab_path),
-                         decode_graphs=decode_graphs)
+    texts = []
+    try:
+        for path in (records_path, vocab_path):
+            raw = path.read_bytes()
+            texts.append(raw.decode("utf-8"))
+        return parse_dataset(*texts, decode_graphs=decode_graphs)
+    except UnicodeDecodeError as exc:
+        fault = FormatError(f"line {len(_lines(raw[:exc.start].decode('utf-8')))}: not UTF-8 "
+                            f"text (byte 0x{raw[exc.start]:02x} at offset {exc.start})")
+    except DatasetError as exc:
+        fault, path = exc, vocab_path if getattr(exc, "in_vocabulary", False) else records_path
+    raise type(fault)(f"{path}: {fault}") from None
 
 
 def save_dataset(

@@ -259,7 +259,28 @@ def test_a_node_feature_that_is_not_a_number_is_one_parse_error(synth_dir, tmp_p
     code, stdout, stderr = run(capsys, "metrics", "--data", str(tmp_path / "bad.jsonl"),
                                "--out", str(tmp_path / "m"))
     assert (code, stdout) == (2, "")
-    assert stderr == f"parse_error: line 3 (instance {record['id']!r}): graph node features must be numbers\n"
+    assert stderr == (f"parse_error: {tmp_path / 'bad.jsonl'}: line 3 (instance {record['id']!r}): "
+                      "graph node features must be numbers\n")
+
+
+def test_cooccur_names_the_snapshot_file_a_fault_is_in(synth_dir, tmp_path, capsys):
+    lines = (synth_dir / "dataset.jsonl").read_text().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["fp"] = 0
+    lines[2] = json.dumps(record, separators=(",", ":")) + "\n"
+    data, vocab = tmp_path / "bad.jsonl", tmp_path / "bad.labels.tsv"
+    data.write_text("".join(lines))
+    vocab.write_text((synth_dir / "dataset.labels.tsv").read_text())
+    cooccur = ["cooccur", "--data", f"a={synth_dir / 'dataset.jsonl'}", "--data", f"b={data}",
+               "--random-labels", "2", "--out", str(tmp_path / "c")]
+    code, stdout, stderr = run(capsys, *cooccur)
+    assert (code, stdout) == (2, "")
+    assert stderr == (f"parse_error: {data}: line 3 (instance {record['id']!r}): "
+                      "field 'fp' must be a hex string\n")
+    data.write_text((synth_dir / "dataset.jsonl").read_text())
+    vocab.write_text("0\tc0000\n1\tc0000\n")
+    code, stdout, stderr = run(capsys, *cooccur)
+    assert (code, stdout, stderr) == (2, "", f"validation_error: {vocab}: label names must be unique\n")
 
 
 def test_only_a_model_that_reads_graphs_reports_a_self_edge(synth_dir, tmp_path, capsys):
@@ -270,7 +291,8 @@ def test_only_a_model_that_reads_graphs_reports_a_self_edge(synth_dir, tmp_path,
     data = tmp_path / "bad.jsonl"
     data.write_text("".join(lines))
     (tmp_path / "bad.labels.tsv").write_text((synth_dir / "dataset.labels.tsv").read_text())
-    message = f"validation_error: line 3 (instance {record['id']!r}): self-edge (1, 1) is not allowed\n"
+    message = (f"validation_error: {data}: line 3 (instance {record['id']!r}): "
+               "self-edge (1, 1) is not allowed\n")
     train = ["train", "--task", "multilabel", "--epochs", "1", "--hidden", "4", "--fuse-dim", "3"]
     for inputs in ("hybrid", "fingerprint"):
         model = tmp_path / f"{inputs}.json"

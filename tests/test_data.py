@@ -208,6 +208,61 @@ def test_self_edge_rejected():
         parse_dataset(HEADER + "\n" + line, VOCAB3)
 
 
+RECORD = '{"id":"x","fp":"00","labels":[]%s}'
+
+# Recorded before the readers took text only and cut lines by one rule: each
+# fault fails with the same class and message as before.
+MALFORMED_STREAMS = [
+    ("", "x\tnausea\n", FormatError, "vocabulary line 1: non-integer index 'x'"),
+    ("", "0\tnausea\n1\t\n2\theadache\n", ValidationError, "label names must be non-empty strings"),
+    ("[1]", VOCAB3, FormatError, "line 1: header must be a JSON object"),
+    ('"header"', VOCAB3, FormatError, "line 1: header must be a JSON object"),
+    ('{"fingerprint_width":8,"node_feature_dim":2,"label_count":3}', VOCAB3, FormatError,
+     "line 1: header missing field 'regression_width'"),
+    (HEADER.replace(":8,", ":8.0,"), VOCAB3, FormatError,
+     "line 1: header field 'fingerprint_width' must be an integer"),
+    (HEADER.replace(":2,", ":true,"), VOCAB3, FormatError,
+     "line 1: header field 'node_feature_dim' must be an integer"),
+    (HEADER + '\n{"id":"x","fp":"00"}', VOCAB3, FormatError, "line 2: record missing field 'labels'"),
+    (HEADER + '\n{"fp":"00","labels":[]}', VOCAB3, FormatError, "line 2: record missing field 'id'"),
+    *((HEADER + '\n{"id":%s,"fp":"00","labels":[]}' % inst_id, VOCAB3, FormatError,
+       "line 2: record id must be a non-empty string") for inst_id in ('""', "3")),
+    (HEADER + '\n{"id":"x","fp":0,"labels":[]}', VOCAB3, FormatError,
+     "line 2 (instance 'x'): field 'fp' must be a hex string"),
+    *((HEADER + '\n{"id":"x","fp":"00","labels":%s}' % labels, VOCAB3, FormatError,
+       "line 2 (instance 'x'): field 'labels' must be an array of integers")
+      for labels in ("[1.0]", "[true]", '"0"')),
+    *((HEADER + "\n" + RECORD % f',"reg":{reg}', VOCAB3, FormatError,
+       "line 2 (instance 'x'): field 'reg' must be an array of numbers")
+      for reg in ("1", "[true]", '["1"]')),
+    *((HEADER + "\n" + RECORD % f',"origin":{origin}', VOCAB3, FormatError,
+       "line 2 (instance 'x'): field 'origin' must be a non-empty string") for origin in ('""', "1")),
+    (HEADER + "\n\n" + RECORD % "", VOCAB3, FormatError, "line 2: blank line in record stream"),
+    (HEADER + "\n" + RECORD % "" + "\n \t\n", VOCAB3, FormatError,
+     "line 3: blank line in record stream"),
+    (HEADER + "\n" + RECORD % ',"graph":{"nodes":[[0.0,0.0,0.0]],"edges":[]}', VOCAB3,
+     ValidationError, "instance 'x': node feature dim 3 != declared 2"),
+    (HEADER + "\n" + RECORD % ',"reg":[1.0]', VOCAB3, ValidationError,
+     "instance 'x': regression targets present but regression_width is 0"),
+]
+
+
+@pytest.mark.parametrize("records, vocabulary, error, message", MALFORMED_STREAMS)
+def test_malformed_streams_fail_as_before(records, vocabulary, error, message):
+    with pytest.raises(error) as caught:
+        parse_dataset(records, vocabulary)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_a_meta_key_that_names_a_header_field_is_refused_on_write():
+    dataset = parse_dataset(HEADER, VOCAB3)
+    dataset.meta["label_count"] = 1
+    with pytest.raises(ValidationError) as caught:
+        write_dataset(dataset, io.StringIO())
+    assert str(caught.value) == "meta key 'label_count' collides with a reserved header field"
+
+
 GRAPH_LINE = '{"id":"x","fp":"00","labels":[],"graph":%s}'
 TWO_NODES = '"nodes":[[0.0,0.0],[1.0,1.0]]'
 
@@ -625,6 +680,90 @@ def test_load_names_a_file_that_is_not_utf8(tmp_path):
     with pytest.raises(FormatError) as caught:
         load_dataset(records, decode_graphs=False)
     assert str(caught.value) == f"{vocab}: line 3: not UTF-8 text (byte 0xe9 at offset 22)"
+
+
+# The characters other than "\n" and "\r" at which ``str.splitlines`` breaks.
+SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("decode_graphs", [True, False], ids=["decoded", "kept"])
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+def test_a_record_id_may_hold_a_raw_unicode_line_break(tmp_path, char, decode_graphs):
+    # JSON allows these raw in a string; mlimb writes them escaped.
+    line = GRAPH_LINE.replace('"x"', f'"a{char}b"') % '{"nodes":[[0.0,1.0]],"edges":[]}'
+    (tmp_path / "d.jsonl").write_bytes(f"{HEADER}\n{line}\n".encode())
+    (tmp_path / "d.labels.tsv").write_bytes(VOCAB3.encode())
+    dataset = load_dataset(tmp_path / "d.jsonl", decode_graphs=decode_graphs)
+    assert dataset.ids == (f"a{char}b",)
+
+
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "\r", "c\r\n"])
+def test_a_label_name_holding_a_tab_or_line_end_is_refused(name):
+    with pytest.raises(ValidationError) as caught:
+        LabelVocabulary(("ok", name))
+    assert str(caught.value) == "label names must not hold a tab, \\n or \\r"
+
+
+@given(names=st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"), min_size=1),
+                      min_size=1, max_size=6, unique=True))
+@example(names=["a\u2028b", "z"])
+@example(names=[f"a{char}b" for char in SPLITLINES_ONLY] + list(SPLITLINES_ONLY))
+def test_label_names_without_a_tab_or_line_end_round_trip(tmp_path_factory, names):
+    vocabulary = LabelVocabulary(tuple(names))
+    assert parse_vocabulary(format_vocabulary(vocabulary)) == vocabulary
+    rows = [Instance(id=name, fingerprint=Fingerprint([1, 0]), labels=(i,))
+            for i, name in enumerate(names)]
+    dataset = MultiLabelDataset(vocabulary=vocabulary, instances=rows, fingerprint_width=2,
+                                node_feature_dim=1)
+    records = tmp_path_factory.mktemp("names") / "d.jsonl"
+    save_dataset(dataset, records)
+    assert load_dataset(records) == dataset
+
+
+@pytest.mark.parametrize("decode_graphs", [True, False], ids=["decoded", "kept"])
+def test_an_integer_past_pythons_digit_limit_is_a_format_error_naming_its_line(decode_graphs):
+    line = '{"id":"x","fp":"00","labels":[%s]}' % ("1" * 5000)
+    with pytest.raises(FormatError, match=r"^line 2: invalid record JSON \(Exceeds the limit"):
+        parse_dataset(HEADER + "\n" + line, VOCAB3, decode_graphs=decode_graphs)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_files_read_as_lf_files(tmp_path, tiny4, end):
+    records, vocab = tiny4
+    path = tmp_path / "d.jsonl"
+    (tmp_path / "d.labels.tsv").write_bytes(vocab.replace("\n", end).encode())
+    path.write_bytes(records.replace("\n", end).encode())
+    assert load_dataset(path) == parse_dataset(records, vocab)
+    lines = records.splitlines()
+    lines[2] = '{"id":"x","fp":"00"}'
+    path.write_bytes(end.join(lines).encode())
+    with pytest.raises(FormatError) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}: line 3: record missing field 'labels'"
+    path.write_bytes(end.join(lines[:2] + ['{"id":"\xff"}']).encode("latin-1"))
+    with pytest.raises(FormatError) as caught:
+        load_dataset(path)
+    offset = len(end.join(lines[:2] + ['{"id":"']))
+    assert str(caught.value) == f"{path}: line 3: not UTF-8 text (byte 0xff at offset {offset})"
+
+
+def test_load_names_the_file_each_fault_is_in(tmp_path):
+    records, vocab = tmp_path / "d.jsonl", tmp_path / "d.labels.tsv"
+    records.write_text(HEADER + "\n" + RECORD % "", encoding="utf-8")
+    for text, error, message in [
+        ("0\tnausea\n1\tnausea\n", ValidationError, "label names must be unique"),
+        ("0\tnausea\nrash\n", FormatError, "vocabulary line 2: expected 'index<TAB>name'"),
+        ("0\tnausea\n2\trash\n", FormatError,
+         "vocabulary indices must be exactly 0..N-1 with no gaps or duplicates"),
+    ]:
+        vocab.write_text(text, encoding="utf-8")
+        with pytest.raises(error) as caught:
+            load_dataset(records)
+        assert (type(caught.value), str(caught.value)) == (error, f"{vocab}: {message}")
+    vocab.write_text("0\tnausea\n1\trash\n", encoding="utf-8")
+    with pytest.raises(FormatError) as caught:
+        load_dataset(records)
+    assert str(caught.value) == f"{records}: line 1: header label_count 3 != vocabulary size 2"
 
 
 # ---------------------------------------------------------------------------

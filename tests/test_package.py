@@ -1,7 +1,10 @@
-"""The package's public surface: every exported name exists."""
+"""The package's public surface: every exported name exists, and every
+module is written in the grammar of the oldest Python it declares."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import mlimb
 
@@ -14,3 +17,12 @@ def test_every_name_in_each_modules_all_resolves():
         module = importlib.import_module(f"mlimb.{name}")
         missing += [f"{module.__name__}.{attr}" for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_every_module_parses_with_the_python_3_10_grammar():
+    """``pyproject.toml`` declares Python 3.10 or later. ``feature_version``
+    makes ``ast.parse`` refuse syntax newer than 3.10, such as ``except*``,
+    ``type`` statements and PEP 695 generics. It checks grammar only: a
+    standard-library call or a regex construct that 3.10 lacks still passes."""
+    for path in sorted(Path(mlimb.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
