@@ -34,6 +34,7 @@ from .data import (
     FormatError,
     MultiLabelDataset,
     ValidationError,
+    _single_thread_blas,
     load_dataset,
     save_dataset,
 )
@@ -54,7 +55,6 @@ from .network import (
     loss_curve_csv,
     predict,
     regression_matrix,
-    _single_thread_blas,
     save_checkpoint,
     train,
 )

@@ -40,14 +40,17 @@ key order, compact separators): rewrites of a parsed file are byte-identical.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import attrgetter, index
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -100,6 +103,11 @@ class LabelVocabulary:
             raise ValidationError("label names must be non-empty strings")
         if any("\t" in n or "\n" in n or "\r" in n for n in names):
             raise ValidationError("label names must not hold a tab, \\n or \\r")
+        for n in names:
+            try:
+                n.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValidationError(f"label name {n!r} does not encode as UTF-8") from None
         if len(set(names)) != len(names):
             raise ValidationError("label names must be unique")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
@@ -386,6 +394,63 @@ def _unpacked_rows(rows: list[bytes], width: int) -> np.ndarray:
     """The (len(rows), width) 0/1 uint8 matrix of rows as ``_packed_rows`` packs them."""
     packed = np.frombuffer(b"".join(rows), np.uint8).reshape(-1, -(-width // 8))
     return np.unpackbits(packed, axis=1, count=width)
+
+
+# (get, set) thread-count symbols of OpenBLAS builds; numpy's bundled build
+# prefixes its names.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """Getter and setter of the thread count of the loaded OpenBLAS, found
+    through the process's memory map; None for other BLAS libraries and on
+    platforms without ``/proc``."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            getter, setter = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+@contextmanager
+def _single_thread_blas() -> Iterator[None]:
+    """Run OpenBLAS on one thread inside the block, then restore the
+    caller's thread count.
+
+    Threaded OpenBLAS splits a matrix product by thread count, and the split
+    changes the last bits of some entries, so checkpoints, predictions and
+    correlations would depend on the machine's core count. The setting is
+    process-wide.
+    Other BLAS libraries are left as they are.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 @dataclass(eq=False)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _single_thread_blas
+
 __all__ = [
     "binarize",
     "prf",
@@ -112,7 +114,8 @@ def pearson(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, float]
     """Sample Pearson r over flattened pairs, plus r squared.
 
     Raises on fewer than 2 pairs, zero variance on either side, or a
-    non-finite or overflowing value.
+    non-finite or overflowing value. Its sums are BLAS dot products, run on
+    one OpenBLAS thread, so r does not depend on the core count.
     """
     x = np.asarray(predictions, dtype=np.float64).ravel()
     y = np.asarray(targets, dtype=np.float64).ravel()
@@ -121,16 +124,17 @@ def pearson(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, float]
     if x.size < 2:
         raise ValueError("Pearson correlation needs at least 2 pairs")
     # Non-finite or overflowing values raise below, not as warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _single_thread_blas(), np.errstate(over="ignore", invalid="ignore"):
         dx = x - x.mean()
         dy = y - y.mean()
         sxx = float(dx @ dx)
         syy = float(dy @ dy)
+        sxy = float(dx @ dy)
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("Pearson correlation undefined: zero variance")
     if not math.isfinite(sxx * syy):
         raise ValueError("Pearson correlation undefined: non-finite or overflowing values")
-    r = float(dx @ dy) / math.sqrt(sxx * syy)
+    r = sxy / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     return r, r * r
 

@@ -1,13 +1,22 @@
 """Hybrid graph/fingerprint network built from numpy, with analytic gradients.
 
-Forward structure, all shapes row-major (instances/nodes in rows):
+A forward pass runs these stages, shapes row-major (instances/nodes in rows):
 
-    H^(0) = X                       node features
-    H^(k) = act(A_hat H^(k-1) W_k + b_k)   stacked graph layers
-    h_G   = readout(H^(K))          per-graph pooling (permutation invariant)
-    F*    = F W_p + c               dense fingerprint path
-    Z     = (h_G + F*) W_q + d      additive fusion
-    y     = head(Z W_r + e)         sigmoid (multilabel) or identity (multiregression)
+    H^(0) = X                      node features
+    per graph layer k = 1..K:
+      M     = A_hat H^(k-1)        propagate         _propagate
+      P     = M W_k + b_k          transform         _transform
+      H^(k) = act(P)               activate          _activate
+    h_G = readout(H^(K))           readout           _readout, as READOUTS says
+    F*  = F W_p + c                fingerprint path  _fingerprint_path
+    Z   = (h_G + F*) W_q + d       fusion            _fuse
+    y   = head(Z W_r + e)          head              _head: sigmoid or identity
+
+Backward runs them in reverse from the head's loss gradient: _head_backward,
+_fuse_backward, _fingerprint_backward, _readout_backward, then per layer
+from K down to 1 _activate_backward (times act'(P), which _derivative writes
+from H^(k)), _transform_backward and _propagate, its own backward since
+A_hat is symmetric. forward and backward call each stage by its name.
 
 The adjacency operator A_hat is configurable: the literal adjacency, with
 self-loops, or symmetric degree-normalized with self-loops (default, the
@@ -19,47 +28,34 @@ Training is plain (optionally momentum) gradient descent, full-batch by
 default. A batch pads every graph to the batch's largest node count: node
 features are one (B, Nmax, F) tensor and the operators one (B, Nmax, Nmax)
 tensor whose padding rows and columns are zero, so padding never mixes
-into real nodes, and readouts mask it out. An epoch is then a handful of
-batched and 2-D matrix products. Gradients are exact derivatives of the
-clamped losses, which is what the finite-difference checks in the test
-suite verify.
+into real nodes, and readouts mask it out. Gradients are exact.
 
 Memory follows the batch, not the dataset: training builds each batch's
-dense targets from its own rows, and prediction runs in row blocks written
-into one output array. Multilabel targets are bool matrices, and a step
-allocates few batch x labels arrays: the head overwrites the logits buffer,
-and the clamped cross-entropy fills one buffer with log(y) or log(1 - y) by
-target, which for 0/1 targets is the two-log form to the bit. Per graph
-layer, a training step keeps one node tensor, the activation H^(k): each
-activation overwrites its pre-activation in place, backward writes the
-activation's derivative from H^(k), and it recomputes the propagated input
-A_hat H^(k-1) with the same product on the same operands, so the weight
-gradient has the same bits. Every (B, Nmax, D) node tensor lives in a
-workspace that ``train`` and ``predict`` allocate once per call and reuse
-across epochs, minibatches and prediction blocks: one activation buffer per
-layer and one scratch tensor (propagated inputs, the readout's masked
-copy, derivatives). Backward writes each node gradient into the buffer of
-an activation it has finished reading.
+targets (bool for multilabel) from its own rows, and prediction runs in row
+blocks. Every (B, Nmax, D) node tensor lives in a workspace that ``train``
+and ``predict`` allocate once per call: one buffer per layer, where H^(k)
+overwrites its pre-activation, and one scratch tensor. Backward recomputes
+A_hat H^(k-1) with the same product on the same operands rather than keep
+it, and writes each node gradient over an activation it has finished reading.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterator
 
 import numpy as np
 
+# _openblas_threads is imported for callers that read network._openblas_threads.
 from .data import (Instance, MolecularGraph, MultiLabelDataset, _check_seed, _integer,
-                   _unpacked_rows)
+                   _openblas_threads, _single_thread_blas, _unpacked_rows)
 
 __all__ = [
     "ACTIVATIONS",
+    "READOUTS",
     "READOUT_MODES",
     "HEAD_MODES",
     "ADJACENCY_MODES",
@@ -86,7 +82,6 @@ __all__ = [
     "loss_curve_csv",
 ]
 
-READOUT_MODES = ("max_plus_mean", "max_plus_min", "concat_mean_max")
 # The one head each task trains: the sigmoid head's clamped cross-entropy
 # and the identity head's squared error are the only gradients backward has.
 TASK_HEADS = {"multilabel": "sigmoid_multilabel", "multiregression": "linear_regression"}
@@ -138,6 +133,21 @@ ACTIVATIONS = {
 }
 
 
+READOUTS = {
+    "max_plus_mean": (("max", "mean"),),
+    "max_plus_min": (("max", "min"),),
+    "concat_mean_max": (("mean",), ("max",)),
+}
+"""Each readout mode as the blocks of h_G, which concatenates them: a block
+adds its pools, each the mean, maximum or minimum of a graph's real nodes
+per column of H^(K). So ``max_plus_mean`` is max + mean, ``max_plus_min``
+max + min, and ``concat_mean_max`` [mean, max], two embeddings wide, as F*
+must be. Backward hands each block its slice of h_G's gradient and each of
+its pools all of that slice: the mean spreads it evenly over the real nodes,
+max and min send it to the first real node that attained the extreme."""
+READOUT_MODES = tuple(READOUTS)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Dimension chain and mode switches of one model."""
@@ -184,11 +194,13 @@ class NetworkConfig:
         return self.hidden_dims[-1]
 
     @property
+    def readout(self) -> tuple[tuple[str, ...], ...]:
+        return READOUTS[self.readout_mode]
+
+    @property
     def fusion_input_dim(self) -> int:
-        # Concatenating mean and max doubles the embedding the dense
-        # fingerprint path must match.
-        factor = 2 if self.readout_mode == "concat_mean_max" else 1
-        return factor * self.embedding_dim
+        """Width of h_G, which the dense fingerprint path must match."""
+        return len(self.readout) * self.embedding_dim
 
 
 def _dimension(name: str, value: object) -> int:
@@ -389,90 +401,110 @@ def _buffer(workspace: dict[str, np.ndarray], name: str, shape: tuple[int, ...])
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs, kept from one forward pass.
-
-    Per graph layer that is the activation H^(k), from which the
-    activation's derivative is written; backward recomputes the propagated
-    input A_hat H^(k-1) that the weight gradient reads. The activations are
-    views into the workspace of the pass, valid only until ``backward`` or
-    the next ``forward`` runs on that workspace: backward writes its node
-    gradients over them. Under the mean readouts H^(K)'s padding rows are
-    zero, not act(bias): the mean sums H^(K) itself.
+    """What backward reads of one forward pass. Each activation H^(k) is a
+    view into the pass's workspace, valid until ``backward`` (which writes
+    node gradients over it) or the next ``forward`` on it. Under the mean
+    readouts H^(K)'s padding rows are zero, not act(bias).
     """
 
     batch: GraphBatch
     hidden: list[np.ndarray] = field(default_factory=list)  # [H^(0)=X, ..., H^(K)], (B, Nmax, .)
-    max_rows: np.ndarray | None = None  # (B, D): first node attaining each column's max
-    min_rows: np.ndarray | None = None
+    extremes: dict[str, np.ndarray] = field(default_factory=dict)  # pool -> (B, D) extreme nodes
     fused: np.ndarray | None = None
     z: np.ndarray | None = None
     y_pred: np.ndarray | None = None
 
 
-def forward(
-    batch: GraphBatch, params: ModelParameters, workspace: dict[str, np.ndarray] | None = None
-) -> ForwardTrace:
-    """One forward pass, its node tensors in ``workspace`` (a fresh one when None)."""
+def _propagate(operator: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A_hat H into ``out``; A_hat is symmetric, so this is its own backward."""
+    return np.matmul(operator, h, out=out)
+
+
+def _transform(m: np.ndarray, params: ModelParameters, k: int, out: np.ndarray) -> np.ndarray:
+    """M W_k + b_k over every node row, into ``out``."""
+    rows = m.shape[0] * m.shape[1]
+    np.matmul(m.reshape(rows, -1), params.layer_weights[k], out=out.reshape(rows, -1))
+    out += params.layer_biases[k]
+    return out
+
+
+def _activate(activation: str, p: np.ndarray) -> np.ndarray:
+    return ACTIVATIONS[activation][0](p)
+
+
+# Each extreme pool, the fill hiding padding from its search, and the search.
+_EXTREMES = (("max", -np.inf, np.argmax), ("min", np.inf, np.argmin))
+
+
+def _readout(h: np.ndarray, batch: GraphBatch, readout: tuple, workspace: dict) -> tuple:
+    """h_G as READOUTS says, and per extreme pool the node each (graph, column) took."""
+    pools, pooled = [pool for block in readout for pool in block], {}
+    if "mean" in pools:
+        # Padding rows hold act(bias): zero them in H^(K) itself, then sum
+        # along the nodes in node order. Backward gives them zero gradient.
+        np.copyto(h, 0.0, where=~batch.mask[:, :, None])
+        pooled["mean"] = h.sum(axis=1) / batch.sizes[:, None]
+    # Each search runs along the last, contiguous axis of one (B, D, Nmax)
+    # masked copy, so numpy copies nothing more; it returns the first extreme.
+    b, width, dim = h.shape
+    padding = ~batch.mask[:, None, :]
+    masked = _buffer(workspace, "scratch", (b, dim, width))
+    np.copyto(masked, h.transpose(0, 2, 1))
+    extremes = {}
+    for pool, fill, search in _EXTREMES:
+        if pool in pools:
+            np.copyto(masked, fill, where=padding)
+            rows = extremes[pool] = search(masked, axis=2)
+            pooled[pool] = np.take_along_axis(h, rows[:, None, :], axis=1)[:, 0, :]
+    blocks = [functools.reduce(np.add, (pooled[pool] for pool in block)) for block in readout]
+    return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)), extremes
+
+
+def _fingerprint_path(fingerprints: np.ndarray, params: ModelParameters) -> np.ndarray:
+    f_star = fingerprints @ params.fp_weight
+    f_star += params.fp_bias
+    return f_star
+
+
+def _fuse(h_g: np.ndarray, f_star: np.ndarray, params: ModelParameters) -> tuple:
+    """h_G + F*, which the fusion's weight gradient reads, and Z."""
+    fused = h_g + f_star
+    z = fused @ params.fuse_weight
+    z += params.fuse_bias
+    return fused, z
+
+
+def _head(z: np.ndarray, params: ModelParameters) -> np.ndarray:
+    """The sigmoid head overwrites the logits; the identity head is the logits."""
+    logits = z @ params.head_weight
+    logits += params.head_bias
+    if params.config.head_mode == "sigmoid_multilabel":
+        _sigmoid(logits, out=logits)
+    return logits
+
+
+def forward(batch: GraphBatch, params: ModelParameters,
+            workspace: dict[str, np.ndarray] | None = None) -> ForwardTrace:
+    """One pass through the stages, its node tensors in ``workspace`` (a fresh one when None)."""
     workspace = {} if workspace is None else workspace
     cfg = params.config
-    act, _ = ACTIVATIONS[cfg.activation]
     trace = ForwardTrace(batch=batch)
-    b = batch.instance_count
-    fusion = cfg.fusion_input_dim
-
-    if cfg.input_mode in ("hybrid", "graph"):
+    unused = (batch.instance_count, cfg.fusion_input_dim)
+    if cfg.input_mode == "fingerprint":
+        h_g = np.zeros(unused)
+    else:
         h = batch.nodes
-        width = h.shape[1]
         trace.hidden.append(h)
-        for k, (w, bias) in enumerate(zip(params.layer_weights, params.layer_biases)):
-            m = np.matmul(batch.operator, h, out=_buffer(workspace, "scratch", h.shape))
-            p = _buffer(workspace, f"hidden{k}", (b * width, w.shape[1]))
-            np.matmul(m.reshape(b * width, -1), w, out=p)
-            p += bias
-            h = act(p).reshape(b, width, -1)
+        for k, width in enumerate(cfg.hidden_dims):
+            m = _propagate(batch.operator, h, _buffer(workspace, "scratch", h.shape))
+            p = _transform(m, params, k, _buffer(workspace, f"hidden{k}", h.shape[:2] + (width,)))
+            h = _activate(cfg.activation, p)
             trace.hidden.append(h)
-        # Padding rows hold act(bias); the readouts mask them out. The mean
-        # zeroes them in H^(K) itself and sums it along its nodes, in node
-        # order; backward multiplies their derivative by a zero gradient.
-        if cfg.readout_mode != "max_plus_min":
-            np.copyto(h, 0.0, where=~batch.mask[:, :, None])
-            meanv = h.sum(axis=1) / batch.sizes[:, None]
-        # argmax and argmin search a (B, D, Nmax) masked copy along its last,
-        # contiguous axis, so numpy copies nothing; each returns the first
-        # extreme node, the row backward routes to.
-        padding = ~batch.mask[:, None, :]
-        masked = _buffer(workspace, "scratch", (b, h.shape[2], width))
-        np.copyto(masked, h.transpose(0, 2, 1))
-        np.copyto(masked, -np.inf, where=padding)
-        trace.max_rows = masked.argmax(axis=2)
-        maxv = np.take_along_axis(h, trace.max_rows[:, None, :], axis=1)[:, 0, :]
-        if cfg.readout_mode == "max_plus_min":
-            np.copyto(masked, np.inf, where=padding)
-            trace.min_rows = masked.argmin(axis=2)
-            minv = np.take_along_axis(h, trace.min_rows[:, None, :], axis=1)[:, 0, :]
-            h_g = maxv + minv
-        elif cfg.readout_mode == "max_plus_mean":
-            h_g = maxv + meanv
-        else:
-            h_g = np.concatenate([meanv, maxv], axis=1)
-    else:
-        h_g = np.zeros((b, fusion))
-
-    if cfg.input_mode in ("hybrid", "fingerprint"):
-        f_star = batch.fingerprints @ params.fp_weight
-        f_star += params.fp_bias
-    else:
-        f_star = np.zeros((b, fusion))
-
-    trace.fused = h_g + f_star
-    trace.z = trace.fused @ params.fuse_weight
-    trace.z += params.fuse_bias
-    logits = trace.z @ params.head_weight
-    logits += params.head_bias
-    # The sigmoid head overwrites the logits; the identity head is the logits.
-    if cfg.head_mode == "sigmoid_multilabel":
-        _sigmoid(logits, out=logits)
-    trace.y_pred = logits
+        h_g, trace.extremes = _readout(h, batch, cfg.readout, workspace)
+    f_star = (np.zeros(unused) if cfg.input_mode == "graph"
+              else _fingerprint_path(batch.fingerprints, params))
+    trace.fused, trace.z = _fuse(h_g, f_star, params)
+    trace.y_pred = _head(trace.z, params)
     return trace
 
 
@@ -503,23 +535,12 @@ def loss(y_pred: np.ndarray, targets: np.ndarray, task: str) -> float:
     return -float(np.mean(w))
 
 
-def backward(
-    trace: ForwardTrace, targets: np.ndarray, params: ModelParameters,
-    workspace: dict[str, np.ndarray] | None = None,
-) -> ModelParameters:
-    """Gradients of loss(forward(batch), targets, task) for every parameter
-    tensor, where the task is the one the config's head trains, with scratch
-    tensors in ``workspace`` (a fresh one when None).
-    """
-    workspace = {} if workspace is None else workspace
-    cfg = params.config
-    _, dact = ACTIVATIONS[cfg.activation]
-    grads = params.zeros_like()
-    batch = trace.batch
-
+def _head_backward(trace: ForwardTrace, targets: np.ndarray, params: ModelParameters,
+                   grads: ModelParameters) -> np.ndarray:
+    """The loss gradient through the head, the head's gradients, and dZ."""
     y = trace.y_pred
     dlogits = np.subtract(y, targets)
-    if cfg.task == "multilabel":
+    if params.config.task == "multilabel":
         # Through the sigmoid the clamped BCE gradient collapses to
         # (y - t) / n where the clamp is inactive, and 0 where it is active.
         dlogits /= y.size
@@ -530,65 +551,100 @@ def backward(
         # Through the identity head the squared error gives 2 (y - t) / n.
         dlogits *= 2.0
         dlogits /= y.size
-
     grads.head_weight[:] = trace.z.T @ dlogits
     grads.head_bias[:] = dlogits.sum(axis=0)
-    dz = dlogits @ params.head_weight.T
+    return dlogits @ params.head_weight.T
 
+
+def _fuse_backward(trace: ForwardTrace, dz: np.ndarray, params: ModelParameters,
+                   grads: ModelParameters) -> np.ndarray:
+    """The fusion's gradients, and the gradient of h_G + F*."""
     grads.fuse_weight[:] = trace.fused.T @ dz
     grads.fuse_bias[:] = dz.sum(axis=0)
-    dfused = dz @ params.fuse_weight.T
+    return dz @ params.fuse_weight.T
 
-    if cfg.input_mode in ("hybrid", "fingerprint"):
-        grads.fp_weight[:] = batch.fingerprints.T @ dfused
-        grads.fp_bias[:] = dfused.sum(axis=0)
 
-    if cfg.input_mode in ("hybrid", "graph"):
-        b, width, dim = trace.hidden[-1].shape
-        # H^(K) is read once, for its derivative; the readout gradient then
-        # takes its buffer.
-        deriv = dact(trace.hidden[-1].reshape(b * width, dim),
-                     _buffer(workspace, "scratch", (b * width, dim)))
-        dh = _buffer(workspace, f"hidden{cfg.layer_count - 1}", (b, width, dim))
-        if cfg.readout_mode == "max_plus_min":
-            dmax = dfused
-            dh.fill(0.0)
-        else:
-            dmean, dmax = (
-                (dfused, dfused) if cfg.readout_mode == "max_plus_mean"
-                else np.split(dfused, 2, axis=1)
-            )
-            per_node = (dmean / batch.sizes[:, None])[:, None, :]
-            np.multiply(batch.mask[:, :, None], per_node, out=dh)
-        # Flat offset of node row 0 for each (graph, column). A column has one
-        # max row per graph, so no element is hit twice by one += below.
-        base = np.arange(b)[:, None] * (width * dim) + np.arange(dim)
-        flat = dh.reshape(-1)
-        flat[base + trace.max_rows * dim] += dmax
-        if cfg.readout_mode == "max_plus_min":
-            flat[base + trace.min_rows * dim] += dfused
+def _fingerprint_backward(fingerprints: np.ndarray, dfused: np.ndarray, grads: ModelParameters):
+    grads.fp_weight[:] = fingerprints.T @ dfused
+    grads.fp_bias[:] = dfused.sum(axis=0)
 
-        # Padding rows of dh start at zero and stay zero, because the
-        # operator's padding rows are zero, so they add nothing to any
-        # gradient. Each layer turns dh into the gradient of its
-        # pre-activation in place; the scratch buffer holds in turn the
-        # derivative, the recomputed propagated input and dh @ W_k.T. The
-        # next dh goes into the buffer of H^(k+1), dead since its derivative.
-        dh = dh.reshape(b * width, dim)
-        for k in range(cfg.layer_count - 1, -1, -1):
-            dh *= deriv
-            below = trace.hidden[k]
-            m = np.matmul(batch.operator, below, out=_buffer(workspace, "scratch", below.shape))
-            grads.layer_weights[k][:] = m.reshape(b * width, -1).T @ dh
-            grads.layer_biases[k][:] = dh.sum(axis=0)
-            if k > 0:
-                # The operator is symmetric, so A_hat.T @ x == A_hat @ x.
-                back = _buffer(workspace, "scratch", below.shape)
-                np.matmul(dh, params.layer_weights[k].T, out=back.reshape(b * width, -1))
-                dh = _buffer(workspace, f"hidden{k}", below.shape)
-                np.matmul(batch.operator, back, out=dh)
-                dh = dh.reshape(b * width, -1)
-                deriv = dact(below.reshape(dh.shape), _buffer(workspace, "scratch", dh.shape))
+
+def _readout_backward(dh_g: np.ndarray, trace: ForwardTrace, readout: tuple,
+                      out: np.ndarray) -> np.ndarray:
+    """dH^(K), routed from dh_G as READOUTS says, into ``out``."""
+    batch = trace.batch
+    b, width, dim = out.shape
+    shares = {pool: part for block, part in zip(readout, np.split(dh_g, len(readout), axis=1))
+              for pool in block}
+    if "mean" in shares:
+        per_node = (shares["mean"] / batch.sizes[:, None])[:, None, :]
+        np.multiply(batch.mask[:, :, None], per_node, out=out)
+    else:
+        out.fill(0.0)
+    # Flat offset of node row 0 for each (graph, column). A column has one
+    # extreme row per graph, so no element is hit twice by one += below.
+    base = np.arange(b)[:, None] * (width * dim) + np.arange(dim)
+    flat = out.reshape(-1)
+    for pool, rows in trace.extremes.items():
+        flat[base + rows * dim] += shares[pool]
+    return out
+
+
+def _derivative(activation: str, h: np.ndarray, workspace: dict) -> np.ndarray:
+    """act'(P) from the activation's output H alone, one row per node, in scratch."""
+    rows = h.reshape(-1, h.shape[-1])
+    return ACTIVATIONS[activation][1](rows, _buffer(workspace, "scratch", rows.shape))
+
+
+def _activate_backward(dh: np.ndarray, derivative: np.ndarray) -> np.ndarray:
+    """dP = dH act'(P), written over dH, one row per node."""
+    dh = dh.reshape(derivative.shape)
+    dh *= derivative
+    return dh
+
+
+def _transform_backward(m: np.ndarray, dp: np.ndarray, params: ModelParameters,
+                        grads: ModelParameters, k: int, out: np.ndarray | None) -> None:
+    """The gradients of W_k and b_k, then dM into ``out`` (may be M's memory) if given."""
+    rows = m.shape[0] * m.shape[1]
+    grads.layer_weights[k][:] = m.reshape(rows, -1).T @ dp
+    grads.layer_biases[k][:] = dp.sum(axis=0)
+    if out is not None:
+        np.matmul(dp, params.layer_weights[k].T, out=out.reshape(rows, -1))
+
+
+def backward(trace: ForwardTrace, targets: np.ndarray, params: ModelParameters,
+             workspace: dict[str, np.ndarray] | None = None) -> ModelParameters:
+    """Gradients of loss(forward(batch), targets, task) for every parameter
+    tensor, where the task is the one the config's head trains, with scratch
+    tensors in ``workspace`` (a fresh one when None): forward's stages in
+    reverse."""
+    workspace = {} if workspace is None else workspace
+    cfg = params.config
+    grads = params.zeros_like()
+    batch = trace.batch
+    dfused = _fuse_backward(trace, _head_backward(trace, targets, params, grads), params, grads)
+    if cfg.input_mode != "graph":
+        _fingerprint_backward(batch.fingerprints, dfused, grads)
+    if cfg.input_mode == "fingerprint":
+        return grads
+
+    # H^(K) is read once, for its derivative; dh then takes its buffer, and
+    # each next dh the buffer of H^(k+1), dead since its derivative. Padding
+    # rows of dh stay zero, as the operator's are, so add to no gradient.
+    top = trace.hidden[-1]
+    derivative = _derivative(cfg.activation, top, workspace)
+    dh = _readout_backward(dfused, trace, cfg.readout,
+                           _buffer(workspace, f"hidden{cfg.layer_count - 1}", top.shape))
+    for k in range(cfg.layer_count - 1, -1, -1):
+        dp = _activate_backward(dh, derivative)
+        below = trace.hidden[k]
+        m = _propagate(batch.operator, below, _buffer(workspace, "scratch", below.shape))
+        dm = _buffer(workspace, "scratch", below.shape) if k else None
+        _transform_backward(m, dp, params, grads, k, dm)
+        if k:
+            dh = _propagate(batch.operator, dm, _buffer(workspace, f"hidden{k}", below.shape))
+            derivative = _derivative(cfg.activation, below, workspace)
     return grads
 
 
@@ -680,62 +736,6 @@ def _check_targets(dataset: MultiLabelDataset, net: NetworkConfig) -> None:
             f"dataset has {dataset.regression_width}"
         )
     regression_matrix(dataset)
-
-
-# (get, set) thread-count symbols of OpenBLAS builds; numpy's bundled build
-# prefixes its names.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """Getter and setter of the thread count of the loaded OpenBLAS, found
-    through the process's memory map; None for other BLAS libraries and on
-    platforms without ``/proc``."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            getter, setter = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if getter is not None and setter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return getter, setter
-    return None
-
-
-@contextmanager
-def _single_thread_blas() -> Iterator[None]:
-    """Run OpenBLAS on one thread inside the block, then restore the
-    caller's thread count.
-
-    Threaded OpenBLAS splits a matrix product by thread count, and the split
-    changes the last bits of some entries, so checkpoints and predictions
-    would depend on the machine's core count. The setting is process-wide.
-    Other BLAS libraries are left as they are.
-    """
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_ = threads
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
 
 
 def train(

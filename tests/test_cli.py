@@ -617,6 +617,31 @@ def test_library_train_and_predict_pin_blas_and_restore_the_callers_threads(tmp_
     assert outputs["1"] == outputs["2"]
 
 
+LIBRARY_EVALUATION = """
+import numpy as np
+from mlimb import evaluation, network
+
+rng = np.random.default_rng(7)
+targets = rng.normal(size=(400, 500))
+report = evaluation.evaluate_regression(targets + rng.normal(size=(400, 500)), targets)
+threads = network._openblas_threads()
+print(report.to_json(), threads[0]() if threads else "none")
+"""
+
+
+def test_library_regression_evaluation_pins_blas_and_restores_the_callers_threads():
+    # Pearson's sums are dot products, which threaded OpenBLAS splits by
+    # thread count; with 2 threads r used to differ in its last bit.
+    outputs = {}
+    for threads in ("1", "2"):
+        out = subprocess.run([sys.executable, "-c", LIBRARY_EVALUATION],
+                             env=_cli_env(OPENBLAS_NUM_THREADS=threads),
+                             capture_output=True, text=True, check=True)
+        outputs[threads], after = out.stdout.split()
+        assert after in (threads, "none")
+    assert outputs["1"] == outputs["2"]
+
+
 def test_cli_import_does_not_load_scipy():
     probe = ("import sys, mlimb.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mlimb.data import (
@@ -578,6 +578,9 @@ def text_path_datasets(draw) -> MultiLabelDataset:
                              regression_width=reg_width, meta=meta)
 
 
+# Drawing a dataset is slow by the health check's measure on a busy machine
+# (one draw once took 1.1 s); that says nothing about the code under test.
+@settings(suppress_health_check=[HealthCheck.too_slow])
 @given(text_path_datasets())
 def test_graphs_kept_as_text_write_back_what_was_read(dataset):
     text = written(dataset)
@@ -702,6 +705,21 @@ def test_a_label_name_holding_a_tab_or_line_end_is_refused(name):
     with pytest.raises(ValidationError) as caught:
         LabelVocabulary(("ok", name))
     assert str(caught.value) == "label names must not hold a tab, \\n or \\r"
+
+
+@pytest.mark.parametrize("name", ["\ud800", "a\udfffb", "\ud83d\ude00"])
+def test_a_label_name_that_does_not_encode_as_utf8_is_refused_before_any_file(tmp_path, name):
+    # A lone surrogate (or a pair of them, which Python keeps as two) has no
+    # UTF-8 form, so the vocabulary file could not be written.
+    with pytest.raises(ValidationError) as caught:
+        vocabulary = LabelVocabulary(("a", name))
+        dataset = MultiLabelDataset(vocabulary=vocabulary, fingerprint_width=2,
+                                    node_feature_dim=1, instances=[
+                                        Instance(id="x", fingerprint=Fingerprint([1, 0]),
+                                                 labels=(1,))])
+        save_dataset(dataset, tmp_path / "d.jsonl")
+    assert str(caught.value) == f"label name {name!r} does not encode as UTF-8"
+    assert list(tmp_path.iterdir()) == []
 
 
 @given(names=st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"), min_size=1),

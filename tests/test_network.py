@@ -951,6 +951,49 @@ def test_train_and_predict_step_through_the_public_step_functions(monkeypatch):
     assert calls == ["forward", "backward"] * (3 * -(-len(d) // 5)) + ["forward"]
 
 
+# Calls of each stage in one training step (forward then backward) of a
+# hybrid model with K graph layers. Backward propagates K times to recompute
+# each layer's input and K - 1 times to carry the gradient down, as the
+# bottom layer's input needs none.
+def stage_calls(k):
+    per_layer = ("_transform", "_activate", "_derivative", "_activate_backward",
+                 "_transform_backward")
+    once = ("_readout", "_fingerprint_path", "_fuse", "_head", "_head_backward",
+            "_fuse_backward", "_fingerprint_backward", "_readout_backward")
+    return {"_propagate": 3 * k - 1, **dict.fromkeys(per_layer, k), **dict.fromkeys(once, 1)}
+
+
+def test_every_stage_runs_through_its_module_name_with_the_same_bytes(monkeypatch, tmp_path):
+    # A tracer wraps each stage in the module namespace, as the benchmark's
+    # spans do for the public functions, so forward and backward must call
+    # every stage by that name, and the wrapped run must train the same model.
+    d = labeled_dataset(np.random.default_rng(41), n=16)
+    cfg = NetworkConfig(node_feature_dim=d.node_feature_dim,
+                        fingerprint_width=d.fingerprint_width,
+                        output_dim=d.label_count, hidden_dims=(5, 4), fuse_dim=3)
+    runs = {"full": TrainConfig(task="multilabel", epochs=2, learning_rate=0.5, seed=3),
+            "minibatch": TrainConfig(task="multilabel", epochs=1, learning_rate=0.5,
+                                     batch_size=5, seed=3)}
+
+    def checkpoints():
+        out = {}
+        for name, tc in runs.items():
+            save_checkpoint(train(d, cfg, tc)[0], tmp_path / f"{name}.json")
+            out[name] = (tmp_path / f"{name}.json").read_bytes()
+        return out
+
+    plain = checkpoints()
+    counts = dict.fromkeys(stage_calls(cfg.layer_count), 0)
+    for name in counts:
+        def counted(*args, _stage=getattr(network, name), _name=name):
+            counts[_name] += 1
+            return _stage(*args)
+        monkeypatch.setattr(network, name, counted)
+    assert checkpoints() == plain
+    steps = 2 + -(-len(d) // 5)
+    assert counts == {name: calls * steps for name, calls in stage_calls(cfg.layer_count).items()}
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints and exports
 # ---------------------------------------------------------------------------
