@@ -37,13 +37,26 @@ and ``predict`` allocate once per call: one buffer per layer, where H^(k)
 overwrites its pre-activation, and one scratch tensor. Backward recomputes
 A_hat H^(k-1) with the same product on the same operands rather than keep
 it, and writes each node gradient over an activation it has finished reading.
+
+``train`` and ``predict`` use at most two threads, with OpenBLAS on one
+thread in each. Their workspace keeps one worker thread, which runs the
+fingerprint path beside the graph layers and the readout, the fingerprint
+backward beside the graph layers' backward, and the loss beside backward;
+``train`` and ``predict`` join it before they return. A job writes only
+arrays its caller allocated and reads nothing the caller writes meanwhile,
+so every output keeps the bytes of the same stages run on one thread, as
+they are when ``forward``, ``backward`` or ``loss_and_gradients`` is
+called without such a workspace.
 """
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import functools
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -399,6 +412,80 @@ def _buffer(workspace: dict[str, np.ndarray], name: str, shape: tuple[int, ...])
     return held[:size].reshape(shape)
 
 
+class _Workspace(dict):
+    """A workspace whose ``with`` block keeps one worker thread, which runs
+    the jobs ``_beside`` hands it, in the order handed, while the caller runs
+    the rest of the step. Leaving the block runs the jobs still queued, then
+    stops and joins the thread, so no thread outlives ``train`` or ``predict``.
+
+    A job writes only what its caller allocated for it and reads only what
+    nothing writes until its result is taken, so the step's operations, and
+    their bytes, are those of the same jobs run inline.
+    """
+
+    def __enter__(self) -> "_Workspace":
+        self._jobs, self._posted = collections.deque(), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve, name="mlimb-step", daemon=True)
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.post(None)
+        self._thread.join()
+
+    def post(self, job: "_Job | None") -> None:
+        self._jobs.append(job)
+        self._posted.release()
+
+    def _serve(self) -> None:
+        while True:
+            self._posted.acquire()
+            job = self._jobs.popleft()
+            if job is None:
+                return
+            job.run()
+
+
+class _Job:
+    """A call the worker runs once; ``result`` waits for it and returns its
+    value or raises its exception."""
+
+    __slots__ = ("_call", "_value", "_error", "_finished")
+
+    def __init__(self, call) -> None:
+        self._call, self._value, self._error = call, None, None
+        self._finished = threading.Lock()
+        self._finished.acquire()
+
+    def run(self) -> None:
+        try:
+            self._value = self._call()
+        except BaseException as exc:  # raised again in the caller, by result()
+            self._error = exc
+        self._finished.release()
+
+    def result(self):
+        self._finished.acquire()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def _done(value):
+    return lambda: value
+
+
+def _beside(workspace: dict, job, *args):
+    """Start ``job(*args)`` on the workspace's worker thread and return a
+    call that waits for its result; without a worker it runs here and now."""
+    if not isinstance(workspace, _Workspace):
+        return _done(job(*args))
+    # The job runs in a copy of the caller's context, which holds numpy's errstate.
+    posted = _Job(functools.partial(contextvars.copy_context().run, job, *args))
+    workspace.post(posted)
+    return posted.result
+
+
 @dataclass
 class ForwardTrace:
     """What backward reads of one forward pass. Each activation H^(k) is a
@@ -460,10 +547,12 @@ def _readout(h: np.ndarray, batch: GraphBatch, readout: tuple, workspace: dict) 
     return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)), extremes
 
 
-def _fingerprint_path(fingerprints: np.ndarray, params: ModelParameters) -> np.ndarray:
-    f_star = fingerprints @ params.fp_weight
-    f_star += params.fp_bias
-    return f_star
+def _fingerprint_path(fingerprints: np.ndarray, params: ModelParameters,
+                      out: np.ndarray) -> np.ndarray:
+    """F* = F W_p + c into ``out``."""
+    np.matmul(fingerprints, params.fp_weight, out=out)
+    out += params.fp_bias
+    return out
 
 
 def _fuse(h_g: np.ndarray, f_star: np.ndarray, params: ModelParameters) -> tuple:
@@ -485,14 +574,22 @@ def _head(z: np.ndarray, params: ModelParameters) -> np.ndarray:
 
 def forward(batch: GraphBatch, params: ModelParameters,
             workspace: dict[str, np.ndarray] | None = None) -> ForwardTrace:
-    """One pass through the stages, its node tensors in ``workspace`` (a fresh one when None)."""
+    """One pass through the stages, its node tensors in ``workspace`` (a fresh one when None).
+
+    The fingerprint path runs on the workspace's worker, if it has one,
+    beside the graph layers and the readout.
+    """
     workspace = {} if workspace is None else workspace
     cfg = params.config
     trace = ForwardTrace(batch=batch)
-    unused = (batch.instance_count, cfg.fusion_input_dim)
+    branch = (batch.instance_count, cfg.fusion_input_dim)
+    f_star = np.zeros(branch) if cfg.input_mode == "graph" else np.empty(branch)
     if cfg.input_mode == "fingerprint":
-        h_g = np.zeros(unused)
+        _fingerprint_path(batch.fingerprints, params, f_star)
+        h_g = np.zeros(branch)
     else:
+        fingerprints = (_done(None) if cfg.input_mode == "graph" else
+                        _beside(workspace, _fingerprint_path, batch.fingerprints, params, f_star))
         h = batch.nodes
         trace.hidden.append(h)
         for k, width in enumerate(cfg.hidden_dims):
@@ -501,8 +598,7 @@ def forward(batch: GraphBatch, params: ModelParameters,
             h = _activate(cfg.activation, p)
             trace.hidden.append(h)
         h_g, trace.extremes = _readout(h, batch, cfg.readout, workspace)
-    f_star = (np.zeros(unused) if cfg.input_mode == "graph"
-              else _fingerprint_path(batch.fingerprints, params))
+        fingerprints()
     trace.fused, trace.z = _fuse(h_g, f_star, params)
     trace.y_pred = _head(trace.z, params)
     return trace
@@ -514,25 +610,44 @@ def loss(y_pred: np.ndarray, targets: np.ndarray, task: str) -> float:
 
     Multilabel targets are 0/1 or bool; any other value raises ValueError.
     """
+    y, t = _loss_operands(y_pred, targets, task)
+    return _loss(y, t, task, np.empty(y.shape))
+
+
+def _loss_operands(y_pred: np.ndarray, targets: np.ndarray, task: str) -> tuple:
+    """Predictions as float64 and targets checked for the task; multilabel
+    targets come back as bool."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
     y = np.asarray(y_pred, dtype=np.float64)
     t = np.asarray(targets)
     if y.shape != t.shape:
         raise ValueError(f"shape mismatch: predictions {y.shape} vs targets {t.shape}")
-    if task == "multiregression":
-        d = y - t
-        d *= d
-        return float(np.mean(d))
-    if t.dtype != bool and not ((t == 0) | (t == 1)).all():
+    if task == "multiregression" or t.dtype == bool:
+        return y, t
+    positive = t == 1
+    if not (positive | (t == 0)).all():
         raise ValueError("multilabel targets must contain only 0/1 entries")
+    return y, positive
+
+
+def _loss(y: np.ndarray, t: np.ndarray, task: str, out: np.ndarray) -> float:
+    """The loss of ``_loss_operands``' operands, computed in ``out`` (y's
+    shape), the one output-sized array it writes."""
+    if task == "multiregression":
+        np.subtract(y, t, out=out)
+        out *= out
+        return float(np.mean(out))
     # With 0/1 targets one log per entry is enough: log(yc) where t is 1 and
     # log(1 - yc) where it is 0. The term the two-log form multiplies by 0 is
     # an exact +-0.0 there, so both forms give the same value to the bit.
-    w = np.clip(y, BCE_EPS, 1.0 - BCE_EPS)
-    np.subtract(1.0, w, out=w, where=t == 0)
-    np.log(w, out=w)
-    return -float(np.mean(w))
+    # 1 - yc is written everywhere and yc again where t is 1, so no mask of
+    # the negatives is allocated.
+    np.clip(y, BCE_EPS, 1.0 - BCE_EPS, out=out)
+    np.subtract(1.0, out, out=out)
+    np.clip(y, BCE_EPS, 1.0 - BCE_EPS, out=out, where=t)
+    np.log(out, out=out)
+    return -float(np.mean(out))
 
 
 def _head_backward(trace: ForwardTrace, targets: np.ndarray, params: ModelParameters,
@@ -565,7 +680,7 @@ def _fuse_backward(trace: ForwardTrace, dz: np.ndarray, params: ModelParameters,
 
 
 def _fingerprint_backward(fingerprints: np.ndarray, dfused: np.ndarray, grads: ModelParameters):
-    grads.fp_weight[:] = fingerprints.T @ dfused
+    np.matmul(fingerprints.T, dfused, out=grads.fp_weight)
     grads.fp_bias[:] = dfused.sum(axis=0)
 
 
@@ -618,16 +733,18 @@ def backward(trace: ForwardTrace, targets: np.ndarray, params: ModelParameters,
     """Gradients of loss(forward(batch), targets, task) for every parameter
     tensor, where the task is the one the config's head trains, with scratch
     tensors in ``workspace`` (a fresh one when None): forward's stages in
-    reverse."""
+    reverse. The fingerprint backward runs on the workspace's worker, if it
+    has one, beside the graph layers' backward."""
     workspace = {} if workspace is None else workspace
     cfg = params.config
     grads = params.zeros_like()
     batch = trace.batch
     dfused = _fuse_backward(trace, _head_backward(trace, targets, params, grads), params, grads)
-    if cfg.input_mode != "graph":
-        _fingerprint_backward(batch.fingerprints, dfused, grads)
     if cfg.input_mode == "fingerprint":
+        _fingerprint_backward(batch.fingerprints, dfused, grads)
         return grads
+    fingerprints = (_done(None) if cfg.input_mode == "graph" else
+                    _beside(workspace, _fingerprint_backward, batch.fingerprints, dfused, grads))
 
     # H^(K) is read once, for its derivative; dh then takes its buffer, and
     # each next dh the buffer of H^(k+1), dead since its derivative. Padding
@@ -645,6 +762,7 @@ def backward(trace: ForwardTrace, targets: np.ndarray, params: ModelParameters,
         if k:
             dh = _propagate(batch.operator, dm, _buffer(workspace, f"hidden{k}", below.shape))
             derivative = _derivative(cfg.activation, below, workspace)
+    fingerprints()
     return grads
 
 
@@ -653,11 +771,15 @@ def loss_and_gradients(
     workspace: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, ModelParameters]:
     """Loss and gradients of one step on ``batch``, for the task the
-    config's head trains."""
+    config's head trains. The loss runs on the workspace's worker, if it has
+    one, beside ``backward``."""
     workspace = {} if workspace is None else workspace
     trace = forward(batch, params, workspace)
-    value = loss(trace.y_pred, targets, params.config.task)
-    return value, backward(trace, targets, params, workspace)
+    task = params.config.task
+    y, t = _loss_operands(trace.y_pred, targets, task)
+    value = _beside(workspace, _loss, y, t, task, np.empty(y.shape))
+    grads = backward(trace, targets, params, workspace)
+    return value(), grads
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +874,9 @@ def train(
     the first non-finite loss, naming the epoch; and when the last update
     leaves a parameter non-finite, so no caller saves a non-finite checkpoint.
     OpenBLAS runs on one thread meanwhile, so the result does not depend on
-    the core count.
+    the core count, and one worker thread runs the fingerprint path and the
+    loss beside each step's graph layers and backward (see the module
+    docstring); it is joined before ``train`` returns or raises.
     """
     with _single_thread_blas():
         params, curve = _train(dataset, net, cfg)
@@ -779,11 +903,10 @@ def _train(
     params = init_parameters(net, rng)
     velocity = params.zeros_like() if cfg.momentum > 0 else None
     curve: list[float] = []
-    workspace: dict[str, np.ndarray] = {}
 
     # A diverging run overflows before its loss turns non-finite; the check
     # below reports that as one error instead of a stream of warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _Workspace() as workspace:
         if cfg.batch_size is None or cfg.batch_size >= len(dataset):
             batch = build_batch(dataset.instances, net)
             targets = target_rows(dataset)
@@ -843,7 +966,8 @@ _PREDICT_BLOCK_ROWS = 256
 def predict(instances: list[Instance], params: ModelParameters) -> np.ndarray:
     """Forward pass in row blocks written into one output; rows follow
     instance order, and fewer than 512 rows run as a single batch. OpenBLAS
-    runs on one thread meanwhile, as in ``train``.
+    runs on one thread meanwhile, and a worker thread runs the fingerprint
+    path beside the graph layers, as in ``train``.
 
     Raises ValueError, in one line, when a prediction is not finite.
     """
@@ -856,9 +980,9 @@ def predict(instances: list[Instance], params: ModelParameters) -> np.ndarray:
         return out
     blocks = max(1, n // _PREDICT_BLOCK_ROWS)
     bounds = [n * k // blocks for k in range(blocks + 1)]
-    workspace: dict[str, np.ndarray] = {}
     # An overflowing model is reported below as one error, not as warnings.
-    with _single_thread_blas(), np.errstate(over="ignore", invalid="ignore"):
+    with _single_thread_blas(), np.errstate(over="ignore", invalid="ignore"), \
+            _Workspace() as workspace:
         for lo, hi in zip(bounds, bounds[1:]):
             batch = build_batch(instances[lo:hi], params.config)
             out[lo:hi] = forward(batch, params, workspace).y_pred

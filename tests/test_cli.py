@@ -617,6 +617,23 @@ def test_library_train_and_predict_pin_blas_and_restore_the_callers_threads(tmp_
     assert outputs["1"] == outputs["2"]
 
 
+def test_library_minibatch_training_keeps_its_bytes_across_blas_thread_counts(tmp_path):
+    # Minibatch steps run the fingerprint path and the loss on train's worker
+    # thread; its BLAS calls stay on one thread as the caller's do.
+    minibatch = LIBRARY_RUN.replace("learning_rate=1.0)", "learning_rate=1.0, batch_size=64)")
+    assert minibatch != LIBRARY_RUN
+    outputs = {}
+    for threads in ("1", "2"):
+        model = tmp_path / f"model{threads}.json"
+        out = subprocess.run([sys.executable, "-c", minibatch, str(model)],
+                             env=_cli_env(OPENBLAS_NUM_THREADS=threads),
+                             capture_output=True, text=True, check=True)
+        scores, after = out.stdout.split()
+        assert after in (threads, "none")
+        outputs[threads] = (model.read_bytes(), scores)
+    assert outputs["1"] == outputs["2"]
+
+
 LIBRARY_EVALUATION = """
 import numpy as np
 from mlimb import evaluation, network

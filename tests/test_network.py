@@ -13,7 +13,9 @@ import itertools
 import json
 import math
 import re
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -821,6 +823,27 @@ def test_training_step_memory_is_a_few_output_sized_arrays(wide_step):
     assert traced_peak(step) < 5 * dense
 
 
+def test_a_minibatch_step_inside_train_is_a_few_output_sized_arrays(monkeypatch):
+    # wide_step's shape, in batches of 256 through train, whose worker thread
+    # runs the loss and the fingerprint path into arrays the caller
+    # allocated; tracemalloc counts both threads.
+    d = generate(SynthConfig(n_instances=512, n_labels=2000, fingerprint_width=2048,
+                             graph_nodes_range=(6, 12), seed=1))
+    cfg = NetworkConfig(node_feature_dim=d.node_feature_dim,
+                        fingerprint_width=d.fingerprint_width, output_dim=d.label_count,
+                        hidden_dims=(32, 32), fuse_dim=32)
+    peaks = []
+
+    def measured(*args, _step=network.loss_and_gradients):
+        result = []
+        peaks.append(traced_peak(lambda: result.append(_step(*args))))
+        return result[0]
+
+    monkeypatch.setattr(network, "loss_and_gradients", measured)
+    train(d, cfg, TrainConfig(task="multilabel", epochs=1, batch_size=256))
+    assert len(peaks) == 2 and max(peaks) < 5 * (256 * d.label_count * 8)
+
+
 @pytest.fixture(scope="module")
 def node_step():
     """A hybrid batch of 400 graphs of 12 nodes each; with 32-wide layers a
@@ -992,6 +1015,84 @@ def test_every_stage_runs_through_its_module_name_with_the_same_bytes(monkeypatc
     assert checkpoints() == plain
     steps = 2 + -(-len(d) // 5)
     assert counts == {name: calls * steps for name, calls in stage_calls(cfg.layer_count).items()}
+
+
+# ---------------------------------------------------------------------------
+# The worker thread of train and predict
+# ---------------------------------------------------------------------------
+
+def test_the_jobs_run_beside_the_caller_in_train_and_predict_and_inline_elsewhere(monkeypatch):
+    caller, threads = threading.current_thread(), {}
+    for name in ("_fingerprint_path", "_fingerprint_backward", "_loss"):
+        def recorded(*args, _job=getattr(network, name), _name=name):
+            threads.setdefault(_name, set()).add(threading.current_thread())
+            return _job(*args)
+        monkeypatch.setattr(network, name, recorded)
+    d = labeled_dataset(np.random.default_rng(31), n=12)
+    cfg = NetworkConfig(node_feature_dim=d.node_feature_dim,
+                        fingerprint_width=d.fingerprint_width,
+                        output_dim=d.label_count, hidden_dims=(4,), fuse_dim=3)
+    params, _ = train(d, cfg, TrainConfig(task="multilabel", epochs=2, batch_size=5))
+    predict(d.instances, params)
+    assert len(threads) == 3 and not any(caller in seen for seen in threads.values())
+    threads.clear()
+    loss_and_gradients(params, build_batch(d.instances, cfg), label_matrix(d))
+    assert threads == dict.fromkeys(("_fingerprint_path", "_fingerprint_backward", "_loss"),
+                                    {caller})
+
+
+def diverging_regression():
+    """A hybrid regression set whose loss turns non-finite at lr 1e8; the
+    squared error overflows on the worker before it does."""
+    d = generate(SynthConfig(n_instances=24, n_labels=4, fingerprint_width=16,
+                             regression_width=2, seed=3))
+    cfg = NetworkConfig(node_feature_dim=d.node_feature_dim, fingerprint_width=16,
+                        output_dim=2, hidden_dims=(4,), fuse_dim=3,
+                        head_mode="linear_regression")
+    return d, cfg, TrainConfig(task="multiregression", epochs=20, learning_rate=1e8)
+
+
+DIVERGED = r"^training diverged: loss is (inf|nan) in epoch \d+; try a lower --lr than 100000000\.0$"
+
+
+@pytest.mark.parametrize("call", ["full batch", "minibatch", "predict", "diverged", "refused"])
+def test_train_and_predict_leave_no_thread_running(call):
+    # Each call joins its worker thread before it returns or raises.
+    d = labeled_dataset(np.random.default_rng(31), n=12)
+    cfg = NetworkConfig(node_feature_dim=d.node_feature_dim,
+                        fingerprint_width=d.fingerprint_width,
+                        output_dim=d.label_count, hidden_dims=(4,), fuse_dim=3)
+    tc = TrainConfig(task="multilabel", epochs=2)
+    before = threading.active_count()
+    if call == "full batch":
+        train(d, cfg, tc)
+    elif call == "minibatch":
+        train(d, cfg, dataclasses.replace(tc, batch_size=5))
+    elif call == "predict":
+        predict(d.instances, init_parameters(cfg, 0))
+    elif call == "diverged":
+        regression, net, diverging = diverging_regression()
+        with pytest.raises(ValueError, match=DIVERGED):
+            train(regression, net, dataclasses.replace(diverging, batch_size=5))
+    else:
+        graphless = generate(SynthConfig(n_instances=6, n_labels=3, fingerprint_width=8,
+                                         graph_nodes_range=None))
+        net = dataclasses.replace(cfg, node_feature_dim=graphless.node_feature_dim,
+                                  fingerprint_width=8, output_dim=3)
+        with pytest.raises(ValueError, match="have no graph"):
+            train(graphless, net, tc)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("batch_size", [None, 5])
+def test_a_diverging_run_raises_its_one_line_error_and_no_warning(batch_size):
+    # The worker's jobs run under the caller's errstate, so their overflows
+    # are as silent as the caller's.
+    d, cfg, tc = diverging_regression()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=DIVERGED):
+            train(d, cfg, dataclasses.replace(tc, batch_size=batch_size))
 
 
 # ---------------------------------------------------------------------------

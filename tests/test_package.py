@@ -3,7 +3,10 @@ module is written in the grammar of the oldest Python it declares."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import mlimb
@@ -26,3 +29,16 @@ def test_every_module_parses_with_the_python_3_10_grammar():
     standard-library call or a regex construct that 3.10 lacks still passes."""
     for path in sorted(Path(mlimb.__file__).parent.glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_cli_start_up_loads_no_process_or_executor_machinery():
+    # train and predict run their worker on threading, which numpy already
+    # loads; concurrent.futures alone costs milliseconds in every CLI process.
+    src = str(Path(mlimb.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    probe = ("import sys, mlimb.cli; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
